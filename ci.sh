@@ -17,6 +17,33 @@ F2PM_PACKAGES=(
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> non-test Rust line count"
+# Lines of the tracked crate and root sources up to each file's first
+# #[cfg(test)], excluding the offline dependency stubs and the standalone
+# benchmark package. Deleting code is progress; growing past the ceiling
+# fails CI until the ceiling is raised on purpose.
+NONTEST_LOC_MAX=26818
+python3 - "$NONTEST_LOC_MAX" <<'EOF'
+import subprocess, sys
+
+ceiling = int(sys.argv[1])
+files = subprocess.run(
+    ["git", "ls-files", "crates/*/src/*.rs", "src/*.rs"],
+    capture_output=True, text=True, check=True,
+).stdout.split()
+total = 0
+for path in files:
+    if path.startswith(("crates/compat/", "crates/bench/src/bin/benchmark/")):
+        continue
+    with open(path) as f:
+        for line in f:
+            if line.strip().startswith("#[cfg(test)]"):
+                break
+            total += 1
+print(f"non-test Rust lines: {total} (ceiling {ceiling})")
+assert total <= ceiling, f"non-test Rust lines {total} over the {ceiling} ceiling"
+EOF
+
 echo "==> cargo clippy (-D warnings)"
 clippy_args=()
 for p in "${F2PM_PACKAGES[@]}"; do clippy_args+=(-p "$p"); done

@@ -2,7 +2,7 @@
 //!
 //! Starts an in-process [`PredictionServer`], then drives hundreds of
 //! concurrent simulated FMC clients against it: every client owns a
-//! `SimCollector`-backed datapoint stream (wire protocol v2), interleaves
+//! `SimCollector`-backed datapoint stream, interleaves
 //! `PredictRequest`s to measure serving latency, and survives simulated
 //! guest deaths with `Fail` + a fresh collector — exactly a monitored
 //! fleet's traffic shape.
@@ -14,7 +14,7 @@
 //! - zero dropped frames (blocking backpressure end to end),
 //! - a live per-host RTTF estimate for every client,
 //! - the hot reload is visible without any reconnect,
-//! - the v3 metrics exposition, scraped mid-run and after the fleet
+//! - the metrics exposition, scraped mid-run and after the fleet
 //!   drains, agrees with the harness's own counters EXACTLY (the scraped
 //!   datapoint counter must equal the number of datapoints sent, the
 //!   scraped generation must match the installed one, zero drops),
@@ -25,18 +25,17 @@
 //! With `--connections N` a second phase exercises the epoll reactor edge
 //! at scale: a re-exec'd child process (`--fleet-child`, so the fd budget
 //! splits across two processes under the 20k NOFILE hard limit) opens `N`
-//! mostly-idle v2 connections (`--idle-fraction` of them never send after
+//! mostly-idle connections (`--idle-fraction` of them never send after
 //! the handshake), a hot sweep runs through the same server while the
 //! fleet is parked, and the parent records its own VmRSS before/after to
-//! price a resident connection. A threaded-edge baseline run
-//! (`reactors: 0`, one reader thread per conn) prices the same connection
-//! the old way; the ratio lands in `BENCH_serve.json` under
-//! `"connections"`. Hard checks: every fleet datapoint scraped exactly,
-//! zero drops, zero slow-consumer evictions, flat parent memory across
+//! price a resident connection. The ratio against the retired thread-per-
+//! connection edge's measured cost ([`THREADED_PER_CONN_KIB`]) lands in
+//! `BENCH_serve.json` under `"connections"`. Hard checks: every fleet
+//! datapoint scraped exactly, zero drops, zero slow-consumer evictions, flat parent memory across
 //! the sweep, and hot-path p99 under the 120 ms budget.
 //!
 //! A final *fleet* phase (`--fleet-hosts N`, default ≥1k hosts across 3
-//! instances) exercises the wire-v4 cluster plane: N in-process serve
+//! instances) exercises the cluster plane: N in-process serve
 //! instances with distinct `instance_id`s, heterogeneous simulated hosts
 //! ([`HostProfile`]) routed across them by the consistent-hash
 //! [`HashRing`], and the [`Fleet`] aggregator's cross-checks — the merged
@@ -344,7 +343,7 @@ fn run_client(
     report
 }
 
-/// A v3 scrape connection: handshake once, then `MetricsRequest` →
+/// A scrape connection: handshake once, then `MetricsRequest` →
 /// `MetricsText` on demand.
 struct Scraper {
     stream: TcpStream,
@@ -532,7 +531,7 @@ fn run_once(args: &Args, shards: usize) -> RunResult {
     let wall_s = started.elapsed().as_secs_f64();
 
     // Final scrape, before shutdown: every client thread has joined, but
-    // reader threads may still be draining buffered frames, so poll until
+    // the reactors may still be draining buffered frames, so poll until
     // the scraped datapoint counter catches up with what was sent. It
     // must land EXACTLY on sent_total — one frame lost or double-counted
     // is a bug.
@@ -688,18 +687,15 @@ const CONN_PHASE_P99_BUDGET_US: u64 = 120_000;
 const FLAT_RSS_BUDGET_KIB: u64 = 32 * 1024;
 
 /// Current VmRSS of this process in KiB, from `/proc/self/status`.
-#[cfg(target_os = "linux")]
 fn rss_kib() -> u64 {
     proc_status_kib("VmRSS:")
 }
 
 /// Peak VmHWM of this process in KiB (high-water mark since start).
-#[cfg(target_os = "linux")]
 fn vm_hwm_kib() -> u64 {
     proc_status_kib("VmHWM:")
 }
 
-#[cfg(target_os = "linux")]
 fn proc_status_kib(field: &str) -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .unwrap_or_default()
@@ -710,7 +706,7 @@ fn proc_status_kib(field: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// The re-exec'd fleet process: opens `n` v2 connections against `addr`
+/// The re-exec'd fleet process: opens `n` connections against `addr`
 /// and coordinates with the parent over stdin/stdout so the two
 /// processes split the 20k NOFILE budget (client fds here, server fds in
 /// the parent — the parent's RSS delta then prices only the server side).
@@ -722,7 +718,6 @@ fn proc_status_kib(field: &str) -> u64 {
 ///   child:  `SENT <total>`    — parent cross-checks the scrape exactly
 ///   parent: `BYE`             — clean close (Bye on every conn)
 ///   child:  `CLOSED`
-#[cfg(target_os = "linux")]
 fn fleet_child_main(addr: SocketAddr, n: usize, idle_fraction: f64) -> ! {
     use std::io::BufRead as _;
 
@@ -806,7 +801,6 @@ fn fleet_child_main(addr: SocketAddr, n: usize, idle_fraction: f64) -> ! {
     std::process::exit(0);
 }
 
-#[cfg(target_os = "linux")]
 fn connect_with_retry(addr: SocketAddr) -> TcpStream {
     for _ in 0..500 {
         match TcpStream::connect(addr) {
@@ -818,7 +812,6 @@ fn connect_with_retry(addr: SocketAddr) -> TcpStream {
 }
 
 /// Everything the connection-scale phase produces.
-#[cfg(target_os = "linux")]
 struct ConnResult {
     target: usize,
     connected: u64,
@@ -834,8 +827,6 @@ struct ConnResult {
     rss_after_sweep_kib: u64,
     vm_hwm_kib: u64,
     per_conn_kib_reactor: f64,
-    per_conn_kib_threaded: f64,
-    threaded_conns: usize,
     resident_ratio: f64,
     evicted_slow: u64,
     dropped: u64,
@@ -844,7 +835,6 @@ struct ConnResult {
 
 /// Read one `TAG <number>` line from the fleet child (0 when the tag has
 /// no number, e.g. `CLOSED`); a mismatch or EOF records a failure.
-#[cfg(target_os = "linux")]
 fn child_line(
     out: &mut impl std::io::BufRead,
     tag: &str,
@@ -871,7 +861,6 @@ fn child_line(
 
 /// Spawn a `--fleet-child` process holding `n` connections against
 /// `addr`; returns the child plus its piped stdin/stdout.
-#[cfg(target_os = "linux")]
 fn spawn_fleet(
     addr: SocketAddr,
     n: usize,
@@ -901,7 +890,6 @@ fn spawn_fleet(
 
 /// Poll the scrape until `pred` holds (or the budget runs out); returns
 /// the last exposition text.
-#[cfg(target_os = "linux")]
 fn scrape_until(scraper: &mut Scraper, tries: usize, pred: impl Fn(&str) -> bool) -> String {
     let mut text = scraper.scrape();
     for _ in 0..tries {
@@ -914,17 +902,21 @@ fn scrape_until(scraper: &mut Scraper, tries: usize, pred: impl Fn(&str) -> bool
     text
 }
 
+/// Resident cost (KiB) of one idle connection on the retired thread-per-
+/// connection edge (reader thread stack + eagerly sized decoder buffer),
+/// measured over 1000 idle connections when the reactor edge replaced it
+/// and committed in `BENCH_serve.json`. The edge's code is gone; its
+/// measured price stays the baseline the reactor's residency is judged by.
+const THREADED_PER_CONN_KIB: f64 = 22.812;
+
+/// Idle connections behind [`THREADED_PER_CONN_KIB`].
+const THREADED_BASELINE_CONNS: usize = 1000;
+
 /// The connection-scale phase: price a resident connection on the
 /// reactor edge under `args.connections` mostly-idle clients, prove the
 /// hot path keeps its latency budget with the fleet parked on the same
-/// epoll loops, and compare against a thread-per-connection baseline.
-///
-/// Runs the threaded baseline FIRST: its per-connection cost (reader
-/// thread stack + eagerly sized decoder buffer) is measured against a
-/// heap that has not yet absorbed the big fleet phase, which keeps the
-/// baseline honest — allocator reuse after a larger phase would
-/// under-count it.
-#[cfg(target_os = "linux")]
+/// epoll loops, and compare against the thread-per-connection baseline
+/// ([`THREADED_PER_CONN_KIB`]).
 fn run_connections(args: &Args) -> ConnResult {
     use std::io::Write as _;
 
@@ -934,56 +926,6 @@ fn run_connections(args: &Args) -> ConnResult {
     let hot_points = if args.smoke { 60 } else { 120 };
     let mut failures = Vec::new();
 
-    // --- Threaded baseline: reactors: 0, one reader thread per conn. ---
-    let threaded_conns = n.min(if args.smoke { 400 } else { 1000 });
-    let per_conn_kib_threaded = {
-        let registry = ModelRegistry::new(
-            model(1000.0),
-            f2pm_features::aggregate::aggregated_column_names_with(&agg()),
-            agg(),
-        )
-        .expect("registry");
-        let server = PredictionServer::start(
-            "127.0.0.1:0",
-            ServeConfig {
-                shards,
-                queue_cap: 256,
-                batch_cap: 64,
-                policy: AlertPolicy::default(),
-                reactors: 0,
-                ..ServeConfig::default()
-            },
-            registry,
-        )
-        .expect("start threaded server");
-        let addr = server.addr();
-        eprintln!(
-            "loadgen: connections baseline — {threaded_conns} idle conns on the threaded edge"
-        );
-        let rss0 = rss_kib();
-        let (mut child, mut stdin, mut stdout) = spawn_fleet(addr, threaded_conns, 1.0);
-        let connected = child_line(&mut stdout, "CONNECTED", &mut failures).unwrap_or(0);
-        let mut scraper = Scraper::connect(addr);
-        scrape_until(&mut scraper, 4000, |t| {
-            metric_sample(t, "f2pm_serve_connections ").unwrap_or(0.0) as u64 > connected
-        });
-        let rss1 = rss_kib();
-        writeln!(stdin, "RUN").ok();
-        child_line(&mut stdout, "SENT", &mut failures);
-        writeln!(stdin, "BYE").ok();
-        child_line(&mut stdout, "CLOSED", &mut failures);
-        child.wait().ok();
-        drop(scraper);
-        server.shutdown();
-        if connected != threaded_conns as u64 {
-            failures.push(format!(
-                "threaded baseline connected {connected}/{threaded_conns}"
-            ));
-        }
-        rss1.saturating_sub(rss0) as f64 / threaded_conns.max(1) as f64
-    };
-
-    // --- Reactor phase: the full fleet + hot sweep on the epoll edge. ---
     let registry = ModelRegistry::new(
         model(1000.0),
         f2pm_features::aggregate::aggregated_column_names_with(&agg()),
@@ -1131,24 +1073,24 @@ fn run_connections(args: &Args) -> ConnResult {
         ));
     }
 
-    // Resident cost per connection, both edges. The reactor delta can
-    // round to ~0 pages on small fleets; floor it so the ratio stays
-    // finite and conservative deltas still tell the story.
+    // Resident cost per connection. The delta can round to ~0 pages on
+    // small fleets; floor it so the ratio stays finite and conservative
+    // deltas still tell the story.
     let per_conn_kib_reactor =
         (rss_fleet.saturating_sub(rss_base) as f64 / n.max(1) as f64).max(0.05);
-    let resident_ratio = per_conn_kib_threaded / per_conn_kib_reactor;
+    let resident_ratio = THREADED_PER_CONN_KIB / per_conn_kib_reactor;
     if !args.smoke && resident_ratio < 10.0 {
         failures.push(format!(
             "reactor per-conn residency only {resident_ratio:.1}x below the threaded \
              baseline (need >= 10x): {per_conn_kib_reactor:.2} KiB vs \
-             {per_conn_kib_threaded:.2} KiB"
+             {THREADED_PER_CONN_KIB:.2} KiB"
         ));
     }
 
     eprintln!(
         "connections: {connected} up (peak {peak_live}), fleet sent {child_sent}, hot p50 \
          {hot_p50}us p99 {hot_p99}us | per-conn {per_conn_kib_reactor:.2} KiB reactor vs \
-         {per_conn_kib_threaded:.2} KiB threaded ({resident_ratio:.0}x)"
+         {THREADED_PER_CONN_KIB:.2} KiB threaded ({resident_ratio:.0}x)"
     );
 
     ConnResult {
@@ -1166,8 +1108,6 @@ fn run_connections(args: &Args) -> ConnResult {
         rss_after_sweep_kib: rss_after_sweep,
         vm_hwm_kib: hwm,
         per_conn_kib_reactor,
-        per_conn_kib_threaded,
-        threaded_conns,
         resident_ratio,
         evicted_slow: evicted_slow.max(0) as u64,
         dropped: dropped.max(0) as u64,
@@ -1178,6 +1118,12 @@ fn run_connections(args: &Args) -> ConnResult {
 /// Datapoints each simulated fleet host streams before the estimate wait
 /// and the cluster cross-checks.
 const FLEET_POINTS_PER_HOST: usize = 8;
+
+/// How long one fleet host keeps polling (one more datapoint per poll)
+/// for its first estimate. A time budget, not a poll count: the polls
+/// are back-to-back round trips, so under CPU contention a fixed count
+/// can run out before the host's shard has drained the earlier points.
+const FLEET_ESTIMATE_BUDGET: std::time::Duration = std::time::Duration::from_secs(10);
 
 /// One instance's share of the fleet phase, from its settled snapshot.
 struct FleetInstanceRow {
@@ -1268,7 +1214,10 @@ fn run_fleet_host(
     // board answers. Once observed, the slot can never be cleared (no
     // `Fail` frames above), so the final board read stays exact.
     let mut got = false;
-    for _ in 0..200 {
+    let started = Instant::now();
+    let mut polls = 0u32;
+    while started.elapsed() < FLEET_ESTIMATE_BUDGET {
+        polls += 1;
         Message::PredictRequest { host_id: host }
             .write_to(&mut stream)
             .map_err(|e| format!("fleet host {host}: predict request: {e}"))?;
@@ -1300,7 +1249,7 @@ fn run_fleet_host(
         Ok(())
     } else {
         Err(format!(
-            "fleet host {host}: no live estimate after 200 polls"
+            "fleet host {host}: no live estimate after {polls} polls in {FLEET_ESTIMATE_BUDGET:?}"
         ))
     }
 }
@@ -1624,15 +1573,10 @@ fn main() {
     // [`fleet_child_main`]). Handled before normal flag parsing.
     let argv: Vec<String> = std::env::args().collect();
     if argv.get(1).map(String::as_str) == Some("--fleet-child") {
-        #[cfg(target_os = "linux")]
-        {
-            let addr: SocketAddr = argv[2].parse().expect("fleet child addr");
-            let n: usize = argv[3].parse().expect("fleet child count");
-            let f: f64 = argv[4].parse().expect("fleet child idle fraction");
-            fleet_child_main(addr, n, f);
-        }
-        #[cfg(not(target_os = "linux"))]
-        std::process::exit(2);
+        let addr: SocketAddr = argv[2].parse().expect("fleet child addr");
+        let n: usize = argv[3].parse().expect("fleet child count");
+        let f: f64 = argv[4].parse().expect("fleet child idle fraction");
+        fleet_child_main(addr, n, f);
     }
 
     let args = parse_args();
@@ -1650,12 +1594,7 @@ fn main() {
     // The connection-scale phase runs after the sweeps: `run_once`'s
     // accepted-connection accounting assumes exactly clients + 2 scrapers,
     // so the idle fleet gets its own servers.
-    #[cfg(target_os = "linux")]
     let conn = (args.connections > 0).then(|| run_connections(&args));
-    #[cfg(not(target_os = "linux"))]
-    if args.connections > 0 {
-        eprintln!("--connections requires the Linux reactor edge; skipping the phase");
-    }
 
     // The fleet phase gets its own servers too: cluster-level routing and
     // aggregation cross-checks on top of fresh, exactly-accountable
@@ -1667,7 +1606,6 @@ fn main() {
     let r = runs.last().expect("at least one run");
 
     let mut checks_passed = runs.iter().all(|run| run.failures.is_empty());
-    #[cfg(target_os = "linux")]
     if let Some(c) = &conn {
         checks_passed &= c.failures.is_empty();
     }
@@ -1733,7 +1671,6 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  ],");
-    #[cfg(target_os = "linux")]
     if let Some(c) = &conn {
         let _ = writeln!(json, "  \"connections\": {{");
         let _ = writeln!(json, "    \"target\": {},", c.target);
@@ -1764,13 +1701,11 @@ fn main() {
         );
         let _ = writeln!(
             json,
-            "    \"per_conn_kib_threaded\": {:.3},",
-            c.per_conn_kib_threaded
+            "    \"per_conn_kib_threaded\": {THREADED_PER_CONN_KIB:.3},"
         );
         let _ = writeln!(
             json,
-            "    \"threaded_baseline_conns\": {},",
-            c.threaded_conns
+            "    \"threaded_baseline_conns\": {THREADED_BASELINE_CONNS},"
         );
         let _ = writeln!(json, "    \"resident_ratio\": {:.1},", c.resident_ratio);
         let _ = writeln!(json, "    \"evicted_slow\": {},", c.evicted_slow);
@@ -1871,7 +1806,6 @@ fn main() {
                 eprintln!("CHECK FAILED ({} shards): {f}", run.shards);
             }
         }
-        #[cfg(target_os = "linux")]
         if let Some(c) = &conn {
             for f in &c.failures {
                 eprintln!("CHECK FAILED (connections): {f}");

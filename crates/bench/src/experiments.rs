@@ -427,17 +427,19 @@ do for [m in "linear_regression m5p rep_tree svm ls_svm lasso_lambda_1e9"] {
 mod tests {
     use super::*;
 
-    fn quick_ctx() -> ExperimentContext {
+    /// A quick context writing into its own directory: tests run in
+    /// parallel, and one test's cleanup must not delete another's output.
+    fn quick_ctx(test: &str) -> ExperimentContext {
         ExperimentContext::new(ExperimentOptions {
             seed: 3,
-            out_dir: std::env::temp_dir().join(format!("f2pm_exp_{}", std::process::id())),
+            out_dir: std::env::temp_dir().join(format!("f2pm_exp_{}_{test}", std::process::id())),
             quick: true,
         })
     }
 
     #[test]
     fn all_experiments_run_and_write_csvs() {
-        let mut ctx = quick_ctx();
+        let mut ctx = quick_ctx("all");
         ctx.all();
         let dir = ctx.opts.out_dir.clone();
         for f in [
@@ -461,7 +463,7 @@ mod tests {
 
     #[test]
     fn lasso_path_shape_matches_fig4() {
-        let mut ctx = quick_ctx();
+        let mut ctx = quick_ctx("fig4");
         let series = ctx.prepared().selection.fig4_series();
         // Monotone non-increasing, starts near the full width, ends small.
         for w in series.windows(2) {

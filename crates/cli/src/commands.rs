@@ -43,8 +43,9 @@ USAGE:
 METHODS (train): linear, rep_tree, m5p, svm, ls_svm
 
 `serve` starts the sharded online RTTF prediction service (wire protocol
-v1–v3); `--watch` hot-reloads the model whenever the file changes, and
-`--seconds` bounds the run (default: forever). With `--history` it trains
+v4 only; clients speaking another version are disconnected); `--watch`
+hot-reloads the model whenever the file changes, and `--seconds` bounds
+the run (default: forever). With `--history` it trains
 the model in-process at boot instead of loading a file, so the metrics
 exposition carries the training-stage timings. With `--models-dir` it
 cold-starts from the store's manifest-active binary artifact (no training
@@ -56,11 +57,11 @@ with `f2pm models DIR import --model model.txt`. `--retrain RUNS` (with
 failing runs streamed by live clients, warm-retrains an LS-SVM over the
 last RUNS of them (rank-k factor updates — no O(n³) rebuild per run), and
 publishes each refreshed model into the store, where the manifest poll
-hot-reloads it with zero disruption. `--reactors N` sizes the
-epoll event-loop pool that owns client connections (Linux; default: one
-per CPU; 0 falls back to one reader thread per connection), and
-`--instance-id N` stamps the instance's stable fleet identity into the
-v4 wire frames and the `f2pm_serve_instance_info` exposition gauge.
+hot-reloads it with zero disruption. `--reactors N` (N ≥ 1) sizes the
+epoll event-loop pool that owns client connections (Linux only; default:
+one per CPU), and `--instance-id N` stamps the instance's stable fleet
+identity into the fleet wire frames and the `f2pm_serve_instance_info`
+exposition gauge.
 `stats` scrapes a running serve instance's Prometheus-style text
 exposition once, `--count N` times, or forever with `--watch`
 (reconnecting through restarts). `fleet` fans a query out to every
@@ -656,16 +657,12 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     let server = PredictionServer::start_with_tap(&*opts.addr, cfg, registry, tap)
         .map_err(|e| format!("binding {}: {e}", opts.addr))?;
     let registry = server.registry();
-    let edge = if cfg!(target_os = "linux") && cfg.reactors > 0 {
-        format!("{} reactors", cfg.reactors)
-    } else {
-        "threaded edge".to_string()
-    };
     println!(
-        "serving {source} on {} (instance {}, {} shards, {edge}, alert ≤ {:.0} s × {})",
+        "serving {source} on {} (instance {}, {} shards, {} reactors, alert ≤ {:.0} s × {})",
         server.addr(),
         cfg.instance_id,
         cfg.shards,
+        cfg.reactors,
         cfg.policy.rttf_threshold_s,
         cfg.policy.consecutive_hits
     );
@@ -1300,6 +1297,7 @@ mod tests {
         // Bad flags are rejected up front.
         assert!(serve(&s(&["--addr", "127.0.0.1:0"])).is_err()); // no --model
         assert!(serve(&s(&["--model", model.to_str().unwrap(), "--shards", "0"])).is_err());
+        assert!(serve(&s(&["--model", model.to_str().unwrap(), "--reactors", "0"])).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

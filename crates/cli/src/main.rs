@@ -25,8 +25,8 @@
 //! versioned binary model artifacts (list, verify checksums, roll back
 //! the active generation, import legacy text models); `stats` scrapes a
 //! running serve instance's Prometheus-style metrics exposition over the
-//! wire protocol (v3), reconnecting through restarts with `--watch`;
-//! `fleet` fans out to every instance of a serve fleet (wire v4) and
+//! wire protocol, reconnecting through restarts with `--watch`;
+//! `fleet` fans out to every instance of a serve fleet and
 //! aggregates — a cluster-wide top-K at-risk ranking, per-instance stats
 //! rollups, or one merged exposition; `export-columnar` converts a
 //! history CSV into the checksummed columnar store and `query`

@@ -53,8 +53,8 @@ pub struct ServeOptions {
     pub source: ModelSource,
     /// Shard worker count (hosts are pinned `host % shards`).
     pub shards: usize,
-    /// Epoll reactor threads; `None` = server default (one per core on
-    /// Linux), `Some(0)` = the thread-per-connection edge.
+    /// Epoll reactor threads (at least 1); `None` = server default (one
+    /// per core).
     pub reactors: Option<usize>,
     /// Bounded per-shard queue capacity (events).
     pub queue_cap: usize,
@@ -69,7 +69,7 @@ pub struct ServeOptions {
     pub watch: bool,
     /// Bound the run (seconds); `None` = run until killed.
     pub seconds: Option<u64>,
-    /// Stable fleet identity of this instance, surfaced in the v4
+    /// Stable fleet identity of this instance, surfaced in the
     /// `FleetSnapshot`/`TopKReply` frames and the
     /// `f2pm_serve_instance_info` exposition gauge.
     pub instance_id: u32,
@@ -132,7 +132,7 @@ impl ServeOptionsBuilder {
         self
     }
 
-    /// Reactor thread count (`0` = threaded edge).
+    /// Reactor thread count (at least 1).
     pub fn reactors(mut self, reactors: usize) -> Self {
         self.reactors = Some(reactors);
         self
@@ -199,6 +199,9 @@ impl ServeOptionsBuilder {
         }
         if self.shards == 0 {
             return Err(invalid("shards must be positive"));
+        }
+        if self.reactors == Some(0) {
+            return Err(invalid("reactors must be positive"));
         }
         if self.queue_cap == 0 {
             return Err(invalid("queue_cap must be positive"));
@@ -349,6 +352,20 @@ mod tests {
             let err = b.clone().build().unwrap_err();
             assert_eq!(err.kind(), "invalid_config", "{b:?} → {err}");
         }
+    }
+
+    #[test]
+    fn zero_reactors_is_invalid_config() {
+        // The reactor pool is the only connection edge: zero reactors
+        // would accept nothing.
+        let err = ServeOptions::builder(file_source())
+            .reactors(0)
+            .build()
+            .unwrap_err();
+        assert_eq!(err.kind(), "invalid_config");
+        assert!(err.to_string().contains("reactors"), "{err}");
+        let one = ServeOptions::builder(file_source()).reactors(1).build();
+        assert_eq!(one.unwrap().reactors, Some(1));
     }
 
     #[test]

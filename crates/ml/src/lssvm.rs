@@ -22,13 +22,15 @@ use crate::MlError;
 use f2pm_linalg::{conjugate_gradient, CgOptions, Cholesky, Matrix, Standardizer};
 
 /// Above this sample count the solver switches from Cholesky (`O(n³)`) to
-/// conjugate gradients (`O(k·n²)`).
+/// conjugate gradients (`O(k·n²)`), because CG is faster there.
 ///
-/// Raised from 1500 once `f2pm-linalg` gained the blocked right-looking
-/// factorization: a direct solve at n = 2000 now beats the CG pair (two
-/// solves, `20n` iteration budget each) by well over 2× and is exact, so
-/// CG is reserved for kernels whose O(n²) storage-adjacent cost truly
-/// dominates (n > 4000 ≈ 128 MB Gram).
+/// The switch is about time, not storage: both solvers hold the same
+/// n × n system. At n = 2000 the blocked right-looking factorization
+/// beats the CG pair (two solves, `20n` iteration budget each) by well
+/// over 2× and is exact. At the benchmark `build` workload's n = 5104 the
+/// cubic factorization has lost: the LS-SVM fit took 1.36 s with CG
+/// against 7.86 s with Cholesky forced (medians of 5 alternating pairs,
+/// CG faster in 5 of 5, identical best S-MAE; DESIGN.md §6.1).
 const CG_THRESHOLD: usize = 4000;
 
 /// The LS-SVM learning method.

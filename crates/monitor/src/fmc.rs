@@ -318,8 +318,12 @@ mod tests {
 
     #[test]
     fn reconnects_to_restarted_server_with_backoff() {
-        let server = FeatureMonitorServer::start("127.0.0.1:0").unwrap();
-        let addr = server.addr();
+        // The first server dies with the client's connection open: a raw
+        // listener that accepts, then drops the connection and itself.
+        // (`FmsHandle::shutdown` leaves accepted connections running, so
+        // it cannot stand in for a crash.)
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
         let mut client = FeatureMonitorClient::connect(
             addr,
             FmcConfig {
@@ -331,7 +335,9 @@ mod tests {
         )
         .unwrap();
         client.send_datapoint(&dp(0.0)).unwrap();
-        server.shutdown();
+        let (conn, _) = listener.accept().unwrap();
+        drop(conn);
+        drop(listener);
 
         // Rebind the same port (retry briefly: the OS may need a moment to
         // release it).
@@ -350,6 +356,9 @@ mod tests {
                 if delivered >= 5 {
                     break;
                 }
+            } else {
+                // Paced, so the dead connection's RST has time to land.
+                std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
         assert!(client.reconnects() > 0, "client reconnected");
@@ -371,16 +380,20 @@ mod tests {
 
     #[test]
     fn zero_reconnect_attempts_fails_hard() {
-        let server = FeatureMonitorServer::start("127.0.0.1:0").unwrap();
+        // A server that dies with the connection open (see
+        // `reconnects_to_restarted_server_with_backoff`).
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = FeatureMonitorClient::connect(
-            server.addr(),
+            listener.local_addr().unwrap(),
             FmcConfig {
                 max_reconnect_attempts: 0,
                 ..FmcConfig::default()
             },
         )
         .unwrap();
-        server.shutdown();
+        let (conn, _) = listener.accept().unwrap();
+        drop(conn);
+        drop(listener);
         std::thread::sleep(std::time::Duration::from_millis(30));
         let mut saw_err = false;
         for i in 0..60 {

@@ -8,7 +8,7 @@
 //! HPC guides).
 
 use crate::history::DataHistory;
-use crate::wire::{Message, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::wire::{Message, PROTOCOL_VERSION};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
@@ -40,6 +40,22 @@ struct Shared {
     obs_live: f2pm_obs::Gauge,
 }
 
+impl Shared {
+    fn new() -> Self {
+        Shared {
+            history: Mutex::new(DataHistory::new()),
+            by_host: Mutex::new(HashMap::new()),
+            stop: AtomicBool::new(false),
+            connections: AtomicU64::new(0),
+            total_accepted: AtomicU64::new(0),
+            datapoints: AtomicU64::new(0),
+            obs_accepted: f2pm_obs::global().counter("f2pm_fms_connections_total"),
+            obs_datapoints: f2pm_obs::global().counter("f2pm_fms_datapoints_total"),
+            obs_live: f2pm_obs::global().gauge("f2pm_fms_connections"),
+        }
+    }
+}
+
 /// Handle to a running server; dropping it does *not* stop the server —
 /// call [`FmsHandle::shutdown`].
 pub struct FmsHandle {
@@ -57,21 +73,11 @@ impl FeatureMonitorServer {
     pub fn start(addr: impl ToSocketAddrs) -> io::Result<FmsHandle> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            history: Mutex::new(DataHistory::new()),
-            by_host: Mutex::new(HashMap::new()),
-            stop: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
-            total_accepted: AtomicU64::new(0),
-            datapoints: AtomicU64::new(0),
-            obs_accepted: f2pm_obs::global().counter("f2pm_fms_connections_total"),
-            obs_datapoints: f2pm_obs::global().counter("f2pm_fms_datapoints_total"),
-            obs_live: f2pm_obs::global().gauge("f2pm_fms_connections"),
-        });
+        let shared = Arc::new(Shared::new());
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("fms-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))
+            .spawn(move || accept_clients(listener, accept_shared))
             .expect("spawn fms accept thread");
         Ok(FmsHandle {
             addr: local,
@@ -81,7 +87,7 @@ impl FeatureMonitorServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+fn accept_clients(listener: TcpListener, shared: Arc<Shared>) {
     for conn in listener.incoming() {
         if shared.stop.load(Ordering::SeqCst) {
             break;
@@ -118,13 +124,10 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     while let Some(msg) = Message::read_from(&mut stream)? {
         match msg {
             Message::Hello { version, host_id } => {
-                if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+                if version != PROTOCOL_VERSION {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
-                        format!(
-                            "client protocol {version} outside \
-                             {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}"
-                        ),
+                        format!("client protocol {version}, server speaks {PROTOCOL_VERSION}"),
                     ));
                 }
                 host = Some(host_id);
@@ -149,7 +152,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                 }
             }
             Message::Bye => break,
-            // v2/v3 serving traffic: the passive FMS only collects — it has
+            // Serving traffic: the passive FMS only collects — it has
             // no estimates or metrics exposition to answer with, so requests
             // are ignored and server-role frames from a confused peer are
             // dropped (`f2pm-serve` is the server that speaks these).
@@ -157,7 +160,6 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
             | Message::StatsRequest
             | Message::RttfEstimate { .. }
             | Message::Alert { .. }
-            | Message::Stats { .. }
             | Message::MetricsRequest
             | Message::MetricsText { .. }
             | Message::TopKRequest { .. }
@@ -349,29 +351,25 @@ mod tests {
     }
 
     #[test]
-    fn v1_clients_still_accepted() {
-        // A v1 handshake (the pre-serving protocol) must keep working.
-        let server = FeatureMonitorServer::start("127.0.0.1:0").unwrap();
-        let mut s = TcpStream::connect(server.addr()).unwrap();
-        Message::Hello {
-            version: 1,
-            host_id: 5,
-        }
-        .write_to(&mut s)
-        .unwrap();
-        for i in 0..3 {
-            Message::Datapoint(dp(i as f64)).write_to(&mut s).unwrap();
-        }
-        Message::Bye.write_to(&mut s).unwrap();
-        drop(s);
-        for _ in 0..200 {
-            if server.datapoint_count() == 3 {
-                break;
+    fn only_the_current_version_is_accepted() {
+        // Any Hello but PROTOCOL_VERSION ends the connection with
+        // InvalidData before a single datapoint lands.
+        for version in [0, 1, 3, 5] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (server_side, _) = listener.accept().unwrap();
+            Message::Hello {
+                version,
+                host_id: 5,
             }
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            .write_to(&mut client)
+            .unwrap();
+            Message::Datapoint(dp(1.0)).write_to(&mut client).unwrap();
+            let shared = Arc::new(Shared::new());
+            let err = serve_connection(server_side, &shared).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "v{version}");
+            assert_eq!(shared.datapoints.load(Ordering::Relaxed), 0, "v{version}");
         }
-        assert_eq!(server.datapoint_count(), 3);
-        server.shutdown();
     }
 
     #[test]

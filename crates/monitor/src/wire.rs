@@ -3,44 +3,36 @@
 //! Frames are length-prefixed: a `u32` big-endian payload length, then a
 //! one-byte message tag, then the payload. All floats are IEEE-754 f64
 //! big-endian. The format is deliberately tiny and hand-rolled (no serde
-//! format crate in the offline dependency set) and versioned through the
-//! `Hello` handshake.
+//! format crate in the offline dependency set).
 //!
-//! ## Versions
+//! ## Version
 //!
-//! - **v1** is the passive-collection protocol: `Hello`, `Datapoint`,
-//!   `Fail`, `Bye` — a client streams samples, the server accumulates.
-//! - **v2** adds the online-serving messages: `PredictRequest` /
-//!   [`Message::RttfEstimate`] (client-pulled estimates),
-//!   [`Message::Alert`] (server-pushed rejuvenation alerts), and
-//!   `StatsRequest` / [`Message::Stats`] (server metrics snapshot).
-//! - **v3** adds the observability scrape: `MetricsRequest` /
-//!   [`Message::MetricsText`] — the full Prometheus-style text exposition of
-//!   the server's metrics registry (see `f2pm-obs`), UTF-8, capped at
-//!   [`MAX_METRICS_TEXT`] so it always fits one frame.
-//! - **v4** adds the fleet plane: [`Message::TopKRequest`] /
+//! There is one wire version, [`PROTOCOL_VERSION`]. A client opens with
+//! `Hello { version: PROTOCOL_VERSION, .. }`; servers close any connection
+//! whose `Hello` carries another version. The message set:
+//!
+//! - collection: `Hello`, `Datapoint`, `Fail`, `Bye` — a client streams
+//!   samples, the server accumulates;
+//! - serving: `PredictRequest` / [`Message::RttfEstimate`] (client-pulled
+//!   estimates) and [`Message::Alert`] (server-pushed rejuvenation alerts);
+//! - observability: `MetricsRequest` / [`Message::MetricsText`] — the full
+//!   Prometheus-style text exposition of the server's metrics registry (see
+//!   `f2pm-obs`), UTF-8, capped at [`MAX_METRICS_TEXT`] so it always fits
+//!   one frame;
+//! - fleet: `StatsRequest` / [`Message::FleetSnapshot`] (an instance-
+//!   attributable metrics snapshot) and [`Message::TopKRequest`] /
 //!   [`Message::TopKReply`] (the K hosts nearest failure, answered from the
-//!   server's seqlock estimate board without scanning connections) and
-//!   [`Message::FleetSnapshot`] — an instance-attributable replacement for
-//!   the anonymous [`Message::Stats`] shape, returned to `StatsRequest` on
-//!   v4 connections. The old `Stats` frame is deprecated behind the version
-//!   gate: v2/v3 clients still get it, v4 clients get `FleetSnapshot`.
+//!   server's seqlock estimate board without scanning connections).
 //!
-//! Servers accept any handshake version in
-//! [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`]; a v1/v2 client never
-//! emits a newer tag — and servers only answer scrape requests on
-//! connections that shook hands with v3, and ranking queries on v4 — so
-//! older clients keep working unchanged.
+//! Tag 9 (a retired anonymous stats snapshot) is not assigned and decodes
+//! as an unknown tag.
 
 use crate::datapoint::Datapoint;
 use bytes::{Buf, BufMut, BytesMut};
 use std::io::{self, Read, Write};
 
-/// Protocol version spoken by this crate.
+/// The one protocol version spoken and accepted by this crate.
 pub const PROTOCOL_VERSION: u16 = 4;
-
-/// Oldest protocol version servers still accept.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
 
 /// Maximum accepted frame payload. A corrupt (or hostile) length prefix
 /// must never translate into a huge allocation: `read_from` rejects any
@@ -91,12 +83,12 @@ pub enum Message {
     },
     /// Orderly goodbye.
     Bye,
-    /// v2, client → server: ask for the latest RTTF estimate of a host.
+    /// client → server: ask for the latest RTTF estimate of a host.
     PredictRequest {
         /// Host whose estimate is requested.
         host_id: u32,
     },
-    /// v2, server → client: latest RTTF estimate (reply to
+    /// server → client: latest RTTF estimate (reply to
     /// [`Message::PredictRequest`]).
     RttfEstimate {
         /// Host the estimate belongs to.
@@ -111,7 +103,7 @@ pub enum Message {
         /// every hot-reload).
         model_generation: u64,
     },
-    /// v2, server → client (unsolicited): the host's predicted RTTF fell
+    /// server → client (unsolicited): the host's predicted RTTF fell
     /// below the rejuvenation threshold for enough consecutive windows.
     Alert {
         /// Host the alert fires for.
@@ -123,44 +115,25 @@ pub enum Message {
         /// The policy threshold it undercut (s).
         threshold: f64,
     },
-    /// v2, client → server: ask for a server metrics snapshot.
+    /// client → server: ask for a server metrics snapshot.
     StatsRequest,
-    /// v2, server → client: metrics snapshot (reply to
-    /// [`Message::StatsRequest`]).
-    Stats {
-        /// Live client connections.
-        connections: u64,
-        /// Datapoints ingested since start.
-        datapoints: u64,
-        /// RTTF estimates produced since start.
-        estimates: u64,
-        /// Rejuvenation alerts fired since start.
-        alerts: u64,
-        /// Frames dropped (always 0 under blocking backpressure; kept for
-        /// lossy transports).
-        dropped: u64,
-        /// Current model generation.
-        model_generation: u64,
-        /// Queue depth per shard at snapshot time.
-        shard_depths: Vec<u32>,
-    },
-    /// v3, client → server: ask for the full metrics text exposition.
+    /// client → server: ask for the full metrics text exposition.
     MetricsRequest,
-    /// v3, server → client: Prometheus-style text exposition (reply to
+    /// server → client: Prometheus-style text exposition (reply to
     /// [`Message::MetricsRequest`]). UTF-8, at most [`MAX_METRICS_TEXT`]
     /// bytes — build with [`Message::metrics_text`] to get safe truncation.
     MetricsText {
         /// The exposition body.
         text: String,
     },
-    /// v4, client → server: ask for the `k` hosts nearest failure (lowest
+    /// client → server: ask for the `k` hosts nearest failure (lowest
     /// predicted RTTF) on this instance. Answered from the seqlock estimate
     /// board — no connection scan. `k` is clamped to [`MAX_TOPK`].
     TopKRequest {
         /// How many entries the client wants at most.
         k: u16,
     },
-    /// v4, server → client: instance-local at-risk ranking (reply to
+    /// server → client: instance-local at-risk ranking (reply to
     /// [`Message::TopKRequest`]), sorted by ascending RTTF.
     TopKReply {
         /// Identity of the answering instance.
@@ -168,9 +141,8 @@ pub enum Message {
         /// Entries sorted nearest-failure first; at most [`MAX_TOPK`].
         entries: Vec<TopKEntry>,
     },
-    /// v4, server → client: instance-attributable metrics snapshot (reply
-    /// to [`Message::StatsRequest`] on v4 connections, deprecating the
-    /// anonymous [`Message::Stats`] shape).
+    /// server → client: instance-attributable metrics snapshot (reply
+    /// to [`Message::StatsRequest`]).
     FleetSnapshot {
         /// Identity of the answering instance.
         instance_id: u32,
@@ -221,26 +193,11 @@ impl Message {
             Message::RttfEstimate { .. } => 6,
             Message::Alert { .. } => 7,
             Message::StatsRequest => 8,
-            Message::Stats { .. } => 9,
             Message::MetricsRequest => 10,
             Message::MetricsText { .. } => 11,
             Message::TopKRequest { .. } => 12,
             Message::TopKReply { .. } => 13,
             Message::FleetSnapshot { .. } => 14,
-        }
-    }
-
-    /// Lowest protocol version in which this message exists.
-    pub fn min_version(&self) -> u16 {
-        match self {
-            Message::Hello { .. } | Message::Datapoint(_) | Message::Fail { .. } | Message::Bye => {
-                1
-            }
-            Message::MetricsRequest | Message::MetricsText { .. } => 3,
-            Message::TopKRequest { .. }
-            | Message::TopKReply { .. }
-            | Message::FleetSnapshot { .. } => 4,
-            _ => 2,
         }
     }
 
@@ -300,26 +257,6 @@ impl Message {
                 buf.put_f64(*threshold);
             }
             Message::StatsRequest => {}
-            Message::Stats {
-                connections,
-                datapoints,
-                estimates,
-                alerts,
-                dropped,
-                model_generation,
-                shard_depths,
-            } => {
-                buf.put_u64(*connections);
-                buf.put_u64(*datapoints);
-                buf.put_u64(*estimates);
-                buf.put_u64(*alerts);
-                buf.put_u64(*dropped);
-                buf.put_u64(*model_generation);
-                buf.put_u16(shard_depths.len() as u16);
-                for d in shard_depths {
-                    buf.put_u32(*d);
-                }
-            }
             Message::MetricsRequest => {}
             Message::MetricsText { text } => {
                 debug_assert!(text.len() <= MAX_METRICS_TEXT, "use Message::metrics_text");
@@ -469,31 +406,6 @@ impl Message {
                 })
             }
             8 => Ok(Message::StatsRequest),
-            9 => {
-                if payload.remaining() < 6 * 8 + 2 {
-                    return Err(bad("short stats"));
-                }
-                let connections = payload.get_u64();
-                let datapoints = payload.get_u64();
-                let estimates = payload.get_u64();
-                let alerts = payload.get_u64();
-                let dropped = payload.get_u64();
-                let model_generation = payload.get_u64();
-                let n = payload.get_u16() as usize;
-                if payload.remaining() < n * 4 {
-                    return Err(bad("short stats shard depths"));
-                }
-                let shard_depths = (0..n).map(|_| payload.get_u32()).collect();
-                Ok(Message::Stats {
-                    connections,
-                    datapoints,
-                    estimates,
-                    alerts,
-                    dropped,
-                    model_generation,
-                    shard_depths,
-                })
-            }
             10 => Ok(Message::MetricsRequest),
             11 => {
                 if payload.remaining() < 4 {
@@ -633,8 +545,8 @@ pub const READ_CHUNK: usize = 16 * 1024;
 /// `split-boundary` proptests).
 ///
 /// The caller owns the read loop, so stop flags and read timeouts stay
-/// caller-controlled (see `f2pm-serve`); [`FrameDecoder::read_frame`] is
-/// the plain blocking convenience for clients.
+/// caller-controlled; [`FrameDecoder::read_frame`] is the plain blocking
+/// convenience for clients.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -802,15 +714,6 @@ mod tests {
                 threshold: 180.0,
             },
             Message::StatsRequest,
-            Message::Stats {
-                connections: 12,
-                datapoints: 34_000,
-                estimates: 2800,
-                alerts: 3,
-                dropped: 0,
-                model_generation: 2,
-                shard_depths: vec![0, 7, 2, 0],
-            },
             Message::MetricsRequest,
             Message::MetricsText {
                 text: "# TYPE f2pm_requests_total counter\nf2pm_requests_total 7\n".to_string(),
@@ -862,9 +765,9 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_is_byte_identical_to_encode_for_all_16_variants() {
+    fn encode_into_is_byte_identical_to_encode_for_all_15_variants() {
         let variants = all_variants();
-        assert_eq!(variants.len(), 16, "cover every frame variant");
+        assert_eq!(variants.len(), 15, "cover every frame variant");
         let mut scratch = BytesMut::new();
         for m in &variants {
             scratch.clear();
@@ -1031,24 +934,6 @@ mod tests {
     }
 
     #[test]
-    fn tags_carry_the_version_they_were_introduced_in() {
-        for m in all_variants() {
-            let expect = match m {
-                Message::Hello { .. }
-                | Message::Datapoint(_)
-                | Message::Fail { .. }
-                | Message::Bye => 1,
-                Message::MetricsRequest | Message::MetricsText { .. } => 3,
-                Message::TopKRequest { .. }
-                | Message::TopKReply { .. }
-                | Message::FleetSnapshot { .. } => 4,
-                _ => 2,
-            };
-            assert_eq!(m.min_version(), expect, "{m:?}");
-        }
-    }
-
-    #[test]
     fn metrics_text_roundtrips_unicode() {
         let m = Message::metrics_text("f2pm_µs_sum 12\nf2pm_µs_count 3\n".to_string());
         let frame = m.encode();
@@ -1144,22 +1029,27 @@ mod tests {
         assert!(Message::decode(&[5, 0]).is_err()); // short predict request
         assert!(Message::decode(&[6, 0, 0, 0, 0]).is_err()); // short estimate
         assert!(Message::decode(&[7, 1, 2]).is_err()); // short alert
-        assert!(Message::decode(&[9, 0]).is_err()); // short stats
-                                                    // Stats whose depth count exceeds the remaining payload.
-        let mut stats = Message::Stats {
+
+        // Tag 9 (the retired anonymous stats snapshot) is unassigned.
+        let err = Message::decode(&[9, 0]).unwrap_err();
+        assert!(err.to_string().contains("unknown tag 9"), "{err}");
+        // FleetSnapshot whose depth count exceeds the remaining payload.
+        let mut snap = Message::FleetSnapshot {
+            instance_id: 1,
             connections: 1,
             datapoints: 1,
             estimates: 1,
             alerts: 0,
             dropped: 0,
             model_generation: 1,
+            hosts_tracked: 1,
             shard_depths: vec![1, 2],
         }
         .encode()
         .to_vec();
-        let n = stats.len();
-        stats.truncate(n - 4); // cut one depth entry
-        assert!(Message::decode(&stats[4..]).is_err());
+        let n = snap.len();
+        snap.truncate(n - 4); // cut one depth entry
+        assert!(Message::decode(&snap[4..]).is_err());
         // Estimate with a corrupt presence flag.
         let mut est = Message::RttfEstimate {
             host_id: 0,
@@ -1174,7 +1064,7 @@ mod tests {
     }
 
     #[test]
-    fn v4_frames_reject_bad_payloads() {
+    fn fleet_frames_reject_bad_payloads() {
         assert!(Message::decode(&[12, 0]).is_err()); // short top-k request
         assert!(Message::decode(&[13, 0, 0, 0, 0, 0]).is_err()); // short top-k reply
         assert!(Message::decode(&[14, 0, 0]).is_err()); // short fleet snapshot
@@ -1198,23 +1088,6 @@ mod tests {
         payload.extend_from_slice(&1u32.to_be_bytes());
         payload.extend_from_slice(&((MAX_TOPK + 1) as u16).to_be_bytes());
         assert!(Message::decode(&payload).is_err());
-        // FleetSnapshot whose depth count exceeds the remaining payload.
-        let mut snap = Message::FleetSnapshot {
-            instance_id: 1,
-            connections: 1,
-            datapoints: 1,
-            estimates: 1,
-            alerts: 0,
-            dropped: 0,
-            model_generation: 1,
-            hosts_tracked: 1,
-            shard_depths: vec![1, 2],
-        }
-        .encode()
-        .to_vec();
-        let n = snap.len();
-        snap.truncate(n - 4); // cut one depth entry
-        assert!(Message::decode(&snap[4..]).is_err());
     }
 
     #[test]
@@ -1291,7 +1164,7 @@ mod tests {
     }
 
     mod properties {
-        //! Property round-trips: every v1 and v2 message survives
+        //! Property round-trips: every message survives
         //! encode → frame → decode bit-exactly, singly and in streams.
         use super::*;
         use proptest::prelude::*;
@@ -1327,12 +1200,12 @@ mod tests {
             })
         }
 
-        /// One strategy covering every message variant, v1 through v4. (The
+        /// One strategy covering every message variant. (The
         /// offline proptest stub supports 2- and 3-tuples, so the inputs
         /// nest.)
         fn arb_message() -> impl Strategy<Value = Message> {
             (
-                (0u8..15, (0u64..u64::MAX, 0u32..u32::MAX, 0u16..u16::MAX)),
+                (0u8..14, (0u64..u64::MAX, 0u32..u32::MAX, 0u16..u16::MAX)),
                 ((arb_f64(), arb_f64(), arb_f64()), arb_text()),
                 (
                     arb_datapoint(),
@@ -1365,21 +1238,12 @@ mod tests {
                             threshold: c,
                         },
                         8 => Message::StatsRequest,
-                        9 => Message::Stats {
-                            connections: n % 100_000,
-                            datapoints: n,
-                            estimates: n / 3,
-                            alerts: n % 17,
-                            dropped: n % 5,
-                            model_generation: n % 1000,
-                            shard_depths: depths,
-                        },
-                        10 => Message::MetricsRequest,
-                        11 => Message::MetricsText { text },
-                        12 => Message::TopKRequest {
+                        9 => Message::MetricsRequest,
+                        10 => Message::MetricsText { text },
+                        11 => Message::TopKRequest {
                             k: version % MAX_TOPK as u16,
                         },
-                        13 => Message::TopKReply {
+                        12 => Message::TopKReply {
                             instance_id: host_id,
                             entries: depths
                                 .iter()

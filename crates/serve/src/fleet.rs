@@ -11,7 +11,7 @@
 //!   hosts (the rebalance bound pinned by the property tests below) —
 //!   every moved host lands on (or leaves) the changed instance, never a
 //!   third party.
-//! * [`Fleet`] — a thin client/aggregator that fans wire-v4 requests out
+//! * [`Fleet`] — a thin client/aggregator that fans fleet requests out
 //!   to every instance and merges the answers: per-instance
 //!   `FleetSnapshot`s roll up into a [`FleetStats`] (cluster totals +
 //!   attributable per-instance rows and alert rollups), per-instance
@@ -119,7 +119,7 @@ impl HashRing {
     }
 }
 
-/// A connected wire-v4 client for one serve instance.
+/// A connected wire client for one serve instance.
 ///
 /// Connections identify as host `u32::MAX` (an id the simulated fleets
 /// never use), speak [`PROTOCOL_VERSION`], and skip unsolicited pushed
@@ -176,7 +176,7 @@ impl InstanceClient {
         }
     }
 
-    /// `StatsRequest` → the instance's v4 snapshot.
+    /// `StatsRequest` → the instance's `FleetSnapshot`.
     pub fn snapshot(&mut self) -> io::Result<InstanceSnapshot> {
         Message::StatsRequest.write_to(&mut self.stream)?;
         match self.recv()? {
@@ -238,7 +238,7 @@ fn unexpected(addr: &str, wanted: &str, got: &Message) -> io::Error {
     )
 }
 
-/// One instance's v4 snapshot, annotated with the address it came from.
+/// One instance's `FleetSnapshot`, annotated with the address it came from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstanceSnapshot {
     /// Address the snapshot was scraped from.
@@ -355,8 +355,9 @@ impl Fleet {
     }
 
     /// Fan out `TopKRequest` and merge the per-instance rankings into the
-    /// cluster-wide top `k` (ascending RTTF; ties break by host id, then
-    /// instance id, for a deterministic order).
+    /// cluster-wide top `k` (ascending RTTF with NaN last, as on each
+    /// instance's board; ties break by host id, then instance id, for a
+    /// deterministic total order).
     ///
     /// Each instance returns at most `k` entries, and the cluster top-k is
     /// a subset of the union of per-instance top-k's, so the merge is
@@ -373,13 +374,7 @@ impl Fleet {
                 model_generation: e.model_generation,
             }));
         }
-        all.sort_by(|a, b| {
-            a.rttf
-                .partial_cmp(&b.rttf)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.host_id.cmp(&b.host_id))
-                .then_with(|| a.instance_id.cmp(&b.instance_id))
-        });
+        sort_nearest_failure(&mut all);
         all.truncate(k);
         Ok(all)
     }
@@ -403,10 +398,56 @@ impl Fleet {
     }
 }
 
+/// The cluster ranking order: `(rttf NaN-last, rttf, host, instance)`.
+fn sort_nearest_failure(entries: &mut [FleetTopKEntry]) {
+    entries.sort_by(|a, b| {
+        crate::shard::rttf_order(a.rttf, b.rttf)
+            .then_with(|| a.host_id.cmp(&b.host_id))
+            .then_with(|| a.instance_id.cmp(&b.instance_id))
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    /// A hostile or buggy instance can put NaN or ±inf on the wire; the
+    /// cluster merge must still be a total order with finite estimates
+    /// ranked ahead of NaN, and ties resolved by host then instance.
+    #[test]
+    fn merge_orders_nan_and_infinities_totally() {
+        let entry = |instance_id, host_id, rttf| FleetTopKEntry {
+            instance_id,
+            host_id,
+            t: 0.0,
+            rttf,
+            model_generation: 1,
+        };
+        let mut all = vec![
+            entry(1, 10, f64::NAN),
+            entry(2, 11, 120.0),
+            entry(1, 12, f64::INFINITY),
+            entry(3, 13, -f64::NAN),
+            entry(2, 14, f64::NEG_INFINITY),
+            entry(3, 11, 120.0),
+            entry(1, 15, 5.0),
+        ];
+        sort_nearest_failure(&mut all);
+        let order: Vec<(u32, u32)> = all.iter().map(|e| (e.instance_id, e.host_id)).collect();
+        assert_eq!(
+            order,
+            vec![
+                (2, 14),
+                (1, 15),
+                (2, 11),
+                (3, 11),
+                (1, 12),
+                (3, 13),
+                (1, 10)
+            ]
+        );
+    }
 
     fn load_per_instance(ring: &HashRing, hosts: u32) -> HashMap<u32, usize> {
         let mut load: HashMap<u32, usize> = HashMap::new();

@@ -5,18 +5,18 @@
 //! training data, this crate *answers* — many monitored hosts stream
 //! datapoints in, and the server keeps a live Remaining-Time-To-Failure
 //! estimate per host, pushes rejuvenation alerts when an estimate stays
-//! under the safety threshold, and exposes a metrics snapshot over the
-//! same wire protocol (v2) plus a full Prometheus-style text exposition
-//! (v3 `MetricsRequest` → `MetricsText`, scraped by `f2pm stats`).
+//! under the safety threshold, and exposes a metrics snapshot plus a full
+//! Prometheus-style text exposition (`MetricsRequest` → `MetricsText`,
+//! scraped by `f2pm stats`) over the same wire protocol. Clients must
+//! speak the one wire version, `f2pm_monitor::wire::PROTOCOL_VERSION`.
+//!
+//! Linux only: the connection edge is built on epoll and eventfd.
 //!
 //! Architecture (see `DESIGN.md` §8):
 //!
-//! - **[`server`]** — the connection edge. On Linux the default is an
-//!   epoll [`reactor`] pool (N event-loop threads, each owning a slab of
-//!   nonblocking connections — 10k+ concurrent FMC clients per instance);
-//!   `reactors: 0` (or non-Linux) falls back to the original accept loop
-//!   with one reader thread per connection. v1 clients keep working
-//!   untouched on both edges.
+//! - **[`server`]** — the connection edge: an epoll [`reactor`] pool (N
+//!   event-loop threads, each owning a slab of nonblocking connections —
+//!   10k+ concurrent FMC clients per instance).
 //! - **[`shard`]** — hosts are pinned to shard workers over bounded
 //!   crossbeam channels (blocking send = backpressure, zero drops); each
 //!   worker owns its hosts' `OnlinePredictor` state lock-free.
@@ -28,7 +28,7 @@
 //!   host's life into runs, slides them through a warm
 //!   `f2pm::RetrainEngine`, and publishes every refreshed LS-SVM back
 //!   through the artifact store for the manifest watcher to hot-reload.
-//! - **[`fleet`]** — the fleet plane (wire v4): a consistent-hash
+//! - **[`fleet`]** — the fleet plane: a consistent-hash
 //!   [`HashRing`] routes hosts across N serve instances, and the
 //!   [`Fleet`] aggregator fans `TopKRequest`/`StatsRequest`/metrics
 //!   scrapes out to every instance, merging them into a cluster-wide
@@ -41,11 +41,12 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("f2pm-serve needs Linux: its connection edge is built on epoll and eventfd");
+
 pub mod fleet;
 pub mod metrics;
-#[cfg(target_os = "linux")]
 pub mod poller;
-#[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod registry;
 pub mod retrain;

@@ -1,13 +1,13 @@
 //! Serving metrics on the shared `f2pm-obs` registry.
 //!
-//! One [`ServeMetrics`] is shared by the acceptor, every reader thread and
-//! every shard worker. The counters/gauges/histogram are handles into an
+//! One [`ServeMetrics`] is shared by every reactor and every shard
+//! worker. The counters/gauges/histogram are handles into an
 //! [`f2pm_obs::MetricsRegistry`] owned by the server instance (per-instance,
 //! so tests can run several servers without cross-talk); all updates are
 //! relaxed atomics, so the hot ingest path never takes a lock for
 //! accounting. [`ServeMetrics::snapshot`] materializes a consistent-enough
-//! [`MetricsSnapshot`] for the v2 `Stats` wire reply, and
-//! [`ServeMetrics::expose_text`] renders the v3 Prometheus-style exposition
+//! [`MetricsSnapshot`] for the `FleetSnapshot` wire reply, and
+//! [`ServeMetrics::expose_text`] renders the Prometheus-style exposition
 //! (instance registry + the process-global registry, which carries the span
 //! timings of any in-process training plus FMC/FMS transport counters).
 
@@ -136,13 +136,13 @@ impl ServeMetrics {
         self.stats_requests.inc();
     }
 
-    /// One `MetricsRequest` (v3 scrape) served.
+    /// One `MetricsRequest` scrape served.
     pub fn metrics_request(&self) {
         self.metrics_requests.inc();
     }
 
     /// One wire frame decoded off a connection's read buffer, taking
-    /// `took` of reader-thread time (the "decode" stage of the latency
+    /// `took` of reactor time (the "decode" stage of the latency
     /// breakdown).
     pub fn record_decode(&self, took: Duration) {
         self.decode.record_duration(took);
@@ -244,7 +244,7 @@ impl ServeMetrics {
         }
     }
 
-    /// Render the v3 text exposition: refresh the scrape-time gauges
+    /// Render the text exposition: refresh the scrape-time gauges
     /// (shard queue depths, model generation, p50/p99 latency), render the
     /// instance registry, then append the process-global registry so the
     /// scrape also carries pipeline span timings and FMC/FMS transport
@@ -309,12 +309,12 @@ pub struct MetricsSnapshot {
     pub predict_requests: u64,
     /// `StatsRequest`s served since start.
     pub stats_requests: u64,
-    /// `MetricsRequest` scrapes served since start (v3).
+    /// `MetricsRequest` scrapes served since start.
     pub metrics_requests: u64,
     /// Prediction-latency histogram; bucket `i` counts estimates that took
     /// `[2^(i-1), 2^i)` µs of shard-worker time.
     pub latency_buckets: Vec<u64>,
-    /// Frame-decode latency histogram (reader-thread "decode" stage).
+    /// Frame-decode latency histogram (the reactor's "decode" stage).
     pub decode_buckets: Vec<u64>,
     /// Coalesced reply-write latency histogram ("reply" stage).
     pub reply_buckets: Vec<u64>,
@@ -362,23 +362,7 @@ impl MetricsSnapshot {
         snap.quantile_us(q.clamp(0.0, 1.0))
     }
 
-    /// Render as the wire `Stats` reply (the anonymous v2 shape, kept for
-    /// pre-v4 clients; v4 connections get
-    /// [`MetricsSnapshot::to_fleet_snapshot`]).
-    pub fn to_message(&self) -> Message {
-        Message::Stats {
-            connections: self.connections,
-            datapoints: self.datapoints,
-            estimates: self.estimates,
-            alerts: self.alerts,
-            dropped: self.dropped,
-            model_generation: self.model_generation,
-            shard_depths: self.shard_depths.clone(),
-        }
-    }
-
-    /// Render as the wire `FleetSnapshot` reply: the v4 instance-
-    /// attributable replacement for the anonymous `Stats` shape.
+    /// Render as the wire `FleetSnapshot` reply to a `StatsRequest`.
     /// `hosts_tracked` comes from the estimate board, which lives outside
     /// the metrics.
     pub fn to_fleet_snapshot(&self, instance_id: u32, hosts_tracked: u32) -> Message {
@@ -459,19 +443,23 @@ mod tests {
     }
 
     #[test]
-    fn stats_message_mirrors_snapshot() {
+    fn fleet_snapshot_mirrors_snapshot() {
         let m = ServeMetrics::new();
         m.datapoint();
         let s = m.snapshot(vec![3], 2);
-        match s.to_message() {
-            Message::Stats {
+        match s.to_fleet_snapshot(7, 5) {
+            Message::FleetSnapshot {
+                instance_id,
                 datapoints,
                 model_generation,
+                hosts_tracked,
                 shard_depths,
                 ..
             } => {
+                assert_eq!(instance_id, 7);
                 assert_eq!(datapoints, 1);
                 assert_eq!(model_generation, 2);
+                assert_eq!(hosts_tracked, 5);
                 assert_eq!(shard_depths, vec![3]);
             }
             other => panic!("wrong message {other:?}"),

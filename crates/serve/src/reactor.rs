@@ -14,15 +14,17 @@
 //! scratch slice). That is what turns per-connection cost from a thread
 //! stack into a slab entry.
 //!
-//! Semantics match the threaded edge frame-for-frame (pinned by the
-//! equivalence tests in `tests/reactor_equivalence.rs`):
+//! The handshake accepts exactly `PROTOCOL_VERSION`: any other first
+//! frame closes the connection. After it (pinned frame-for-frame against
+//! an in-process `OnlinePredictor` replay by
+//! `tests/reactor_equivalence.rs`):
 //!
-//! - reads (`PredictRequest`/`StatsRequest`/`MetricsRequest`) are
-//!   answered from the board and never wait behind ingest backpressure —
-//!   the reactor *parks* a shard-bound event that meets a full queue
-//!   (`try_send` hands it back) in the connection state, drops read
-//!   interest so level-triggered epoll doesn't spin, and retries each
-//!   turn; replies keep flowing the whole time;
+//! - reads (`PredictRequest`/`StatsRequest`/`MetricsRequest`/
+//!   `TopKRequest`) are answered from the board and never wait behind
+//!   ingest backpressure — the reactor *parks* a shard-bound event that
+//!   meets a full queue (`try_send` hands it back) in the connection
+//!   state, drops read interest so level-triggered epoll doesn't spin,
+//!   and retries each turn; replies keep flowing the whole time;
 //! - shard-bound events apply in arrival order per connection (the
 //!   parked event always retries before any later frame is decoded);
 //! - alerts pushed by shard workers are appended to the connection's
@@ -40,9 +42,7 @@ use crate::poller::{Event, Interest, Poller, Waker};
 use crate::server::{handle_read, Inner};
 use crate::shard::{ClientWriter, ShardEvent};
 use bytes::BytesMut;
-use f2pm_monitor::wire::{
-    FrameDecoder, Message, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, READ_CHUNK,
-};
+use f2pm_monitor::wire::{FrameDecoder, Message, PROTOCOL_VERSION, READ_CHUNK};
 use parking_lot::Mutex;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -160,9 +160,8 @@ impl ReactorSink {
 impl Drop for ReactorSink {
     /// The shard worker releasing its writer (it processed the
     /// `Unsubscribe`, or gave up after a failed send) completes any
-    /// draining close: mirror of the threaded edge, where the worker's
-    /// stream clone dropping is what finally EOFs a Bye'd client that
-    /// was still receiving alerts for already-ingested datapoints.
+    /// draining close: a Bye'd client keeps receiving alerts for its
+    /// already-ingested datapoints until exactly this point, then EOFs.
     fn drop(&mut self) {
         let need_notify = {
             let mut out = self.out.lock();
@@ -187,10 +186,9 @@ struct Conn {
     interest: Interest,
     token: u64,
     host: u32,
-    version: u16,
+    /// The `Hello` was accepted and its `Subscribe` sent; close must
+    /// `Unsubscribe`.
     handshaken: bool,
-    /// A `Subscribe` was sent; close must `Unsubscribe`.
-    subscribed: bool,
     /// The close-path `Unsubscribe` is already queued (draining close:
     /// the conn stays until the worker drops its writer).
     unsub_sent: bool,
@@ -231,7 +229,6 @@ impl ReactorPool {
         inner: Arc<Inner>,
         metrics: Arc<ServeMetrics>,
     ) -> io::Result<ReactorPool> {
-        let n = n.max(1);
         // Headroom for the fds the reactors will hold; best-effort.
         crate::poller::raise_nofile_limit(16_384);
         let mut shareds = Vec::with_capacity(n);
@@ -447,9 +444,7 @@ impl Reactor {
             interest: Interest::READ,
             token,
             host: 0,
-            version: 0,
             handshaken: false,
-            subscribed: false,
             unsub_sent: false,
             parked: None,
             eof: false,
@@ -543,7 +538,7 @@ impl Reactor {
         // drop their subscription on the send error).
         conn.out.lock().dead = true;
         self.poller.delete(conn.stream.as_raw_fd()).ok();
-        if conn.subscribed && !conn.unsub_sent {
+        if conn.handshaken && !conn.unsub_sent {
             self.inner
                 .pool
                 .send(conn.host, ShardEvent::Unsubscribe { host: conn.host })
@@ -670,7 +665,7 @@ fn pump_conn(
     }
 
     // Clean EOF once everything decoded and delivered; EOF mid-frame is
-    // a protocol error (same as the threaded edge).
+    // a protocol error.
     if conn.eof && !conn.closing && conn.parked.is_none() {
         if conn.decoder.buffered() > 0 {
             return Verdict::Close;
@@ -678,24 +673,21 @@ fn pump_conn(
         conn.closing = true;
     }
 
-    // Stage replies into the outbound buffer (v1 connections have no
-    // writer: replies are dropped, matching the threaded edge).
+    // Stage replies into the outbound buffer.
     if !pending.is_empty() {
-        if conn.version >= 2 {
-            let started = Instant::now();
-            let mut out = conn.out.lock();
-            if !out.dead {
-                for msg in pending.iter() {
-                    msg.encode_into(&mut out.buf);
-                }
-                if out.pending() > outbound_cap {
-                    out.dead = true;
-                    out.evicted = true;
-                }
+        let started = Instant::now();
+        let mut out = conn.out.lock();
+        if !out.dead {
+            for msg in pending.iter() {
+                msg.encode_into(&mut out.buf);
             }
-            drop(out);
-            metrics.record_reply(started.elapsed());
+            if out.pending() > outbound_cap {
+                out.dead = true;
+                out.evicted = true;
+            }
         }
+        drop(out);
+        metrics.record_reply(started.elapsed());
         pending.clear();
     }
 
@@ -738,14 +730,13 @@ fn finalize(conn: &mut Conn, inner: &Arc<Inner>, poller: &Poller) -> Verdict {
     let writer_gone = out.writer_gone;
     drop(out);
     if conn.closing {
-        if !conn.subscribed {
+        if !conn.handshaken {
             return Verdict::Close;
         }
         // Draining close: in-flight datapoints may still produce alerts,
         // so queue the Unsubscribe (ordered behind them in the shard
         // queue) and hold the socket open until the worker drops its
-        // writer and the buffer has flushed — exactly when a threaded-
-        // edge client would see EOF.
+        // writer and the buffer has flushed.
         if !conn.unsub_sent {
             if inner
                 .pool
@@ -787,34 +778,28 @@ fn process_msg(
 ) -> Flow {
     if !conn.handshaken {
         return match msg {
-            Message::Hello { version, host_id }
-                if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) =>
-            {
+            Message::Hello { version, host_id } if version == PROTOCOL_VERSION => {
                 conn.host = host_id;
-                conn.version = version;
-                conn.handshaken = true;
-                if version >= 2 {
-                    let writer = ClientWriter::from_reactor(ReactorSink {
-                        out: Arc::clone(&conn.out),
-                        shared: Arc::clone(shared),
-                        token: conn.token,
-                        cap: outbound_cap,
-                    });
-                    if inner
-                        .pool
-                        .send(
-                            conn.host,
-                            ShardEvent::Subscribe {
-                                host: conn.host,
-                                writer,
-                            },
-                        )
-                        .is_err()
-                    {
-                        return Flow::Fatal;
-                    }
-                    conn.subscribed = true;
+                let writer = ClientWriter::new(ReactorSink {
+                    out: Arc::clone(&conn.out),
+                    shared: Arc::clone(shared),
+                    token: conn.token,
+                    cap: outbound_cap,
+                });
+                if inner
+                    .pool
+                    .send(
+                        conn.host,
+                        ShardEvent::Subscribe {
+                            host: conn.host,
+                            writer,
+                        },
+                    )
+                    .is_err()
+                {
+                    return Flow::Fatal;
                 }
+                conn.handshaken = true;
                 Flow::Continue
             }
             _ => Flow::Fatal,
@@ -841,7 +826,7 @@ fn process_msg(
             try_send_or_park(conn, inner, ShardEvent::Fail { host: conn.host, t })
         }
         ref m => {
-            handle_read(m, conn.version, inner, metrics, pending);
+            handle_read(m, inner, metrics, pending);
             Flow::Continue
         }
     }

@@ -22,7 +22,7 @@
 //! freshness.
 //!
 //! Telemetry lands on the process-global `f2pm_obs` registry (the serve
-//! exposition appends it, so a v3 scrape carries the retrain plane too):
+//! exposition appends it, so a scrape carries the retrain plane too):
 //!
 //! - `f2pm_retrain_runs_total` — completed failing runs ingested;
 //! - `f2pm_retrain_total` / `_warm_total` / `_fallback_total` — retrains,

@@ -1,52 +1,38 @@
 //! The online prediction server.
 //!
-//! Accepts FMC connections (wire v1 *and* v2) and routes datapoints to
-//! the shard workers over bounded queues (see [`crate::shard`]). Two
-//! interchangeable edges decode the frames:
-//!
-//! - the **reactor edge** (Linux, default): `ServeConfig::reactors`
-//!   epoll event-loop threads, each owning a slab of nonblocking
-//!   connections — the 10k+-client path (see [`crate::reactor`]);
-//! - the **threaded edge** (`reactors: 0`, and every non-Linux build):
-//!   the original accept loop + one blocking reader thread per
-//!   connection.
-//!
-//! Both edges speak identical wire semantics (pinned by the equivalence
-//! tests). v2 connections additionally get:
+//! Accepts FMC connections speaking the one wire version
+//! (`PROTOCOL_VERSION`; any other `Hello` is closed) on the epoll reactor
+//! edge — `ServeConfig::reactors` event-loop threads, each owning a slab
+//! of nonblocking connections (see [`crate::reactor`]) — and routes
+//! datapoints to the shard workers over bounded queues (see
+//! [`crate::shard`]). Every connection additionally gets:
 //!
 //! - `PredictRequest` → `RttfEstimate` replies, answered directly from the
-//!   last-estimate board (readers never block on a shard worker);
+//!   last-estimate board (reads never block on a shard worker);
 //! - pushed `Alert`s when the host's predicted RTTF stays below the
 //!   rejuvenation threshold (see [`AlertPolicy`]);
-//! - `StatsRequest` → `Stats` snapshots of the serving metrics.
-//!
-//! v3 connections additionally get `MetricsRequest` → `MetricsText`:
-//! the full Prometheus-style text exposition of the serve registry
-//! (per-shard counters and queue depths, latency histogram, model
-//! generation) with the process-global registry — training-stage span
-//! timings, FMC/FMS transport counters — appended.
-//!
-//! v4 connections speak the fleet plane (see [`crate::fleet`]):
-//! `StatsRequest` → `FleetSnapshot` (the instance-attributable
-//! replacement for the anonymous `Stats` shape, which stays gated to
-//! pre-v4 clients) and `TopKRequest` → `TopKReply`, the instance's K
-//! hosts nearest failure answered from the seqlock estimate board.
+//! - `MetricsRequest` → `MetricsText`: the full Prometheus-style text
+//!   exposition of the serve registry (per-shard counters and queue
+//!   depths, latency histogram, model generation) with the process-global
+//!   registry — training-stage span timings, FMC/FMS transport counters —
+//!   appended;
+//! - the fleet plane (see [`crate::fleet`]): `StatsRequest` →
+//!   `FleetSnapshot` and `TopKRequest` → `TopKReply`, the instance's K
+//!   hosts nearest failure answered from the seqlock estimate board.
 //!
 //! Model hot-reloads go through the shared [`ModelRegistry`]: calling
 //! [`ModelRegistry::install`] (or `reload_from_file`) swaps the model for
 //! every host's next prediction without dropping a single connection.
 
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
+use crate::reactor::ReactorPool;
 use crate::registry::ModelRegistry;
-use crate::shard::{AlertPolicy, ClientWriter, EstimateBoard, ShardEvent, ShardPool};
-use f2pm_monitor::wire::{FrameDecoder, Message, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use crate::shard::{AlertPolicy, EstimateBoard, ShardPool};
+use f2pm_monitor::wire::Message;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -61,16 +47,16 @@ pub struct ServeConfig {
     pub batch_cap: usize,
     /// When to push rejuvenation alerts.
     pub policy: AlertPolicy,
-    /// Epoll reactor threads serving the connection edge. `0` selects
-    /// the thread-per-connection edge (also the only edge off Linux).
-    /// Defaults to the machine's available parallelism.
+    /// Epoll reactor threads serving the connection edge (at least 1;
+    /// [`PredictionServer::start`] rejects `0`). Defaults to the machine's
+    /// available parallelism.
     pub reactors: usize,
-    /// Bound (bytes) on one connection's pending outbound buffer on the
-    /// reactor edge; a slow consumer exceeding it is disconnected
+    /// Bound (bytes) on one connection's pending outbound buffer; a slow
+    /// consumer exceeding it is disconnected
     /// (`f2pm_serve_conns_evicted_slow`) instead of growing memory.
     pub outbound_cap: usize,
     /// Stable identity of this instance within a fleet. Surfaced in the
-    /// v4 `FleetSnapshot`/`TopKReply` frames and in the exposition as
+    /// `FleetSnapshot`/`TopKReply` frames and in the exposition as
     /// `f2pm_serve_instance_info{instance="<id>"} 1`, so merged fleet
     /// scrapes stay attributable. `0` for a standalone instance.
     pub instance_id: u32,
@@ -110,39 +96,29 @@ impl ServeConfig {
     }
 }
 
-/// Default reactor count: one per available core on Linux; `0`
-/// (threaded edge) elsewhere, where no poller backend exists.
+/// Default reactor count: one per available core.
 pub fn default_reactors() -> usize {
-    if cfg!(target_os = "linux") {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        0
-    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
-/// Shared server state (both edges; the reactor drives it too).
+/// Shared server state, driven by the reactors.
 pub(crate) struct Inner {
     pub(crate) stop: AtomicBool,
     pub(crate) registry: Arc<ModelRegistry>,
     pub(crate) board: Arc<EstimateBoard>,
     pub(crate) pool: ShardPool,
     pub(crate) instance_id: u32,
-    /// Read-half clones of every live *threaded-edge* connection, so
-    /// shutdown can `Shutdown::Both` them and wake reads blocked inside
-    /// the (long) read timeout instead of polling on a short one.
-    /// Reactor connections live in their reactor's slab instead.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn: AtomicU64,
 }
 
 /// The online prediction server (see the module docs).
 pub struct PredictionServer;
 
 impl PredictionServer {
-    /// Bind `addr`, spawn the shard workers and the acceptor, and return a
-    /// handle controlling the server.
+    /// Bind `addr`, spawn the shard workers and the reactors, and return a
+    /// handle controlling the server. `cfg.reactors == 0` is
+    /// `InvalidInput`.
     pub fn start(
         addr: impl ToSocketAddrs,
         cfg: ServeConfig,
@@ -162,7 +138,14 @@ impl PredictionServer {
         registry: Arc<ModelRegistry>,
         tap: Option<crate::retrain::RetrainTap>,
     ) -> io::Result<ServeHandle> {
+        if cfg.reactors == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "reactors must be at least 1",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let metrics = Arc::new(ServeMetrics::new());
         let pool = ShardPool::start_tapped(
@@ -182,85 +165,30 @@ impl PredictionServer {
             board,
             pool,
             instance_id: cfg.instance_id,
-            conns: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
         });
-        let edge = start_edge(listener, &cfg, &inner, &metrics)?;
+        let reactors = ReactorPool::start(
+            listener,
+            cfg.reactors,
+            cfg.outbound_cap.max(1),
+            Arc::clone(&inner),
+            Arc::clone(&metrics),
+        )?;
         Ok(ServeHandle {
             addr,
-            inner: Some(inner),
+            inner,
             metrics,
-            edge: Some(edge),
+            reactors,
         })
     }
-}
-
-/// The running connection edge: reactor pool or acceptor + readers.
-enum Edge {
-    #[cfg(target_os = "linux")]
-    Reactor(crate::reactor::ReactorPool),
-    Threaded {
-        accept: std::thread::JoinHandle<()>,
-        readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    },
-}
-
-#[cfg(target_os = "linux")]
-fn start_edge(
-    listener: TcpListener,
-    cfg: &ServeConfig,
-    inner: &Arc<Inner>,
-    metrics: &Arc<ServeMetrics>,
-) -> io::Result<Edge> {
-    if cfg.reactors == 0 {
-        return start_threaded_edge(listener, inner, metrics);
-    }
-    listener.set_nonblocking(true)?;
-    let pool = crate::reactor::ReactorPool::start(
-        listener,
-        cfg.reactors,
-        cfg.outbound_cap.max(1),
-        Arc::clone(inner),
-        Arc::clone(metrics),
-    )?;
-    Ok(Edge::Reactor(pool))
-}
-
-#[cfg(not(target_os = "linux"))]
-fn start_edge(
-    listener: TcpListener,
-    _cfg: &ServeConfig,
-    inner: &Arc<Inner>,
-    metrics: &Arc<ServeMetrics>,
-) -> io::Result<Edge> {
-    start_threaded_edge(listener, inner, metrics)
-}
-
-fn start_threaded_edge(
-    listener: TcpListener,
-    inner: &Arc<Inner>,
-    metrics: &Arc<ServeMetrics>,
-) -> io::Result<Edge> {
-    let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let accept = {
-        let inner = Arc::clone(inner);
-        let readers = Arc::clone(&readers);
-        let metrics = Arc::clone(metrics);
-        std::thread::Builder::new()
-            .name("f2pm-serve-accept".to_string())
-            .spawn(move || accept_loop(listener, inner, metrics, readers))
-            .expect("spawn acceptor")
-    };
-    Ok(Edge::Threaded { accept, readers })
 }
 
 /// Running-server handle; dropping it without
 /// [`ServeHandle::shutdown`] leaves the server running detached.
 pub struct ServeHandle {
     addr: SocketAddr,
-    inner: Option<Arc<Inner>>,
+    inner: Arc<Inner>,
     metrics: Arc<ServeMetrics>,
-    edge: Option<Edge>,
+    reactors: ReactorPool,
 }
 
 impl ServeHandle {
@@ -271,335 +199,60 @@ impl ServeHandle {
 
     /// The hot-reloadable model registry this server predicts with.
     pub fn registry(&self) -> Arc<ModelRegistry> {
-        Arc::clone(&self.inner.as_ref().expect("server running").registry)
+        Arc::clone(&self.inner.registry)
     }
 
-    /// The live estimate board (what a v4 `TopKRequest` is answered from).
+    /// The live estimate board (what a `TopKRequest` is answered from).
     /// In-process fleet harnesses read it to cross-check wire-level
     /// rankings against ground truth.
     pub fn board(&self) -> Arc<EstimateBoard> {
-        Arc::clone(&self.inner.as_ref().expect("server running").board)
+        Arc::clone(&self.inner.board)
     }
 
     /// This instance's stable fleet identity.
     pub fn instance_id(&self) -> u32 {
-        self.inner.as_ref().expect("server running").instance_id
+        self.inner.instance_id
     }
 
     /// A point-in-time metrics snapshot (queue depths and model generation
     /// included).
     pub fn metrics(&self) -> MetricsSnapshot {
-        let inner = self.inner.as_ref().expect("server running");
-        self.metrics
-            .snapshot(inner.pool.queue_depths(), inner.registry.generation())
+        self.metrics.snapshot(
+            self.inner.pool.queue_depths(),
+            self.inner.registry.generation(),
+        )
     }
 
     /// Stop accepting, close every connection, drain the shard queues and
     /// join all threads. Returns the final metrics snapshot.
-    pub fn shutdown(mut self) -> MetricsSnapshot {
-        let inner = self.inner.take().expect("server running");
+    pub fn shutdown(self) -> MetricsSnapshot {
+        let ServeHandle {
+            inner,
+            metrics,
+            reactors,
+            ..
+        } = self;
         inner.stop.store(true, Ordering::SeqCst);
-        match self.edge.take().expect("edge running") {
-            #[cfg(target_os = "linux")]
-            Edge::Reactor(pool) => {
-                // Eventfd wake per reactor: each observes the stop flag,
-                // closes its slab, and exits. No throwaway connection.
-                pool.shutdown();
-            }
-            Edge::Threaded { accept, readers } => {
-                // Wake every reader blocked in its (long) read timeout: a
-                // shutdown connection returns immediately, and the reader
-                // sees the stop flag without ever having polled for it.
-                for conn in inner.conns.lock().values() {
-                    conn.shutdown(Shutdown::Both).ok();
-                }
-                // Unblock the acceptor with a throwaway connection.
-                TcpStream::connect(self.addr).ok();
-                accept.join().ok();
-                let readers: Vec<_> = std::mem::take(&mut *readers.lock());
-                for r in readers {
-                    r.join().ok();
-                }
-            }
-        }
+        // Eventfd wake per reactor: each observes the stop flag, closes
+        // its slab, and exits.
+        reactors.shutdown();
         let depths = inner.pool.queue_depths();
         let generation = inner.registry.generation();
-        let snapshot = self.metrics.snapshot(depths, generation);
+        let snapshot = metrics.snapshot(depths, generation);
         match Arc::try_unwrap(inner) {
             Ok(inner) => inner.pool.shutdown(),
-            Err(_) => unreachable!("all edge threads joined"),
+            Err(_) => unreachable!("all reactor threads joined"),
         }
         snapshot
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    inner: Arc<Inner>,
-    metrics: Arc<ServeMetrics>,
-    readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if inner.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                metrics.connection_opened();
-                let conn_id = inner.next_conn.fetch_add(1, Ordering::Relaxed);
-                if let Ok(clone) = stream.try_clone() {
-                    inner.conns.lock().insert(conn_id, clone);
-                }
-                let inner = Arc::clone(&inner);
-                let metrics = Arc::clone(&metrics);
-                let handle = std::thread::Builder::new()
-                    .name("f2pm-serve-conn".to_string())
-                    .spawn(move || {
-                        serve_connection(stream, &inner, &metrics).ok();
-                        inner.conns.lock().remove(&conn_id);
-                        metrics.connection_closed();
-                    })
-                    .expect("spawn reader");
-                // Reap finished readers before tracking the new one:
-                // without this a long-lived server leaks one JoinHandle
-                // per churned connection.
-                let mut readers = readers.lock();
-                readers.retain(|h| !h.is_finished());
-                readers.push(handle);
-            }
-            Err(_) => {
-                // Transient accept errors (EMFILE, ECONNABORTED, EINTR)
-                // must not kill the server.
-                if inner.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-}
-
-/// Outcome of one buffered read into a connection's [`FrameDecoder`].
-enum Fill {
-    /// Bytes arrived; the decoder may now hold one or more whole frames.
-    Data,
-    /// Peer closed (or shutdown woke the socket).
-    Eof,
-    /// The server is stopping.
-    Stopped,
-}
-
-/// Pull the next chunk off the socket into the decoder, honoring the stop
-/// flag. The stream's read timeout is long (1 s) because it is a backstop,
-/// not a poll: shutdown wakes blocked reads by `Shutdown::Both`-ing the
-/// tracked connection, so stop is only *checked* here, never waited for.
-fn fill_decoder(
-    stream: &mut TcpStream,
-    decoder: &mut FrameDecoder,
-    stop: &AtomicBool,
-) -> io::Result<Fill> {
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(Fill::Stopped);
-        }
-        match decoder.fill_from(stream) {
-            Ok(0) => return Ok(Fill::Eof),
-            Ok(_) => return Ok(Fill::Data),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Blocking next-frame (handshake path). `Ok(None)` on clean EOF or stop.
-fn next_frame(
-    stream: &mut TcpStream,
-    decoder: &mut FrameDecoder,
-    stop: &AtomicBool,
-) -> io::Result<Option<Message>> {
-    loop {
-        if let Some(msg) = decoder.try_frame()? {
-            return Ok(Some(msg));
-        }
-        match fill_decoder(stream, decoder, stop)? {
-            Fill::Data => {}
-            Fill::Stopped => return Ok(None),
-            Fill::Eof => {
-                return if decoder.buffered() == 0 {
-                    Ok(None)
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "eof mid-frame",
-                    ))
-                }
-            }
-        }
-    }
-}
-
-fn serve_connection(
-    mut stream: TcpStream,
-    inner: &Arc<Inner>,
-    metrics: &Arc<ServeMetrics>,
-) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_secs(1))).ok();
-    let mut decoder = FrameDecoder::new();
-
-    // Handshake first: anything else is a protocol violation.
-    let (host, version) = match next_frame(&mut stream, &mut decoder, &inner.stop)? {
-        Some(Message::Hello { version, host_id })
-            if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) =>
-        {
-            (host_id, version)
-        }
-        _ => return Ok(()),
-    };
-
-    // v2 clients get a writer: replies and pushed alerts share it, so
-    // frames never interleave.
-    let writer = if version >= 2 {
-        let w = ClientWriter::new(stream.try_clone()?);
-        inner.pool.send(
-            host,
-            ShardEvent::Subscribe {
-                host,
-                writer: w.clone(),
-            },
-        )?;
-        Some(w)
-    } else {
-        None
-    };
-
-    let result = connection_loop(
-        &mut stream,
-        &mut decoder,
-        host,
-        version,
-        writer.as_ref(),
-        inner,
-        metrics,
-    );
-    if writer.is_some() {
-        inner.pool.send(host, ShardEvent::Unsubscribe { host }).ok();
-    }
-    result
-}
-
-fn connection_loop(
-    stream: &mut TcpStream,
-    decoder: &mut FrameDecoder,
-    host: u32,
-    version: u16,
-    writer: Option<&ClientWriter>,
-    inner: &Arc<Inner>,
-    metrics: &Arc<ServeMetrics>,
-) -> io::Result<()> {
-    let mut pending: Vec<Message> = Vec::new();
-    let mut burst: Vec<Message> = Vec::new();
-    'conn: loop {
-        // Decode every whole frame the last read buffered — one syscall
-        // can yield dozens of frames.
-        let mut saw_bye = false;
-        loop {
-            let started = Instant::now();
-            let Some(msg) = decoder.try_frame()? else {
-                break;
-            };
-            metrics.record_decode(started.elapsed());
-            if matches!(msg, Message::Bye) {
-                saw_bye = true;
-                break;
-            }
-            burst.push(msg);
-        }
-        // Pass 1 — reads first: predict/stats/metrics requests are
-        // answered from the board and flushed in one coalesced write
-        // BEFORE any ingest work. Board reads carry no ordering guarantee
-        // relative to in-flight datapoints (shard workers publish
-        // asynchronously), so a reply must never wait out a full shard
-        // queue.
-        for msg in &burst {
-            handle_read(msg, version, inner, metrics, &mut pending);
-        }
-        flush_replies(writer, &mut pending, metrics)?;
-        // Pass 2 — apply shard-bound events in arrival order (blocking
-        // send = backpressure through TCP, never a drop).
-        for msg in burst.drain(..) {
-            match msg {
-                Message::Datapoint(d) => {
-                    metrics.datapoint();
-                    inner.pool.send(
-                        host,
-                        ShardEvent::Datapoint {
-                            host,
-                            d,
-                            enqueued: Instant::now(),
-                        },
-                    )?;
-                }
-                Message::Fail { t } => {
-                    inner.pool.send(host, ShardEvent::Fail { host, t })?;
-                }
-                _ => {}
-            }
-        }
-        if saw_bye {
-            break 'conn;
-        }
-        match fill_decoder(stream, decoder, &inner.stop)? {
-            Fill::Data => {}
-            Fill::Stopped => break,
-            Fill::Eof => {
-                if decoder.buffered() == 0 {
-                    break;
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof mid-frame",
-                ));
-            }
-        }
-    }
-    // Replies queued in the same burst as a Bye still go out.
-    flush_replies(writer, &mut pending, metrics)
-}
-
-/// Write everything the current burst generated in one coalesced
-/// `write_all` under one writer-lock acquisition.
-fn flush_replies(
-    writer: Option<&ClientWriter>,
-    pending: &mut Vec<Message>,
-    metrics: &ServeMetrics,
-) -> io::Result<()> {
-    if pending.is_empty() {
-        return Ok(());
-    }
-    if let Some(w) = writer {
-        let started = Instant::now();
-        w.send_all(pending)?;
-        metrics.record_reply(started.elapsed());
-    }
-    pending.clear();
-    Ok(())
-}
-
 /// Answer one read-type request (lock-free board lookup, stats snapshot,
-/// metrics exposition); replies queue on `pending` for one coalesced
-/// write. Shard-bound events and everything else are left to pass 2.
-/// Shared verbatim by the reactor edge, so both edges answer
-/// byte-identically.
+/// metrics exposition, top-K ranking); replies queue on `pending` for one
+/// coalesced write. Shard-bound events and everything else are left to
+/// the caller.
 pub(crate) fn handle_read(
     msg: &Message,
-    version: u16,
     inner: &Arc<Inner>,
     metrics: &Arc<ServeMetrics>,
     pending: &mut Vec<Message>,
@@ -626,28 +279,17 @@ pub(crate) fn handle_read(
         Message::StatsRequest => {
             metrics.stats_request();
             let snapshot = metrics.snapshot(inner.pool.queue_depths(), inner.registry.generation());
-            // The anonymous v2 `Stats` shape is deprecated behind the
-            // version gate: v4 clients get the instance-attributable
-            // `FleetSnapshot`, older clients keep the shape they know.
-            if version >= 4 {
-                pending
-                    .push(snapshot.to_fleet_snapshot(inner.instance_id, inner.board.len() as u32));
-            } else {
-                pending.push(snapshot.to_message());
-            }
+            pending.push(snapshot.to_fleet_snapshot(inner.instance_id, inner.board.len() as u32));
         }
-        // Metrics scraping is a v3 feature; a request arriving on an
-        // older-versioned connection is a protocol violation we ignore
-        // (the handshake already fixed what the client may speak).
-        Message::MetricsRequest if version >= 3 => {
+        Message::MetricsRequest => {
             metrics.metrics_request();
             let text = metrics.expose_text(&inner.pool.queue_depths(), inner.registry.generation());
             pending.push(Message::metrics_text(text));
         }
-        // Fleet ranking is a v4 feature: the K hosts nearest failure,
-        // answered straight off the seqlock estimate board — no connection
-        // scan, no worker stall.
-        Message::TopKRequest { k } if version >= 4 => {
+        // Fleet ranking: the K hosts nearest failure, answered straight
+        // off the seqlock estimate board — no connection scan, no worker
+        // stall.
+        Message::TopKRequest { k } => {
             metrics.stats_request();
             let entries = inner
                 .board
@@ -665,8 +307,8 @@ pub(crate) fn handle_read(
                 entries,
             });
         }
-        // Shard-bound events (pass 2) and server-bound-only traffic a
-        // client has no business echoing (ignored, like unknown traffic
+        // Shard-bound events (the caller's) and server-bound-only traffic
+        // a client has no business echoing (ignored, like unknown traffic
         // in the passive FMS).
         _ => {}
     }
@@ -696,86 +338,25 @@ mod tests {
         .unwrap()
     }
 
-    /// Regression: the threaded edge used to push one `JoinHandle` per
-    /// accepted connection and never prune it, so a long-lived server
-    /// leaked a handle per churned connection. The acceptor now reaps
-    /// finished readers on every accept; the tracked set must stay
-    /// bounded by the *live* connection count, not total churn.
     #[test]
-    fn threaded_edge_reader_handles_do_not_grow_under_churn() {
-        let server = PredictionServer::start(
-            "127.0.0.1:0",
-            ServeConfig {
-                reactors: 0,
-                ..ServeConfig::default()
-            },
-            test_registry(),
-        )
-        .unwrap();
-        let addr = server.addr();
-        let readers = match server.edge.as_ref().expect("edge running") {
-            Edge::Threaded { readers, .. } => Arc::clone(readers),
-            #[cfg(target_os = "linux")]
-            Edge::Reactor(_) => unreachable!("reactors: 0 selects the threaded edge"),
-        };
-
-        const CHURN: usize = 40;
-        for _ in 0..CHURN {
-            let mut s = TcpStream::connect(addr).unwrap();
-            Message::Hello {
-                version: 1,
-                host_id: 1,
-            }
-            .write_to(&mut s)
-            .unwrap();
-            Message::Bye.write_to(&mut s).unwrap();
-            // Wait until this connection's reader actually exited (it
-            // removes itself from the conns map on the way out) so every
-            // later accept sees a reapable finished handle.
-            for _ in 0..2500 {
-                if inner_live_conns(&server) == 0 {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        // One extra accept reaps everything the churn left behind.
-        let _nudge = TcpStream::connect(addr).unwrap();
-        let mut tracked = usize::MAX;
-        for _ in 0..2500 {
-            tracked = readers.lock().len();
-            if tracked <= 2 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(
-            tracked <= 2,
-            "{tracked} reader handles tracked after {CHURN} churned connections"
-        );
-        server.shutdown();
-    }
-
-    fn inner_live_conns(server: &ServeHandle) -> usize {
-        server
-            .inner
-            .as_ref()
-            .expect("server running")
-            .conns
-            .lock()
-            .len()
-    }
-
-    /// The default config picks the reactor edge on Linux and a sane
-    /// outbound bound everywhere.
-    #[test]
-    fn default_config_edges() {
+    fn default_config_is_a_valid_reactor_edge() {
         let cfg = ServeConfig::default();
         assert!(cfg.outbound_cap > 0);
-        if cfg!(target_os = "linux") {
-            assert!(cfg.reactors >= 1);
-        } else {
-            assert_eq!(cfg.reactors, 0);
-        }
+        assert!(cfg.reactors >= 1);
+    }
+
+    /// Zero reactors would leave nothing to accept connections: a typed
+    /// `InvalidInput`, never a panic or a silently dead server.
+    #[test]
+    fn zero_reactors_is_invalid_input() {
+        let cfg = ServeConfig {
+            reactors: 0,
+            ..ServeConfig::default()
+        };
+        let err = match PredictionServer::start("127.0.0.1:0", cfg, test_registry()) {
+            Err(e) => e,
+            Ok(_) => panic!("a zero-reactor server must not start"),
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

@@ -6,27 +6,26 @@
 //! would serialize the whole fleet. The serve path shards instead:
 //!
 //! ```text
-//! reader threads ──bounded channel──▶ shard worker 0 ─┐
+//!       reactors ──bounded channel──▶ shard worker 0 ─┐
 //!       (decode)  ──bounded channel──▶ shard worker 1 ─┼─▶ estimate board
 //!                 ──bounded channel──▶ shard worker N ─┘   + pushed alerts
 //! ```
 //!
 //! A host is pinned to shard `host % n_shards`, so all of its events are
 //! processed in order by a single worker and per-host state needs no
-//! locking at all. The channels are *bounded* and readers use *blocking*
-//! sends: a slow shard applies backpressure through TCP instead of
-//! dropping frames.
+//! locking at all. The channels are *bounded*: a reactor whose shard
+//! queue is full parks the event and stops reading that connection, so a
+//! slow shard applies backpressure through TCP instead of dropping frames.
 
 use crate::metrics::ServeMetrics;
 use crate::registry::{ModelEntry, ModelRegistry};
-use bytes::BytesMut;
 use f2pm::{predict_many, OnlinePredictor, RejuvenationPolicy};
 use f2pm_monitor::wire::Message;
 use f2pm_monitor::Datapoint;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
+use std::cmp::Ordering as CmpOrdering;
 use std::collections::HashMap;
-use std::io::{self, Write};
-use std::net::TcpStream;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,52 +57,21 @@ impl From<RejuvenationPolicy> for AlertPolicy {
 
 /// A cloneable, frame-atomic writer to one client connection.
 ///
-/// Two sinks hide behind the same API so shard workers never know which
-/// edge owns the socket:
-///
-/// - **Threaded edge**: a blocking `TcpStream` under a mutex. The lock
-///   guarantees a pushed alert from a shard worker and a reply from the
-///   reader thread never interleave bytes inside a frame; the encode
-///   scratch lives under the same lock, so steady-state sends allocate
-///   nothing and a multi-frame [`ClientWriter::send_all`] coalesces into
-///   one `write_all` (one syscall) instead of a syscall per frame.
-/// - **Reactor edge** (Linux): frames are appended to the connection's
-///   bounded outbound buffer and the owning reactor is woken via eventfd
-///   to flush them nonblockingly. A send that would exceed the bound
-///   marks the connection dead (slow-consumer eviction) and errors, so
-///   the worker unsubscribes exactly as it does on a broken pipe.
+/// Frames are appended to the connection's bounded outbound buffer and
+/// the owning reactor is woken via eventfd to flush them nonblockingly. A
+/// send that would exceed the bound marks the connection dead (slow-
+/// consumer eviction) and errors, so the worker unsubscribes exactly as
+/// it does on a broken pipe.
 #[derive(Clone)]
 pub struct ClientWriter {
-    imp: Arc<WriterImpl>,
-}
-
-enum WriterImpl {
-    Stream(Mutex<WriterInner>),
-    #[cfg(target_os = "linux")]
-    Reactor(crate::reactor::ReactorSink),
-}
-
-struct WriterInner {
-    stream: TcpStream,
-    scratch: BytesMut,
+    sink: Arc<crate::reactor::ReactorSink>,
 }
 
 impl ClientWriter {
-    /// Wrap a connection's write half (blocking, threaded edge).
-    pub fn new(stream: TcpStream) -> Self {
+    /// Wrap a reactor connection's outbound buffer.
+    pub(crate) fn new(sink: crate::reactor::ReactorSink) -> Self {
         ClientWriter {
-            imp: Arc::new(WriterImpl::Stream(Mutex::new(WriterInner {
-                stream,
-                scratch: BytesMut::new(),
-            }))),
-        }
-    }
-
-    /// Wrap a reactor connection's outbound buffer (nonblocking edge).
-    #[cfg(target_os = "linux")]
-    pub(crate) fn from_reactor(sink: crate::reactor::ReactorSink) -> Self {
-        ClientWriter {
-            imp: Arc::new(WriterImpl::Reactor(sink)),
+            sink: Arc::new(sink),
         }
     }
 
@@ -113,24 +81,12 @@ impl ClientWriter {
     }
 
     /// Write every frame contiguously (no interleaving with other
-    /// senders), with one lock acquisition and one syscall/wakeup.
+    /// senders), with one lock acquisition and one wakeup.
     pub fn send_all(&self, msgs: &[Message]) -> io::Result<()> {
         if msgs.is_empty() {
             return Ok(());
         }
-        match &*self.imp {
-            WriterImpl::Stream(inner) => {
-                let mut inner = inner.lock();
-                let inner = &mut *inner;
-                inner.scratch.clear();
-                for msg in msgs {
-                    msg.encode_into(&mut inner.scratch);
-                }
-                inner.stream.write_all(&inner.scratch)
-            }
-            #[cfg(target_os = "linux")]
-            WriterImpl::Reactor(sink) => sink.send_all(msgs),
-        }
+        self.sink.send_all(msgs)
     }
 }
 
@@ -205,7 +161,7 @@ impl Slot {
     }
 }
 
-/// Last-estimate board: shard workers publish, reader threads answer
+/// Last-estimate board: shard workers publish, reactors answer
 /// `PredictRequest`s from it without touching worker state.
 ///
 /// Read-mostly by design: a host's slot is found through a striped
@@ -274,8 +230,10 @@ impl EstimateBoard {
 
     /// The `k` hosts nearest failure (lowest published RTTF, ties broken by
     /// host id for a deterministic order), each with its latest estimate.
+    /// The order is total (see `rttf_order`): a NaN estimate ranks after
+    /// every number.
     ///
-    /// This is how a v4 `TopKRequest` is answered: one shared-read pass
+    /// This is how a `TopKRequest` is answered: one shared-read pass
     /// over the stripes and a seqlock load per slot — live connections are
     /// never scanned and no worker is stalled. The ranking is a consistent
     /// snapshot per-host (the seqlock guarantees un-torn estimates), not
@@ -293,15 +251,19 @@ impl EstimateBoard {
                 }
             }
         }
-        all.sort_by(|(ha, a), (hb, b)| {
-            a.rttf
-                .partial_cmp(&b.rttf)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| ha.cmp(hb))
-        });
+        all.sort_by(|(ha, a), (hb, b)| rttf_order(a.rttf, b.rttf).then_with(|| ha.cmp(hb)));
         all.truncate(k);
         all
     }
+}
+
+/// Total nearest-failure order on RTTF estimates: ascending by
+/// `f64::total_cmp`, with every NaN (of either sign) after every number,
+/// +inf included. `partial_cmp` would leave NaN unordered, which makes a
+/// sort's comparator inconsistent (wrong order, or a panic in the
+/// standard sort).
+pub(crate) fn rttf_order(a: f64, b: f64) -> CmpOrdering {
+    a.is_nan().cmp(&b.is_nan()).then_with(|| a.total_cmp(&b))
 }
 
 /// One event routed to a shard worker.
@@ -312,7 +274,7 @@ pub enum ShardEvent {
         host: u32,
         /// The sample.
         d: Datapoint,
-        /// When the reader thread enqueued it (feeds the per-shard
+        /// When the reactor enqueued it (feeds the per-shard
         /// queue-wait histogram, the "queue" stage of the latency
         /// breakdown).
         enqueued: Instant,
@@ -325,7 +287,7 @@ pub enum ShardEvent {
         /// Failure time (s).
         t: f64,
     },
-    /// A v2 connection wants pushed alerts for `host`.
+    /// A connection wants pushed alerts for `host`.
     Subscribe {
         /// Subscribing host.
         host: u32,
@@ -344,7 +306,7 @@ struct HostState {
     predictor: OnlinePredictor,
     /// Consecutive below-threshold estimates so far.
     hits: usize,
-    /// Alert sink of the host's live v2 connection, if any.
+    /// Alert sink of the host's live connection, if any.
     writer: Option<ClientWriter>,
 }
 
@@ -677,8 +639,8 @@ fn evaluate_alert(
             threshold: policy.rttf_threshold_s,
         };
         if writer.send(&alert).is_err() {
-            // Client went away mid-push; the reader thread will
-            // unsubscribe, we just stop writing into the broken pipe.
+            // Client went away mid-push; its reactor will unsubscribe,
+            // we just stop writing into the broken pipe.
             state.writer = None;
         }
     }
@@ -864,94 +826,6 @@ mod tests {
         }
     }
 
-    /// What a host's feed looks like for the equivalence harness below.
-    enum Feed {
-        Dp(u32, Datapoint),
-        Fail(u32, f64),
-    }
-
-    /// Run `feed` through a pool with the given `batch_cap` and collect
-    /// the complete per-host estimate stream. The observation channel is
-    /// the alert push path: with `threshold = ∞, hits = 1`, *every*
-    /// published estimate fires an `Alert` over a real loopback socket, so
-    /// the full sequence (not just the board's last value) is visible.
-    fn run_pool_collect_alerts(batch_cap: usize, feed: &[Feed]) -> HashMap<u32, Vec<(u64, u64)>> {
-        use f2pm_monitor::wire::FrameDecoder;
-        use std::net::TcpListener;
-
-        let metrics = Arc::new(ServeMetrics::new());
-        let policy = AlertPolicy {
-            rttf_threshold_s: f64::INFINITY,
-            consecutive_hits: 1,
-        };
-        let pool = ShardPool::start(2, 64, batch_cap, test_registry(), policy, metrics);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let w_stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut r_stream, _) = listener.accept().unwrap();
-        let writer = ClientWriter::new(w_stream);
-        let reader = std::thread::spawn(move || {
-            let mut decoder = FrameDecoder::new();
-            let mut out: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
-            while let Ok(Some(msg)) = decoder.read_frame(&mut r_stream) {
-                if let Message::Alert {
-                    host_id, t, rttf, ..
-                } = msg
-                {
-                    out.entry(host_id)
-                        .or_default()
-                        .push((t.to_bits(), rttf.to_bits()));
-                }
-            }
-            out
-        });
-        for host in [1u32, 2, 3] {
-            pool.send(
-                host,
-                ShardEvent::Subscribe {
-                    host,
-                    writer: writer.clone(),
-                },
-            )
-            .unwrap();
-        }
-        for item in feed {
-            match *item {
-                Feed::Dp(host, d) => pool.send(host, datapoint_event(host, d)).unwrap(),
-                Feed::Fail(host, t) => pool.send(host, ShardEvent::Fail { host, t }).unwrap(),
-            }
-        }
-        pool.shutdown();
-        drop(writer); // last writer clone gone → reader sees EOF
-        reader.join().unwrap()
-    }
-
-    /// The ISSUE's headline equivalence guarantee: batched shard
-    /// processing publishes **bit-identical** estimates, in the same
-    /// per-host order, as the per-event path (`batch_cap = 1`). The feed
-    /// interleaves three hosts across two shards and injects a mid-stream
-    /// `Fail` so the flush-before-side-effect ordering is exercised too.
-    #[test]
-    fn batched_drain_is_bit_identical_to_per_event_path() {
-        let mut feed = Vec::new();
-        for i in 0..240 {
-            let t = i as f64 * 5.0;
-            for (host, base) in [(1u32, 80.0), (2, 160.0), (3, 240.0)] {
-                feed.push(Feed::Dp(host, dp(t, base + (i as f64 * 0.7).sin() * 50.0)));
-            }
-            if i == 120 {
-                feed.push(Feed::Fail(2, t));
-            }
-        }
-        let per_event = run_pool_collect_alerts(1, &feed);
-        let batched = run_pool_collect_alerts(256, &feed);
-        for host in [1u32, 2, 3] {
-            let a = per_event.get(&host).expect("per-event estimates");
-            let b = batched.get(&host).expect("batched estimates");
-            assert!(a.len() >= 8, "host {host}: only {} estimates", a.len());
-            assert_eq!(a, b, "host {host} estimate stream diverged");
-        }
-    }
-
     #[test]
     fn estimate_board_reads_never_tear_under_concurrent_publish() {
         use std::sync::atomic::AtomicBool;
@@ -1004,38 +878,37 @@ mod tests {
         assert!(reads > 1_000, "readers starved: {reads}");
     }
 
-    #[test]
-    fn send_all_coalesces_whole_frames() {
-        use f2pm_monitor::wire::FrameDecoder;
-        use std::net::TcpListener;
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let w_stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut r_stream, _) = listener.accept().unwrap();
-        let writer = ClientWriter::new(w_stream);
-        let msgs = [
-            Message::RttfEstimate {
-                host_id: 1,
-                t: 10.0,
-                rttf: Some(400.0),
-                model_generation: 2,
-            },
-            Message::Alert {
-                host_id: 1,
-                t: 10.0,
-                rttf: 400.0,
-                threshold: 600.0,
-            },
-            Message::Bye,
-        ];
-        writer.send_all(&msgs).unwrap();
-        writer.send_all(&[]).unwrap(); // empty batch is a no-op
-        drop(writer);
-        let mut decoder = FrameDecoder::new();
-        let mut got = Vec::new();
-        while let Ok(Some(msg)) = decoder.read_frame(&mut r_stream) {
-            got.push(msg);
+    fn est(rttf: f64) -> PublishedEstimate {
+        PublishedEstimate {
+            t: 1.0,
+            rttf,
+            generation: 1,
         }
-        assert_eq!(got.as_slice(), msgs.as_slice());
+    }
+
+    /// Non-finite estimates never break the ranking: NaN (either sign)
+    /// ranks after every number, +inf after every finite value, −inf
+    /// first, and the order is a total one (a stable, repeatable sort).
+    #[test]
+    fn top_k_orders_nan_and_infinities_totally() {
+        let board = EstimateBoard::new(4);
+        for (host, rttf) in [
+            (1, 300.0),
+            (2, f64::NAN),
+            (3, f64::INFINITY),
+            (4, 50.0),
+            (5, -f64::NAN),
+            (6, f64::NEG_INFINITY),
+            (7, 50.0),
+            (8, 0.0),
+        ] {
+            board.publish(host, est(rttf));
+        }
+        let hosts = |k| -> Vec<u32> { board.top_k(k).into_iter().map(|(h, _)| h).collect() };
+        // −inf, then finite ascending (ties by host), then +inf, then NaNs.
+        // −NaN sorts before +NaN under total_cmp.
+        assert_eq!(hosts(8), vec![6, 8, 4, 7, 1, 3, 5, 2]);
+        assert_eq!(hosts(3), vec![6, 8, 4], "finite estimates outrank NaN");
+        assert_eq!(hosts(usize::MAX), hosts(8), "k past the board is the board");
     }
 }

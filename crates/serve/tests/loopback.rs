@@ -11,7 +11,7 @@ use f2pm_ml::persist::SavedModel;
 use f2pm_monitor::wire::{Message, PROTOCOL_VERSION};
 use f2pm_monitor::{Datapoint, FeatureId, FeatureMonitorClient, FmcConfig};
 use f2pm_serve::{AlertPolicy, ModelRegistry, PredictionServer, ServeConfig, ServeHandle};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -64,13 +64,13 @@ fn dp(t: f64, swap: f64) -> Datapoint {
     d
 }
 
-/// A raw v2 test client speaking the wire protocol directly.
-struct V2Client {
+/// A raw test client speaking the wire protocol directly.
+struct Client {
     stream: TcpStream,
     host: u32,
 }
 
-impl V2Client {
+impl Client {
     fn connect(addr: std::net::SocketAddr, host: u32) -> Self {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.set_nodelay(true).unwrap();
@@ -80,7 +80,7 @@ impl V2Client {
         }
         .write_to(&mut stream)
         .unwrap();
-        V2Client { stream, host }
+        Client { stream, host }
     }
 
     fn send(&mut self, msg: &Message) {
@@ -91,7 +91,7 @@ impl V2Client {
         Message::read_from(&mut self.stream).unwrap().unwrap()
     }
 
-    /// Scrape the v3 text exposition. Pushed alerts and stale estimate
+    /// Scrape the text exposition. Pushed alerts and stale estimate
     /// replies that arrive in between are skipped.
     fn scrape(&mut self) -> String {
         self.send(&Message::MetricsRequest);
@@ -137,9 +137,9 @@ fn per_host_estimates_are_isolated() {
     // Five hosts across three shards, interleaved, each at its own swap
     // level → each must see exactly its own estimate.
     let hosts: Vec<(u32, f64)> = vec![(0, 50.0), (1, 100.0), (2, 150.0), (5, 200.0), (9, 250.0)];
-    let mut clients: Vec<V2Client> = hosts
+    let mut clients: Vec<Client> = hosts
         .iter()
-        .map(|&(h, _)| V2Client::connect(addr, h))
+        .map(|&(h, _)| Client::connect(addr, h))
         .collect();
     for i in 0..30 {
         let t = i as f64 * 5.0;
@@ -184,7 +184,7 @@ fn per_host_estimates_are_isolated() {
 fn hot_reload_mid_stream_keeps_connection_and_window_state() {
     let server = start_server(2);
     let registry = server.registry();
-    let mut client = V2Client::connect(server.addr(), 7);
+    let mut client = Client::connect(server.addr(), 7);
 
     // Life under generation 1: estimate = 1000 − 2×100 = 800.
     let mut t = 0.0;
@@ -220,41 +220,57 @@ fn hot_reload_mid_stream_keeps_connection_and_window_state() {
     panic!("never observed a generation-2 estimate");
 }
 
+/// Only `PROTOCOL_VERSION` is spoken: a `Hello` carrying any other
+/// version closes the connection before a single datapoint counts, while
+/// a current client on the same server keeps being served throughout.
 #[test]
-fn v1_fmc_client_still_ingests() {
+fn other_hello_versions_are_closed_without_ingesting() {
     let server = start_server(2);
-
-    // The stock v1-style FMC (it sends PROTOCOL_VERSION=2 Hello now, so
-    // hand-roll a literal v1 handshake instead).
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    Message::Hello {
-        version: 1,
-        host_id: 3,
-    }
-    .write_to(&mut stream)
-    .unwrap();
-    for i in 0..40 {
-        Message::Datapoint(dp(i as f64 * 5.0, 300.0))
-            .write_to(&mut stream)
+    let mut current = Client::connect(server.addr(), 1);
+    let mut t = 0.0;
+    for version in [0u16, 1, 3, 5] {
+        let refused_host = 50 + version as u32;
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        Message::Hello {
+            version,
+            host_id: refused_host,
+        }
+        .write_to(&mut stream)
+        .unwrap();
+        // Writes may already fail once the server has closed: that is the
+        // expected outcome, not an error.
+        for i in 0..8 {
+            let _ = Message::Datapoint(dp(i as f64 * 5.0, 100.0)).write_to(&mut stream);
+        }
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
+        let mut buf = [0u8; 64];
+        match stream.read(&mut buf) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("v{version} hello: expected a close, got {other:?}"),
+        }
+        assert!(server.board().get(refused_host).is_none(), "v{version}");
+
+        // The current client's connection is untouched.
+        for _ in 0..8 {
+            current.send(&Message::Datapoint(dp(t, 100.0)));
+            t += 5.0;
+        }
+        let (_, rttf, _) = current.wait_estimate();
+        assert_eq!(rttf, 800.0, "after the v{version} refusal");
     }
-    Message::Bye.write_to(&mut stream).unwrap();
-
-    // The server predicts for v1 hosts too; a v2 observer can read the
-    // estimate of host 3 over its own connection.
-    let mut observer = V2Client::connect(server.addr(), 1000);
-    observer.host = 3; // ask about the v1 host
-    let (_, rttf, _) = observer.wait_estimate();
-    assert_eq!(rttf, 1000.0 - 2.0 * 300.0);
-
+    current.send(&Message::Bye);
     let snap = server.shutdown();
-    assert!(snap.datapoints >= 40);
+    assert_eq!(snap.datapoints, 4 * 8, "only the current client ingests");
+    assert_eq!(snap.total_accepted, 5);
     assert_eq!(snap.dropped, 0);
 }
 
 #[test]
 fn real_fmc_streams_into_serve() {
-    // The actual FeatureMonitorClient (wire v2 Hello) against the serve
+    // The actual FeatureMonitorClient against the serve
     // endpoint — datapoints flow and estimates appear.
     let server = start_server(1);
     let mut client = FeatureMonitorClient::connect(
@@ -271,7 +287,7 @@ fn real_fmc_streams_into_serve() {
     assert_eq!(client.sent(), 20);
     client.close().unwrap();
 
-    let mut observer = V2Client::connect(server.addr(), 11);
+    let mut observer = Client::connect(server.addr(), 11);
     let (_, rttf, _) = observer.wait_estimate();
     assert_eq!(rttf, 1000.0 - 2.0 * 400.0);
     server.shutdown();
@@ -280,7 +296,7 @@ fn real_fmc_streams_into_serve() {
 #[test]
 fn stats_and_alerts_over_the_wire() {
     let server = start_server(2);
-    let mut client = V2Client::connect(server.addr(), 4);
+    let mut client = Client::connect(server.addr(), 4);
 
     // swap 480 → rttf 40 ≤ 180 threshold; two consecutive windows fire a
     // pushed alert.
@@ -315,8 +331,8 @@ fn stats_and_alerts_over_the_wire() {
     assert_eq!(rttf, 40.0);
     assert_eq!(threshold, 180.0);
 
-    // Stats over the wire reflect the traffic. A v4 client gets the
-    // fleet-aware snapshot shape (instance identity + tracked hosts).
+    // Stats over the wire reflect the traffic, in the fleet-aware snapshot
+    // shape (instance identity + tracked hosts).
     client.send(&Message::StatsRequest);
     loop {
         match client.recv() {
@@ -366,7 +382,7 @@ fn sample(text: &str, prefix: &str) -> Option<f64> {
 fn metrics_scrape_mid_load_and_after_hot_reload() {
     let server = start_server(2);
     let registry = server.registry();
-    let mut client = V2Client::connect(server.addr(), 21);
+    let mut client = Client::connect(server.addr(), 21);
 
     // Mid-load scrape: stream datapoints, then scrape on the same
     // connection. The blocking shard send means every datapoint was
@@ -450,7 +466,7 @@ fn store_publish_and_rollback_swap_models_on_live_connections() {
     let server = PredictionServer::start("127.0.0.1:0", ServeConfig::default(), registry).unwrap();
     let mut watcher =
         StoreWatcher::new(ModelStore::open(&dir).unwrap(), server.registry(), Some(1));
-    let mut client = V2Client::connect(server.addr(), 17);
+    let mut client = Client::connect(server.addr(), 17);
 
     let mut t = 0.0;
     for _ in 0..8 {
@@ -515,40 +531,18 @@ fn store_publish_and_rollback_swap_models_on_live_connections() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn v2_client_cannot_scrape_metrics() {
-    let server = start_server(1);
-    // Hand-rolled v2 handshake: the connection may not speak v3 frames,
-    // so a MetricsRequest is ignored rather than answered.
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-    Message::Hello {
-        version: 2,
-        host_id: 30,
-    }
-    .write_to(&mut stream)
-    .unwrap();
-    Message::MetricsRequest.write_to(&mut stream).unwrap();
-    // The request is dropped; a StatsRequest after it is still answered,
-    // proving the connection survived and nothing was queued before it.
-    Message::StatsRequest.write_to(&mut stream).unwrap();
-    match Message::read_from(&mut stream).unwrap().unwrap() {
-        Message::Stats { .. } => {}
-        other => panic!("expected Stats, got {other:?}"),
-    }
-    Message::Bye.write_to(&mut stream).unwrap();
-    let snap = server.shutdown();
-    assert_eq!(snap.metrics_requests, 0, "v2 scrape must not be served");
-}
-
 /// End-to-end equivalence gate for the batched data plane: a server
 /// draining 256-event batches must push the **bit-identical** alert
 /// stream (every estimate, in order — `threshold = ∞, hits = 1` turns
 /// each estimate into an alert) as a server processing per-event
-/// (`batch_cap = 1`), across a mid-stream `Fail` life reset.
+/// (`batch_cap = 1`). Three hosts on three connections interleave across
+/// two shards, and a mid-stream `Fail` resets one host's life, so the
+/// flush-before-side-effect ordering is exercised too.
 #[test]
 fn batched_server_publishes_identical_estimate_stream() {
-    fn run(batch_cap: usize) -> Vec<(u64, u64)> {
+    const HOSTS: [(u32, f64); 3] = [(1, 80.0), (2, 160.0), (3, 240.0)];
+
+    fn run(batch_cap: usize) -> Vec<Vec<(u64, u64)>> {
         let registry = ModelRegistry::new(
             linear(1000.0, -2.0),
             vec!["swap_used".to_string(), "swap_used_slope".to_string()],
@@ -570,34 +564,51 @@ fn batched_server_publishes_identical_estimate_stream() {
             registry,
         )
         .unwrap();
-        let mut client = V2Client::connect(server.addr(), 6);
+        let mut clients: Vec<Client> = HOSTS
+            .iter()
+            .map(|&(host, _)| Client::connect(server.addr(), host))
+            .collect();
         for i in 0..240 {
             let t = i as f64 * 5.0;
-            client.send(&Message::Datapoint(dp(t, 100.0 + (i % 40) as f64 * 7.0)));
-            if i == 120 {
-                client.send(&Message::Fail { t });
+            for (client, &(host, base)) in clients.iter_mut().zip(&HOSTS) {
+                let swap = base + (i as f64 * 0.7).sin() * 50.0;
+                client.send(&Message::Datapoint(dp(t, swap)));
+                if i == 120 && host == 2 {
+                    client.send(&Message::Fail { t });
+                }
             }
         }
-        client.send(&Message::Bye);
         // Bye is processed after every datapoint (same in-order
-        // connection), so all alerts precede the EOF.
-        let mut out = Vec::new();
-        loop {
-            match Message::read_from(&mut client.stream) {
-                Ok(Some(Message::Alert { t, rttf, .. })) => out.push((t.to_bits(), rttf.to_bits())),
-                Ok(Some(_)) => {}
-                Ok(None) | Err(_) => break,
+        // connection), so all of a host's alerts precede its EOF.
+        let mut streams = Vec::new();
+        for client in &mut clients {
+            client.send(&Message::Bye);
+            let mut out = Vec::new();
+            loop {
+                match Message::read_from(&mut client.stream) {
+                    Ok(Some(Message::Alert {
+                        host_id, t, rttf, ..
+                    })) => {
+                        assert_eq!(host_id, client.host, "alert pushed to the wrong host");
+                        out.push((t.to_bits(), rttf.to_bits()));
+                    }
+                    Ok(Some(_)) => {}
+                    Ok(None) | Err(_) => break,
+                }
             }
+            streams.push(out);
         }
         let snap = server.shutdown();
         assert_eq!(snap.dropped, 0);
-        out
+        streams
     }
 
     let per_event = run(1);
     let batched = run(256);
-    assert!(per_event.len() >= 10, "only {} alerts", per_event.len());
-    assert_eq!(per_event, batched, "estimate stream diverged");
+    for ((host, _), (a, b)) in HOSTS.iter().zip(per_event.iter().zip(&batched)) {
+        assert!(a.len() >= 8, "host {host}: only {} alerts", a.len());
+        assert_eq!(a, b, "host {host} estimate stream diverged");
+    }
 }
 
 #[test]
@@ -606,7 +617,7 @@ fn oversized_frame_closes_connection_but_not_server() {
     // A corrupt length prefix: connection dies, server survives.
     let mut bad = TcpStream::connect(server.addr()).unwrap();
     Message::Hello {
-        version: 2,
+        version: PROTOCOL_VERSION,
         host_id: 8,
     }
     .write_to(&mut bad)
@@ -616,7 +627,7 @@ fn oversized_frame_closes_connection_but_not_server() {
     drop(bad);
 
     // The server still serves new clients afterwards.
-    let mut client = V2Client::connect(server.addr(), 9);
+    let mut client = Client::connect(server.addr(), 9);
     for i in 0..10 {
         client.send(&Message::Datapoint(dp(i as f64 * 5.0, 100.0)));
     }
@@ -674,10 +685,9 @@ fn byte_at_a_time_client_is_reassembled_across_wakeups() {
     assert_eq!(snap.dropped, 0);
 }
 
-/// A v3 client that floods scrape requests and never reads must be
+/// A client that floods scrape requests and never reads must be
 /// disconnected when its replies exceed the bounded outbound buffer —
 /// the reactor trades the connection, never unbounded memory.
-#[cfg(target_os = "linux")]
 #[test]
 fn stalled_reader_is_evicted_at_the_outbound_bound() {
     let registry = ModelRegistry::new(
@@ -699,7 +709,7 @@ fn stalled_reader_is_evicted_at_the_outbound_bound() {
         registry,
     )
     .unwrap();
-    let mut client = V2Client::connect(server.addr(), 11);
+    let mut client = Client::connect(server.addr(), 11);
     // Each exposition reply is several KiB; a burst of unread scrapes
     // blows through the 2 KiB outbound bound immediately.
     for _ in 0..64 {
@@ -725,7 +735,6 @@ fn stalled_reader_is_evicted_at_the_outbound_bound() {
         .unwrap();
     let mut buf = [0u8; 4096];
     loop {
-        use std::io::Read;
         match client.stream.read(&mut buf) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
@@ -739,7 +748,6 @@ fn stalled_reader_is_evicted_at_the_outbound_bound() {
 /// Shutdown with a thousand parked idle connections: the eventfd wakeup
 /// must tear the whole fleet down promptly — no per-connection timeouts,
 /// no leaked sockets, gauge back to zero.
-#[cfg(target_os = "linux")]
 #[test]
 fn shutdown_with_a_thousand_idle_connections_is_prompt() {
     let server = start_server(2);
@@ -778,48 +786,6 @@ fn shutdown_with_a_thousand_idle_connections_is_prompt() {
     drop(conns);
 }
 
-/// A v3 client against a v4 server: the deprecated anonymous `Stats`
-/// shape still answers `StatsRequest`, and the v4-only `TopKRequest` is
-/// ignored without killing the connection — exactly the version-gate
-/// contract that lets old fleets scrape new instances.
-#[test]
-fn v3_client_against_v4_server_gets_legacy_stats() {
-    let server = start_server(2);
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-    Message::Hello {
-        version: 3,
-        host_id: 77,
-    }
-    .write_to(&mut stream)
-    .unwrap();
-
-    // v4-only request first: must be dropped, not answered, not fatal.
-    Message::TopKRequest { k: 5 }.write_to(&mut stream).unwrap();
-    Message::StatsRequest.write_to(&mut stream).unwrap();
-    match Message::read_from(&mut stream).unwrap().unwrap() {
-        Message::Stats {
-            connections,
-            dropped,
-            ..
-        } => {
-            assert_eq!(connections, 1);
-            assert_eq!(dropped, 0);
-        }
-        other => panic!("expected legacy Stats for a v3 client, got {other:?}"),
-    }
-    // The v3 scrape path still works on the same connection.
-    Message::MetricsRequest.write_to(&mut stream).unwrap();
-    match Message::read_from(&mut stream).unwrap().unwrap() {
-        Message::MetricsText { text } => {
-            assert!(text.contains("f2pm_serve_instance_info"), "{text}")
-        }
-        other => panic!("expected MetricsText, got {other:?}"),
-    }
-    Message::Bye.write_to(&mut stream).unwrap();
-    server.shutdown();
-}
-
 /// `TopKRequest` over the wire: the reply comes off the seqlock estimate
 /// board — ascending RTTF, truncated at k, stamped with the instance id.
 #[test]
@@ -845,7 +811,7 @@ fn topk_over_the_wire_ranks_hosts_nearest_failure_first() {
     // failure, then host 1 (300 → 400), then host 2 (100 → 800).
     let hosts: Vec<(u32, f64)> = vec![(1, 300.0), (2, 100.0), (3, 450.0)];
     for &(host, swap) in &hosts {
-        let mut client = V2Client::connect(server.addr(), host);
+        let mut client = Client::connect(server.addr(), host);
         let mut t = 0.0;
         for _ in 0..8 {
             client.send(&Message::Datapoint(dp(t, swap)));
@@ -855,7 +821,7 @@ fn topk_over_the_wire_ranks_hosts_nearest_failure_first() {
         client.send(&Message::Bye);
     }
 
-    let mut client = V2Client::connect(server.addr(), 99);
+    let mut client = Client::connect(server.addr(), 99);
     client.send(&Message::TopKRequest { k: 2 });
     loop {
         match client.recv() {
@@ -920,7 +886,7 @@ fn fleet_aggregator_over_three_instances() {
         let owner = ring.route(host).unwrap();
         let at = instance_ids.iter().position(|&i| i == owner).unwrap();
         per_instance_hosts += 1;
-        let mut client = V2Client::connect(servers[at].addr(), host);
+        let mut client = Client::connect(servers[at].addr(), host);
         let mut t = 0.0;
         for _ in 0..8 {
             client.send(&Message::Datapoint(dp(t, swap)));
@@ -978,7 +944,7 @@ fn fleet_aggregator_over_three_instances() {
     // per-instance counters, exactly.
     let mut expected_datapoints = 0.0;
     for server in &servers {
-        let mut c = V2Client::connect(server.addr(), 90_000);
+        let mut c = Client::connect(server.addr(), 90_000);
         expected_datapoints += sample(&c.scrape(), "f2pm_serve_datapoints_total ").unwrap();
         c.send(&Message::Bye);
     }

@@ -1,19 +1,18 @@
-//! Edge-equivalence gate: the epoll reactor edge must be externally
-//! indistinguishable from the threaded (reader-per-connection) edge.
+//! Edge reference gate: the bytes the reactor edge pushes back to a client
+//! must be exactly what an in-process replay of the same frame script
+//! through `f2pm::OnlinePredictor` predicts.
 //!
-//! Both edges share `handle_read` and the shard/board data plane; what
-//! differs is everything around it — nonblocking reads, partial-frame
-//! tails, outbound staging, backpressure parking, the draining close.
-//! The tests here drive the SAME frame script at a `reactors: 1` server
-//! and a `reactors: 0` server and require the byte stream pushed back to
-//! the client to be identical. `threshold = ∞, hits = 1` turns every
-//! estimate into a pushed alert, so the full estimate history of a host
-//! is observable as an ordered, deterministic reply stream (the model is
-//! hand-built: `rttf = 1000 − 2 × swap_used`).
-//!
-//! Linux-only: the reactor edge does not exist elsewhere.
-#![cfg(target_os = "linux")]
+//! The reactor is where everything around the shared shard/board data
+//! plane lives — nonblocking reads, partial-frame tails, outbound staging,
+//! backpressure parking, the draining close. The tests here drive a frame
+//! script at a `reactors: 1` server and compare the pushed byte stream
+//! with a reference built without any networking: the same datapoints fed
+//! to an `OnlinePredictor` over the test's hand-built model
+//! (`rttf = 1000 − 2 × swap_used`), each estimate encoded as the `Alert`
+//! frame the server pushes under `threshold = ∞, hits = 1` (every estimate
+//! alerts), and a `Fail` resetting the predictor.
 
+use f2pm::OnlinePredictor;
 use f2pm_features::AggregationConfig;
 use f2pm_ml::linreg::LinearModel;
 use f2pm_ml::persist::SavedModel;
@@ -31,16 +30,19 @@ fn agg() -> AggregationConfig {
     }
 }
 
-fn start_edge(reactors: usize, shards: usize) -> ServeHandle {
-    let registry = ModelRegistry::new(
-        SavedModel::Linear(LinearModel {
-            intercept: 1000.0,
-            coefficients: vec![-2.0, 0.0],
-        }),
-        vec!["swap_used".to_string(), "swap_used_slope".to_string()],
-        agg(),
-    )
-    .unwrap();
+fn model() -> SavedModel {
+    SavedModel::Linear(LinearModel {
+        intercept: 1000.0,
+        coefficients: vec![-2.0, 0.0],
+    })
+}
+
+fn columns() -> Vec<String> {
+    vec!["swap_used".to_string(), "swap_used_slope".to_string()]
+}
+
+fn start_server(shards: usize) -> ServeHandle {
+    let registry = ModelRegistry::new(model(), columns(), agg()).unwrap();
     PredictionServer::start(
         "127.0.0.1:0",
         ServeConfig {
@@ -51,7 +53,7 @@ fn start_edge(reactors: usize, shards: usize) -> ServeHandle {
                 rttf_threshold_s: f64::INFINITY,
                 consecutive_hits: 1,
             },
-            reactors,
+            reactors: 1,
             ..ServeConfig::default()
         },
         registry,
@@ -67,12 +69,57 @@ enum Op {
     Fail,
 }
 
-/// Replay `ops` as host `host` against an edge with `reactors` reactor
-/// threads, then return the raw bytes the server pushed back (the alert
-/// stream, then EOF after the draining close). Nothing else is ever
-/// pushed: the client sends no predict/stats requests.
-fn replay(reactors: usize, shards: usize, host: u32, ops: &[Op]) -> Vec<u8> {
-    let server = start_edge(reactors, shards);
+fn datapoint(t: f64, swap: f64) -> Datapoint {
+    let mut d = Datapoint {
+        t_gen: t,
+        values: [1.0; 14],
+    };
+    d.set(FeatureId::SwapUsed, swap);
+    d
+}
+
+/// The frame `ops[i]` sends.
+fn frame(i: usize, op: &Op) -> Message {
+    let t = i as f64 * 5.0;
+    match op {
+        Op::Dp { swap } => Message::Datapoint(datapoint(t, *swap)),
+        Op::Fail => Message::Fail { t },
+    }
+}
+
+/// The reference: replay `ops` as host `host` through an `OnlinePredictor`
+/// and encode every estimate as the pushed `Alert` frame. Returns the
+/// expected byte stream and the last estimate (if any window closed
+/// since the last `Fail`).
+fn reference(host: u32, ops: &[Op]) -> (Vec<u8>, Option<(f64, f64)>) {
+    let mut predictor = OnlinePredictor::new(model().into_model(), &columns(), agg());
+    let mut bytes = Vec::new();
+    let mut last = None;
+    for (i, op) in ops.iter().enumerate() {
+        match frame(i, op) {
+            Message::Datapoint(d) => {
+                if let Some(rttf) = predictor.push(d) {
+                    Message::Alert {
+                        host_id: host,
+                        t: d.t_gen,
+                        rttf,
+                        threshold: f64::INFINITY,
+                    }
+                    .write_to(&mut bytes)
+                    .unwrap();
+                    last = Some((d.t_gen, rttf));
+                }
+            }
+            _ => {
+                predictor.reset();
+                last = None;
+            }
+        }
+    }
+    (bytes, last)
+}
+
+fn connect(server: &ServeHandle, host: u32) -> TcpStream {
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     Message::Hello {
@@ -81,20 +128,18 @@ fn replay(reactors: usize, shards: usize, host: u32, ops: &[Op]) -> Vec<u8> {
     }
     .write_to(&mut stream)
     .unwrap();
+    stream
+}
+
+/// Replay `ops` as host `host` against a reactor server, then return the
+/// raw bytes the server pushed back (the alert stream, then EOF after the
+/// draining close). Nothing else is ever pushed: the client sends no
+/// predict/stats requests.
+fn replay(shards: usize, host: u32, ops: &[Op]) -> Vec<u8> {
+    let server = start_server(shards);
+    let mut stream = connect(&server, host);
     for (i, op) in ops.iter().enumerate() {
-        let t = i as f64 * 5.0;
-        let msg = match op {
-            Op::Dp { swap } => {
-                let mut d = Datapoint {
-                    t_gen: t,
-                    values: [1.0; 14],
-                };
-                d.set(FeatureId::SwapUsed, *swap);
-                Message::Datapoint(d)
-            }
-            Op::Fail => Message::Fail { t },
-        };
-        msg.write_to(&mut stream).unwrap();
+        frame(i, op).write_to(&mut stream).unwrap();
     }
     // Bye sits behind every datapoint in the same ordered connection, so
     // the draining close releases the socket only after the shard worker
@@ -121,9 +166,9 @@ fn alerts_of(bytes: &[u8]) -> Vec<(f64, f64)> {
 }
 
 /// A long deterministic script — swap ramps with a mid-life `Fail` reset
-/// — must produce bit-identical pushed bytes on both edges.
+/// — pushes exactly the reference's bytes.
 #[test]
-fn deterministic_script_pushes_identical_bytes_on_both_edges() {
+fn deterministic_script_pushes_the_reference_bytes() {
     let mut ops = Vec::new();
     for i in 0..240 {
         ops.push(Op::Dp {
@@ -133,64 +178,63 @@ fn deterministic_script_pushes_identical_bytes_on_both_edges() {
             ops.push(Op::Fail);
         }
     }
-    let threaded = replay(0, 2, 6, &ops);
-    let reactor = replay(1, 2, 6, &ops);
+    let (expected, _) = reference(6, &ops);
+    let pushed = replay(2, 6, &ops);
     assert!(
-        alerts_of(&threaded).len() >= 10,
+        alerts_of(&expected).len() >= 10,
         "script produced only {} alerts",
-        alerts_of(&threaded).len()
+        alerts_of(&expected).len()
     );
     assert_eq!(
-        reactor,
-        threaded,
-        "edges diverged: reactor {:?} vs threaded {:?}",
-        alerts_of(&reactor),
-        alerts_of(&threaded)
+        pushed,
+        expected,
+        "reactor diverged from the reference: pushed {:?} vs expected {:?}",
+        alerts_of(&pushed),
+        alerts_of(&expected)
     );
 }
 
-/// After the stream quiesces, a predict round-trip must answer the same
-/// estimate on both edges (the board is fed identically).
+/// After the stream quiesces, a predict round-trip answers the reference
+/// replay's last estimate (the board holds what the predictor last said).
 #[test]
-fn predict_after_quiesce_is_identical_on_both_edges() {
-    fn run(reactors: usize) -> Vec<u8> {
-        let server = start_edge(reactors, 2);
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        Message::Hello {
-            version: PROTOCOL_VERSION,
-            host_id: 12,
-        }
-        .write_to(&mut stream)
-        .unwrap();
-        for i in 0..8 {
-            let mut d = Datapoint {
-                t_gen: i as f64 * 5.0,
-                values: [1.0; 14],
-            };
-            d.set(FeatureId::SwapUsed, 150.0);
-            Message::Datapoint(d).write_to(&mut stream).unwrap();
-        }
-        // Quiesce: poll predict until the estimate lands (the worker
-        // publishes asynchronously on both edges), then keep the frame.
-        let reply = loop {
-            Message::PredictRequest { host_id: 12 }
-                .write_to(&mut stream)
-                .unwrap();
-            match Message::read_from(&mut stream).unwrap().unwrap() {
-                m @ Message::RttfEstimate { rttf: Some(_), .. } => break m.encode().to_vec(),
-                Message::RttfEstimate { rttf: None, .. } => {
-                    std::thread::sleep(std::time::Duration::from_millis(2))
-                }
-                Message::Alert { .. } => {}
-                other => panic!("unexpected reply {other:?}"),
-            }
-        };
-        Message::Bye.write_to(&mut stream).unwrap();
-        server.shutdown();
-        reply
+fn predict_after_quiesce_answers_the_reference_estimate() {
+    let ops: Vec<Op> = (0..8).map(|_| Op::Dp { swap: 150.0 }).collect();
+    let (_, last) = reference(12, &ops);
+    let (t, rttf) = last.expect("the script closes a window");
+
+    let server = start_server(2);
+    let mut stream = connect(&server, 12);
+    for (i, op) in ops.iter().enumerate() {
+        frame(i, op).write_to(&mut stream).unwrap();
     }
-    assert_eq!(run(1), run(0), "predict replies diverged across edges");
+    // Quiesce: poll predict until the estimate lands (the worker
+    // publishes asynchronously), then keep the frame.
+    let reply = loop {
+        Message::PredictRequest { host_id: 12 }
+            .write_to(&mut stream)
+            .unwrap();
+        match Message::read_from(&mut stream).unwrap().unwrap() {
+            m @ Message::RttfEstimate { rttf: Some(_), .. } => break m,
+            Message::RttfEstimate { rttf: None, .. } => {
+                std::thread::sleep(std::time::Duration::from_millis(2))
+            }
+            Message::Alert { .. } => {}
+            other => panic!("unexpected reply {other:?}"),
+        }
+    };
+    Message::Bye.write_to(&mut stream).unwrap();
+    server.shutdown();
+    assert_eq!(
+        reply.encode(),
+        Message::RttfEstimate {
+            host_id: 12,
+            t,
+            rttf: Some(rttf),
+            model_generation: 1,
+        }
+        .encode(),
+        "predict reply diverged from the reference"
+    );
 }
 
 mod properties {
@@ -218,14 +262,14 @@ mod properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// Any frame script pushes byte-identical replies on both edges.
+        /// Any frame script pushes exactly the reference's bytes.
         #[test]
-        fn any_script_pushes_identical_bytes(ops in arb_script(), host in 0u32..64) {
-            let threaded = replay(0, 2, host, &ops);
-            let reactor = replay(1, 2, host, &ops);
-            prop_assert_eq!(&reactor, &threaded,
-                "edges diverged for {:?}: reactor {:?} vs threaded {:?}",
-                ops, alerts_of(&reactor), alerts_of(&threaded));
+        fn any_script_pushes_the_reference_bytes(ops in arb_script(), host in 0u32..64) {
+            let (expected, _) = reference(host, &ops);
+            let pushed = replay(2, host, &ops);
+            prop_assert_eq!(&pushed, &expected,
+                "reactor diverged from the reference for {:?}: pushed {:?} vs expected {:?}",
+                ops, alerts_of(&pushed), alerts_of(&expected));
         }
     }
 }
