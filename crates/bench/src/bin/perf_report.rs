@@ -570,7 +570,7 @@ fn main() {
 
     // LS-SVM linear system at the paper's campaign scale: the blocked
     // right-looking factorization vs the two seed-era baselines (scalar
-    // Cholesky, CG pair at the workflow's 1e-8 tolerance).
+    // Cholesky, CG pair at a 1e-8 tolerance).
     let (ln, lp) = (2000 / scale, 30);
     let lx = sample(ln, lp, 2.3);
     let ly = target(ln);

@@ -1,9 +1,11 @@
 //! Conjugate-gradient solver for symmetric positive-definite systems.
 //!
-//! The LS-SVM solve on large kernel matrices is `O(n³)` with a direct
-//! factorization; CG gives an `O(k n²)` alternative that `f2pm-ml::lssvm`
-//! uses when the kernel matrix is big. It is also exercised as an
-//! independent cross-check of the Cholesky path in tests.
+//! The LS-SVM solve on a kernel matrix is `O(n³)` with a direct
+//! factorization; CG is the `O(k n²)` alternative. `f2pm-ml::lssvm` always
+//! factors (a linear kernel never builds the n × n system at all), so CG
+//! serves as the baseline the solver benchmarks time the factorization
+//! against, and as an independent cross-check of the Cholesky path in
+//! tests.
 
 use crate::{axpy, dot, LinalgError, Matrix, Result};
 

@@ -5,9 +5,9 @@
 //! The F2PM pipeline hand-rolls all of its regressors (OLS, lasso coordinate
 //! descent, LS-SVM kernel solves, SVR), so it needs a small but solid dense
 //! linear-algebra kernel: a row-major [`Matrix`], Cholesky and Householder-QR
-//! factorizations, triangular solves, a conjugate-gradient fallback for large
-//! well-conditioned systems, and column statistics / standardization used by
-//! the feature pipeline.
+//! factorizations, triangular solves, a conjugate-gradient solver (the
+//! baseline the solver benchmarks compare the factorization against), and
+//! column statistics / standardization used by the feature pipeline.
 //!
 //! Everything operates on `f64`. Matrices are stored row-major in a single
 //! contiguous `Vec<f64>` (cache-friendly for the row-wise access patterns of

@@ -119,15 +119,6 @@ impl Kernel {
         }
         k
     }
-
-    /// Kernel row between one query and every training sample.
-    ///
-    /// Reuses `out`'s capacity — allocation-free once warmed up, which is
-    /// what the batched prediction paths rely on.
-    pub fn row(&self, query: &[f64], x: &Matrix, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend((0..x.rows()).map(|i| self.eval(query, x.row(i))));
-    }
 }
 
 #[cfg(test)]
@@ -227,18 +218,6 @@ mod tests {
         let x = wavy(PARALLEL_THRESHOLD + 37, 3);
         for kern in [Kernel::Linear, Kernel::Rbf { gamma: 0.4 }] {
             assert_close_to_reference(kern, &x);
-        }
-    }
-
-    #[test]
-    fn kernel_row_matches_matrix_column() {
-        let x = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0]]);
-        let kern = Kernel::Rbf { gamma: 0.3 };
-        let km = kern.matrix(&x);
-        let mut row = Vec::new();
-        kern.row(x.row(1), &x, &mut row);
-        for j in 0..3 {
-            assert_eq!(row[j], km[(1, j)]);
         }
     }
 

@@ -10,8 +10,8 @@
 //! | M5P                       | [`m5p`]      | model tree: SDR splits, linear leaf models, pruning, smoothing (Wang & Witten) |
 //! | REP-Tree                  | [`reptree`]  | variance-reduction tree + reduced-error pruning with backfitting |
 //! | Lasso as a Predictor      | [`lasso`]    | coordinate descent (shared with the selection phase) |
-//! | SVM (SMOreg-style ε-SVR)  | [`svr`]      | dual coordinate descent, linear/RBF kernels |
-//! | Least-Square SVM          | [`lssvm`]    | Suykens kernel system via Cholesky     |
+//! | SVM (SMOreg-style ε-SVR)  | [`svr`]      | dual coordinate descent, linear/RBF kernels (linear: primal gradient, no Gram) |
+//! | Least-Square SVM          | [`lssvm`]    | Suykens kernel system via Cholesky (linear: (d+1)² primal normal equations) |
 //!
 //! All models implement the object-safe [`Regressor`]/[`Model`] pair so the
 //! framework can fit, time and compare them uniformly; [`validate`]

@@ -11,27 +11,29 @@
 //! ```
 //!
 //! solved here by block elimination on the SPD block `A = K + I/γ`
-//! (Cholesky; conjugate-gradient fallback for big kernels): with
-//! `A s = 1` and `A z = y`, the bias is `b = (1ᵀz)/(1ᵀs)` and
-//! `α = z − b·s`. Every training point becomes a "support vector" — the
-//! known LS-SVM trade-off (dense model, cheap closed-form training).
+//! (Cholesky): with `A s = 1` and `A z = y`, the bias is
+//! `b = (1ᵀz)/(1ᵀs)` and `α = z − b·s`. Every training point becomes a
+//! "support vector" — the known LS-SVM trade-off (dense model, cheap
+//! closed-form training).
+//!
+//! A linear kernel (`K = ZZᵀ`, the paper's row) trains in the primal
+//! instead: the same optimum solves the (d+1) × (d+1) bordered normal
+//! equations
+//!
+//! ```text
+//!   [ n      1ᵀZ        ] [ b ]   [ 1ᵀy ]
+//!   [ Zᵀ1    ZᵀZ + I/γ  ] [ w ] = [ Zᵀy ]
+//! ```
+//!
+//! and the dual follows as `α = γ(y − Zw − b)` (so `Zᵀα = w` and
+//! `Σα = 0`). That is O(n·d²) work and O(n + d²) memory, against the dual
+//! system's n × n matrix.
 
+use crate::batch::KernelExpansion;
 use crate::kernel::Kernel;
 use crate::regressor::{check_training_data, Model, Regressor};
 use crate::MlError;
-use f2pm_linalg::{conjugate_gradient, CgOptions, Cholesky, Matrix, Standardizer};
-
-/// Above this sample count the solver switches from Cholesky (`O(n³)`) to
-/// conjugate gradients (`O(k·n²)`), because CG is faster there.
-///
-/// The switch is about time, not storage: both solvers hold the same
-/// n × n system. At n = 2000 the blocked right-looking factorization
-/// beats the CG pair (two solves, `20n` iteration budget each) by well
-/// over 2× and is exact. At the benchmark `build` workload's n = 5104 the
-/// cubic factorization has lost: the LS-SVM fit took 1.36 s with CG
-/// against 7.86 s with Cholesky forced (medians of 5 alternating pairs,
-/// CG faster in 5 of 5, identical best S-MAE; DESIGN.md §6.1).
-const CG_THRESHOLD: usize = 4000;
+use f2pm_linalg::{Cholesky, Matrix, Standardizer};
 
 /// The LS-SVM learning method.
 #[derive(Debug, Clone)]
@@ -50,7 +52,10 @@ impl LsSvmRegressor {
 
     /// Fit, returning the concrete model.
     pub fn fit_lssvm(&self, x: &Matrix, y: &[f64]) -> Result<LsSvmModel, MlError> {
-        self.fit_with_solver(x, y, None)
+        check_training_data(x, y)?;
+        let standardizer = Standardizer::fit(x);
+        let z = standardizer.transform(x);
+        self.fit_standardized(standardizer, z, y)
     }
 
     /// Fit on rows that are *already standardized* with the given
@@ -69,7 +74,7 @@ impl LsSvmRegressor {
         y: &[f64],
     ) -> Result<LsSvmModel, MlError> {
         check_training_data(z, y)?;
-        self.fit_standardized(standardizer, z.clone(), y, None)
+        self.fit_standardized(standardizer, z.clone(), y)
     }
 
     /// The kernel this regressor trains with.
@@ -84,60 +89,69 @@ impl LsSvmRegressor {
         self.gamma
     }
 
-    /// Fit with the linear-system path forced (`Some(true)` → CG,
-    /// `Some(false)` → Cholesky) instead of the size-based dispatch — the
-    /// equivalence tests pin the two solvers against each other at sizes
-    /// where the default would pick only one.
-    fn fit_with_solver(
-        &self,
-        x: &Matrix,
-        y: &[f64],
-        force_cg: Option<bool>,
-    ) -> Result<LsSvmModel, MlError> {
-        check_training_data(x, y)?;
-        let standardizer = Standardizer::fit(x);
-        let z = standardizer.transform(x);
-        self.fit_standardized(standardizer, z, y, force_cg)
-    }
-
     fn fit_standardized(
         &self,
         standardizer: Standardizer,
         z: Matrix,
         y: &[f64],
-        force_cg: Option<bool>,
     ) -> Result<LsSvmModel, MlError> {
-        let n = z.rows();
-        let mut a = self.kernel.matrix(&z);
-        for i in 0..n {
-            a[(i, i)] += 1.0 / self.gamma;
-        }
-
-        let ones = vec![1.0; n];
-        let use_cg = force_cg.unwrap_or(n > CG_THRESHOLD);
-        let (s, zvec) = if !use_cg {
-            let ch = Cholesky::factor(&a)?;
-            (ch.solve(&ones)?, ch.solve(y)?)
+        let (alpha, bias) = if self.kernel == Kernel::Linear {
+            self.solve_primal(&z, y)?
         } else {
-            let opts = CgOptions {
-                max_iter: Some(20 * n),
-                tol: 1e-8,
-            };
-            (
-                conjugate_gradient(&a, &ones, opts)?.x,
-                conjugate_gradient(&a, y, opts)?.x,
-            )
+            self.solve_dual(&z, y)?
         };
-
-        let (alpha, bias) = eliminate_bias(&s, &zvec)?;
-        Ok(LsSvmModel {
-            kernel: self.kernel,
+        Ok(LsSvmModel::from_parts(
+            self.kernel,
             standardizer,
-            width: z.cols(),
-            support: z,
+            z,
             alpha,
             bias,
-        })
+        ))
+    }
+
+    /// The kernel system `(K + I/γ)`, factored once for both solves.
+    fn solve_dual(&self, z: &Matrix, y: &[f64]) -> Result<(Vec<f64>, f64), MlError> {
+        let mut a = self.kernel.matrix(z);
+        for i in 0..z.rows() {
+            a[(i, i)] += 1.0 / self.gamma;
+        }
+        let ch = Cholesky::factor(&a)?;
+        eliminate_bias(&ch.solve(&vec![1.0; z.rows()])?, &ch.solve(y)?)
+    }
+
+    /// The linear kernel's bordered normal equations `A·[b; w] = Bᵀy`,
+    /// with `B = [1 Z]` and `A = BᵀB + diag(0, I/γ)`, then
+    /// `α = γ(y − B·[b; w])`.
+    ///
+    /// A close fit makes `y − B·[b; w]` cancel most of its digits, and the
+    /// model's primal weights are re-derived as `Zᵀα`, which amplifies
+    /// that rounding by up to γ·‖ZᵀZ‖. One refinement step fixes it: the
+    /// normal-equation residual `ρ = diag(0, I/γ)·[b; w] − Bᵀα/γ` is read
+    /// off α itself, and `[b; w] −= A⁻¹ρ` with `α += γ·B·A⁻¹ρ` moves both
+    /// together, which leaves α's rounding only in directions `Bᵀ` maps
+    /// to zero — so `Σα = 0` and `Zᵀα = w` hold to rounding.
+    fn solve_primal(&self, z: &Matrix, y: &[f64]) -> Result<(Vec<f64>, f64), MlError> {
+        let b = z.with_intercept();
+        let mut a = b.gram();
+        for j in 1..a.rows() {
+            a[(j, j)] += 1.0 / self.gamma;
+        }
+        let ch = Cholesky::factor(&a)?;
+        let theta = ch.solve(&b.matvec_t(y)?)?;
+        let mut alpha: Vec<f64> = (0..z.rows())
+            .map(|i| self.gamma * (y[i] - f2pm_linalg::dot(&theta, b.row(i))))
+            .collect();
+
+        let mut rho = b.matvec_t(&alpha)?;
+        for (j, r) in rho.iter_mut().enumerate() {
+            let ridge = if j == 0 { 0.0 } else { theta[j] / self.gamma };
+            *r = ridge - *r / self.gamma;
+        }
+        let step = ch.solve(&rho)?;
+        for (i, a) in alpha.iter_mut().enumerate() {
+            *a += self.gamma * f2pm_linalg::dot(&step, b.row(i));
+        }
+        Ok((alpha, theta[0] - step[0]))
     }
 }
 
@@ -162,20 +176,13 @@ pub fn eliminate_bias(s: &[f64], zvec: &[f64]) -> Result<(Vec<f64>, f64), MlErro
 
 /// A fitted LS-SVM model.
 #[derive(Debug, Clone)]
-pub struct LsSvmModel {
-    pub(crate) kernel: Kernel,
-    pub(crate) standardizer: Standardizer,
-    pub(crate) support: Matrix,
-    pub(crate) alpha: Vec<f64>,
-    pub(crate) bias: f64,
-    pub(crate) width: usize,
-}
+pub struct LsSvmModel(pub(crate) KernelExpansion);
 
 impl LsSvmModel {
-    /// Assemble a model from an externally-computed dual solution — the
-    /// warm-start retrainer refreshes `α`/`b` from its maintained factor
-    /// and only needs the assembly. `support` must hold the standardized
-    /// training rows and `alpha` one coefficient per row.
+    /// Assemble a model from a dual solution — every fit, the warm-start
+    /// retrainer (which refreshes `α`/`b` from its maintained factor) and
+    /// both model formats build through here. `support` must hold the
+    /// standardized training rows and `alpha` one coefficient per row.
     pub fn from_parts(
         kernel: Kernel,
         standardizer: Standardizer,
@@ -183,58 +190,38 @@ impl LsSvmModel {
         alpha: Vec<f64>,
         bias: f64,
     ) -> LsSvmModel {
-        assert_eq!(
-            support.rows(),
-            alpha.len(),
-            "one dual coefficient per support row"
-        );
-        LsSvmModel {
+        LsSvmModel(KernelExpansion::new(
             kernel,
             standardizer,
-            width: support.cols(),
             support,
             alpha,
             bias,
-        }
+        ))
     }
 
     /// The fitted bias term.
     pub fn bias(&self) -> f64 {
-        self.bias
+        self.0.bias
     }
 
     /// The dual coefficients (one per training point — LS-SVM is dense).
     pub fn alpha(&self) -> &[f64] {
-        &self.alpha
+        &self.0.coeffs
     }
 }
 
 impl Model for LsSvmModel {
     fn width(&self) -> usize {
-        self.width
+        self.0.width()
     }
 
     fn predict_row(&self, row: &[f64]) -> f64 {
-        crate::batch::kernel_predict_row(
-            &self.kernel,
-            &self.standardizer,
-            &self.support,
-            &self.alpha,
-            self.bias,
-            row,
-        )
+        self.0.predict_row(row)
     }
 
     fn predict_batch(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
-        crate::regressor::check_batch_width(self.width, x)?;
-        Ok(crate::batch::kernel_predict_batch(
-            &self.kernel,
-            &self.standardizer,
-            &self.support,
-            &self.alpha,
-            self.bias,
-            x,
-        ))
+        crate::regressor::check_batch_width(self.width(), x)?;
+        Ok(self.0.predict_batch(x))
     }
 }
 
@@ -251,6 +238,7 @@ impl Regressor for LsSvmRegressor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sine_data(n: usize) -> (Matrix, Vec<f64>) {
         let mut x = Matrix::zeros(n, 1);
@@ -355,40 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_cholesky_matches_cg_above_the_old_threshold() {
-        // n = 1600 sits above the seed's CG threshold (1500): the seed
-        // solved this size iteratively, while the blocked right-looking
-        // factorization now solves it directly (1600 ≥ CHOL_BLOCKED_MIN,
-        // so this exercises the blocked panel/trailing-update path, not
-        // the scalar sweep). The two solvers must produce the same model
-        // to the CG residual tolerance.
-        let n = 1600;
-        assert!(
-            n > 1500 && n <= CG_THRESHOLD,
-            "test must straddle the old and new dispatch thresholds"
-        );
-        let (x, y) = sine_data(n);
-        let reg = LsSvmRegressor::new(Kernel::Rbf { gamma: 2.0 }, 1.0);
-        let direct = reg.fit_with_solver(&x, &y, Some(false)).unwrap();
-        let cg = reg.fit_with_solver(&x, &y, Some(true)).unwrap();
-
-        assert!(
-            (direct.bias() - cg.bias()).abs() <= 1e-5,
-            "bias {} vs {}",
-            direct.bias(),
-            cg.bias()
-        );
-        let pd = direct.predict_batch(&x).unwrap();
-        let pc = cg.predict_batch(&x).unwrap();
-        for (i, (a, b)) in pd.iter().zip(&pc).enumerate() {
-            // Targets span ~[50, 150]; 1e-5 absolute is far inside any
-            // model-quality difference while leaving room for the CG
-            // stopping tolerance.
-            assert!((a - b).abs() <= 1e-5, "row {i}: {a} vs {b}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "gamma must be positive")]
     fn non_positive_gamma_panics() {
         LsSvmRegressor::new(Kernel::Linear, 0.0);
@@ -398,5 +352,95 @@ mod tests {
     fn rejects_bad_input() {
         let reg = LsSvmRegressor::new(Kernel::Linear, 1.0);
         assert!(reg.fit(&Matrix::zeros(0, 1), &[]).is_err());
+    }
+
+    /// Correlated, mixed-scale columns and a noisy linear target, drawn
+    /// deterministically from `seed`.
+    fn noisy_plane(n: usize, d: usize, seed: u64) -> (Matrix, Vec<f64>) {
+        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let mut x = Matrix::zeros(n, d);
+        let mut y = Vec::with_capacity(n);
+        for i in 0..n {
+            let shared = unit();
+            let mut acc = 300.0;
+            for j in 0..d {
+                let v = (shared + 0.5 * unit()) * (1.0 + 10.0 * j as f64);
+                x[(i, j)] = v;
+                acc += v * (1.0 - 0.3 * j as f64);
+            }
+            y.push(acc + 40.0 * unit());
+        }
+        (x, y)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The linear kernel's primal solve reaches the same optimum as
+        /// the dual `(K + I/γ)` system with bias elimination.
+        #[test]
+        fn prop_linear_primal_matches_dual_reference(
+            n in 40_usize..601,
+            d in 1_usize..45,
+            log_gamma in -2.0_f64..4.0,
+            seed in 0_u64..1_000_000,
+        ) {
+            let gamma = 10f64.powf(log_gamma);
+            let (x, y) = noisy_plane(n, d, seed);
+            let (queries, _) = noisy_plane(50, d, seed ^ 0x5eed);
+            let model = LsSvmRegressor::new(Kernel::Linear, gamma)
+                .fit_lssvm(&x, &y)
+                .unwrap();
+
+            let st = Standardizer::fit(&x);
+            let z = st.transform(&x);
+            let mut a = Kernel::Linear.matrix(&z);
+            for i in 0..n {
+                a[(i, i)] += 1.0 / gamma;
+            }
+            let ch = Cholesky::factor(&a).unwrap();
+            let s = ch.solve(&vec![1.0; n]).unwrap();
+            let (alpha, bias) = eliminate_bias(&s, &ch.solve(&y).unwrap()).unwrap();
+            // At γ near 1e4 the bias elimination cancels digits and the
+            // plain dual is off by ~1e-9 of the target scale itself, so
+            // the reference takes one iterative-refinement step on its
+            // own factor. Both this and the primal fit then sit within
+            // ~4e-11 of a QR solve of the augmented ridge problem.
+            let residual: Vec<f64> = a
+                .matvec(&alpha)
+                .unwrap()
+                .iter()
+                .zip(&y)
+                .map(|(ka, yi)| yi - bias - ka)
+                .collect();
+            let (d_alpha, d_bias) = eliminate_bias(&s, &ch.solve(&residual).unwrap()).unwrap();
+            let alpha: Vec<f64> = alpha.iter().zip(&d_alpha).map(|(a, d)| a + d).collect();
+            let bias = bias + d_bias;
+
+            // Relative to the target scale: a prediction near zero is
+            // as exact as the reference's own rounding at that scale.
+            let scale = y.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
+            let got = model.predict_batch(&queries).unwrap();
+            let zq = st.transform(&queries);
+            for (r, &p) in got.iter().enumerate() {
+                let want = bias
+                    + (0..n)
+                        .map(|i| alpha[i] * Kernel::Linear.eval(zq.row(r), z.row(i)))
+                        .sum::<f64>();
+                prop_assert!(
+                    (p - want).abs() <= 1e-9 * scale,
+                    "query {}: primal {} vs dual {} (|y| ≤ {})", r, p, want, scale
+                );
+            }
+            let sum: f64 = model.alpha().iter().sum();
+            let mass: f64 = model.alpha().iter().map(|a| a.abs()).sum();
+            prop_assert!(sum.abs() <= 1e-9 * mass.max(1.0), "Σα = {} (Σ|α| = {})", sum, mass);
+        }
     }
 }

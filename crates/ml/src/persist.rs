@@ -17,6 +17,7 @@
 //! Floats are serialized with [`f64::to_string`]/Rust's shortest-roundtrip
 //! formatter, so save → load → predict is bit-exact.
 
+use crate::batch::KernelExpansion;
 use crate::kernel::Kernel;
 use crate::linreg::LinearModel;
 use crate::lssvm::LsSvmModel;
@@ -156,22 +157,8 @@ pub fn to_string(model: &SavedModel) -> String {
                 }
             }
         }
-        SavedModel::Svr(m) => {
-            writeln!(s, "width {}", m.width).unwrap();
-            write_kernel(&mut s, &m.kernel);
-            write_standardizer(&mut s, &m.standardizer);
-            writeln!(s, "bias {}", m.bias).unwrap();
-            write_vec(&mut s, "beta", &m.beta);
-            write_matrix(&mut s, "support", &m.support);
-        }
-        SavedModel::LsSvm(m) => {
-            writeln!(s, "width {}", m.width).unwrap();
-            write_kernel(&mut s, &m.kernel);
-            write_standardizer(&mut s, &m.standardizer);
-            writeln!(s, "bias {}", m.bias).unwrap();
-            write_vec(&mut s, "alpha", &m.alpha);
-            write_matrix(&mut s, "support", &m.support);
-        }
+        SavedModel::Svr(m) => write_kernel_model(&mut s, &m.0, "beta"),
+        SavedModel::LsSvm(m) => write_kernel_model(&mut s, &m.0, "alpha"),
     }
     s.push_str("end\n");
     s
@@ -193,16 +180,17 @@ fn write_linear(s: &mut String, m: &LinearModel) {
     write_vec(s, "coefficients", &m.coefficients);
 }
 
-fn write_kernel(s: &mut String, k: &Kernel) {
-    match k {
+fn write_kernel_model(s: &mut String, m: &KernelExpansion, coeff_label: &str) {
+    writeln!(s, "width {}", m.width()).unwrap();
+    match m.kernel {
         Kernel::Linear => writeln!(s, "kernel linear").unwrap(),
         Kernel::Rbf { gamma } => writeln!(s, "kernel rbf {gamma}").unwrap(),
     }
-}
-
-fn write_standardizer(s: &mut String, st: &Standardizer) {
-    write_vec(s, "means", &st.stats().mean);
-    write_vec(s, "stds", &st.stats().std);
+    write_vec(s, "means", &m.standardizer.stats().mean);
+    write_vec(s, "stds", &m.standardizer.stats().std);
+    writeln!(s, "bias {}", m.bias).unwrap();
+    write_vec(s, coeff_label, &m.coeffs);
+    write_matrix(s, "support", &m.support);
 }
 
 fn write_vec(s: &mut String, label: &str, v: &[f64]) {
@@ -251,28 +239,8 @@ pub fn from_str(text: &str) -> io::Result<SavedModel> {
         "linear" => SavedModel::Linear(read_linear(&mut lines)?),
         "rep_tree" => SavedModel::RepTree(read_reptree(&mut lines)?),
         "m5p" => SavedModel::M5(read_m5(&mut lines)?),
-        "svr" => {
-            let (width, kernel, st, bias, coeff, support) = read_kernel_model(&mut lines, "beta")?;
-            SavedModel::Svr(SvrModel {
-                kernel,
-                standardizer: st,
-                support,
-                beta: coeff,
-                bias,
-                width,
-            })
-        }
-        "ls_svm" => {
-            let (width, kernel, st, bias, coeff, support) = read_kernel_model(&mut lines, "alpha")?;
-            SavedModel::LsSvm(LsSvmModel {
-                kernel,
-                standardizer: st,
-                support,
-                alpha: coeff,
-                bias,
-                width,
-            })
-        }
+        "svr" => SavedModel::Svr(SvrModel(read_kernel_model(&mut lines, "beta")?)),
+        "ls_svm" => SavedModel::LsSvm(LsSvmModel(read_kernel_model(&mut lines, "alpha")?)),
         other => return Err(bad(lines.at, &format!("unknown model kind {other:?}"))),
     };
     let terminator = lines.next_line()?;
@@ -458,9 +426,7 @@ fn read_m5(r: &mut Reader) -> io::Result<M5Model> {
     })
 }
 
-type KernelModelParts = (usize, Kernel, Standardizer, f64, Vec<f64>, Matrix);
-
-fn read_kernel_model(r: &mut Reader, coeff_label: &str) -> io::Result<KernelModelParts> {
+fn read_kernel_model(r: &mut Reader, coeff_label: &str) -> io::Result<KernelExpansion> {
     let width = r.labeled_usize("width")?;
     let ktoks = r.labeled("kernel")?;
     let kernel = match ktoks.as_slice() {
@@ -504,7 +470,13 @@ fn read_kernel_model(r: &mut Reader, coeff_label: &str) -> io::Result<KernelMode
             support[(i, j)] = parse_f64(r.at, t)?;
         }
     }
-    Ok((width, kernel, standardizer, bias, coeff, support))
+    Ok(KernelExpansion::new(
+        kernel,
+        standardizer,
+        support,
+        coeff,
+        bias,
+    ))
 }
 
 fn parse_f64(line: usize, t: &str) -> io::Result<f64> {

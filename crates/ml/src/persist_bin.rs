@@ -18,6 +18,7 @@
 //! first, so a decode failure there means a format bug, not corruption —
 //! but the guarantee is unconditional.)
 
+use crate::batch::KernelExpansion;
 use crate::kernel::Kernel;
 use crate::linreg::LinearModel;
 use crate::lssvm::LsSvmModel;
@@ -132,24 +133,8 @@ pub fn encode_payload(model: &SavedModel, out: &mut Vec<u8>) {
                 }
             }
         }
-        SavedModel::Svr(m) => encode_kernel_model(
-            out,
-            m.width,
-            &m.kernel,
-            &m.standardizer,
-            m.bias,
-            &m.beta,
-            &m.support,
-        ),
-        SavedModel::LsSvm(m) => encode_kernel_model(
-            out,
-            m.width,
-            &m.kernel,
-            &m.standardizer,
-            m.bias,
-            &m.alpha,
-            &m.support,
-        ),
+        SavedModel::Svr(m) => encode_kernel_model(out, &m.0),
+        SavedModel::LsSvm(m) => encode_kernel_model(out, &m.0),
     }
 }
 
@@ -234,28 +219,8 @@ pub fn decode_payload(tag: u8, bytes: &[u8]) -> io::Result<SavedModel> {
                 smoothing_k,
             })
         }
-        TAG_SVR => {
-            let (width, kernel, standardizer, bias, beta, support) = c.kernel_model()?;
-            SavedModel::Svr(SvrModel {
-                kernel,
-                standardizer,
-                support,
-                beta,
-                bias,
-                width,
-            })
-        }
-        TAG_LS_SVM => {
-            let (width, kernel, standardizer, bias, alpha, support) = c.kernel_model()?;
-            SavedModel::LsSvm(LsSvmModel {
-                kernel,
-                standardizer,
-                support,
-                alpha,
-                bias,
-                width,
-            })
-        }
+        TAG_SVR => SavedModel::Svr(SvrModel(c.kernel_model()?)),
+        TAG_LS_SVM => SavedModel::LsSvm(LsSvmModel(c.kernel_model()?)),
         t => return Err(invalid(format!("unknown model kind tag {t}"))),
     };
     if c.at != bytes.len() {
@@ -267,27 +232,20 @@ pub fn decode_payload(tag: u8, bytes: &[u8]) -> io::Result<SavedModel> {
     Ok(model)
 }
 
-fn encode_kernel_model(
-    out: &mut Vec<u8>,
-    width: usize,
-    kernel: &Kernel,
-    standardizer: &Standardizer,
-    bias: f64,
-    coeff: &[f64],
-    support: &Matrix,
-) {
-    put_u64(out, width as u64);
-    match kernel {
+fn encode_kernel_model(out: &mut Vec<u8>, m: &KernelExpansion) {
+    put_u64(out, m.width() as u64);
+    match m.kernel {
         Kernel::Linear => out.push(0),
         Kernel::Rbf { gamma } => {
             out.push(1);
-            put_f64(out, *gamma);
+            put_f64(out, gamma);
         }
     }
-    put_vec(out, &standardizer.stats().mean);
-    put_vec(out, &standardizer.stats().std);
-    put_f64(out, bias);
-    put_vec(out, coeff);
+    put_vec(out, &m.standardizer.stats().mean);
+    put_vec(out, &m.standardizer.stats().std);
+    put_f64(out, m.bias);
+    put_vec(out, &m.coeffs);
+    let support = &m.support;
     put_u64(out, support.rows() as u64);
     put_u64(out, support.cols() as u64);
     for i in 0..support.rows() {
@@ -405,7 +363,7 @@ impl<'a> Cursor<'a> {
     }
 
     #[allow(clippy::type_complexity)]
-    fn kernel_model(&mut self) -> io::Result<(usize, Kernel, Standardizer, f64, Vec<f64>, Matrix)> {
+    fn kernel_model(&mut self) -> io::Result<KernelExpansion> {
         let width = self.len()?;
         let kernel = match self.u8()? {
             0 => Kernel::Linear,
@@ -443,7 +401,13 @@ impl<'a> Cursor<'a> {
                 support[(i, j)] = self.f64()?;
             }
         }
-        Ok((width, kernel, standardizer, bias, coeff, support))
+        Ok(KernelExpansion::new(
+            kernel,
+            standardizer,
+            support,
+            coeff,
+            bias,
+        ))
     }
 }
 

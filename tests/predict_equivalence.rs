@@ -2,12 +2,16 @@
 //! bit-for-bit — for every model type, across both the serial and the
 //! parallel batch paths. The batched implementations share the
 //! per-coordinate accumulation order with the row path, so the outputs
-//! are asserted with exact equality, not a tolerance.
+//! are asserted with exact equality, not a tolerance. Linear-kernel SVM
+//! models score through primal weights derived when the model is built,
+//! so they must also score identically however they were built: fitted,
+//! reloaded from either model format, or assembled with `from_parts`.
 
-use f2pm_repro::f2pm_linalg::Matrix;
+use f2pm_repro::f2pm_linalg::{Matrix, Standardizer};
+use f2pm_repro::f2pm_ml::lssvm::LsSvmModel;
 use f2pm_repro::f2pm_ml::{
-    Kernel, LassoRegressor, LinearRegression, LsSvmRegressor, M5Params, M5Prime, Regressor,
-    RepTree, RepTreeParams, SvrParams, SvrRegressor,
+    persist, persist_bin, Kernel, LassoRegressor, LinearRegression, LsSvmRegressor, M5Params,
+    M5Prime, Model, Regressor, RepTree, RepTreeParams, SavedModel, SvrParams, SvrRegressor,
 };
 
 /// Deterministic design matrix with a mildly nonlinear target.
@@ -42,6 +46,18 @@ fn regressors() -> Vec<(&'static str, Box<dyn Regressor>)> {
         (
             "ls_svm",
             Box::new(LsSvmRegressor::new(Kernel::Rbf { gamma: 0.2 }, 10.0)),
+        ),
+        (
+            "svr_linear",
+            Box::new(SvrRegressor::new(SvrParams {
+                kernel: Kernel::Linear,
+                c: 100.0,
+                ..SvrParams::default()
+            })),
+        ),
+        (
+            "ls_svm_linear",
+            Box::new(LsSvmRegressor::new(Kernel::Linear, 10.0)),
         ),
     ]
 }
@@ -100,5 +116,72 @@ fn batch_on_empty_query_set_is_empty() {
             model.predict_batch(&empty).expect(name).is_empty(),
             "{name}"
         );
+    }
+}
+
+/// Row and batch scores of `model`, asserting they agree bit for bit.
+fn scores(model: &dyn Model, queries: &Matrix, label: &str) -> Vec<f64> {
+    let batch = model.predict_batch(queries).expect(label);
+    for (i, &got) in batch.iter().enumerate() {
+        let row = model.predict_row(queries.row(i));
+        assert_eq!(got.to_bits(), row.to_bits(), "{label}: row {i}");
+    }
+    batch
+}
+
+#[test]
+fn linear_kernel_models_score_identically_across_construction_paths() {
+    let (train_x, train_y) = design(150, 6, 0.0);
+    // Above the parallel threshold, so a batch could fan out.
+    let (queries, _) = design(700, 6, 2.1);
+
+    let svr = SvrRegressor::new(SvrParams {
+        kernel: Kernel::Linear,
+        c: 100.0,
+        ..SvrParams::default()
+    })
+    .fit_svr(&train_x, &train_y)
+    .expect("svr fit");
+    let lssvm = LsSvmRegressor::new(Kernel::Linear, 10.0)
+        .fit_lssvm(&train_x, &train_y)
+        .expect("ls_svm fit");
+
+    // `from_parts` from the same standardized rows and dual solution.
+    let standardizer = Standardizer::fit(&train_x);
+    let support = standardizer.transform(&train_x);
+    let assembled = LsSvmModel::from_parts(
+        Kernel::Linear,
+        standardizer,
+        support,
+        lssvm.alpha().to_vec(),
+        lssvm.bias(),
+    );
+    let want = scores(&lssvm, &queries, "ls_svm fitted");
+    assert_eq!(
+        scores(&assembled, &queries, "ls_svm from_parts"),
+        want,
+        "ls_svm: from_parts scores differ from the fitted model"
+    );
+
+    for (name, saved) in [
+        ("svr", SavedModel::Svr(svr)),
+        ("ls_svm", SavedModel::LsSvm(lssvm)),
+    ] {
+        let fresh = scores(saved.as_model(), &queries, name);
+
+        let mut bytes = Vec::new();
+        persist_bin::encode_payload(&saved, &mut bytes);
+        let binary = persist_bin::decode_payload(persist_bin::kind_tag(&saved), &bytes)
+            .expect("binary decode");
+        let text = persist::from_str(&persist::to_string(&saved)).expect("text parse");
+
+        for (path, reloaded) in [("binary", binary), ("text", text)] {
+            let label = format!("{name} {path} round trip");
+            assert_eq!(
+                scores(reloaded.as_model(), &queries, &label),
+                fresh,
+                "{label}: scores differ from the fitted model"
+            );
+        }
     }
 }
