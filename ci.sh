@@ -22,7 +22,7 @@ echo "==> non-test Rust line count"
 # #[cfg(test)], excluding the offline dependency stubs and the standalone
 # benchmark package. Deleting code is progress; growing past the ceiling
 # fails CI until the ceiling is raised on purpose.
-NONTEST_LOC_MAX=26813
+NONTEST_LOC_MAX=26699
 python3 - "$NONTEST_LOC_MAX" <<'EOF'
 import subprocess, sys
 
@@ -116,31 +116,39 @@ for path, min_rows, min_speedup in (
     assert c["chunks_pruned"] > 0, f"{path}: zone maps pruned no chunks"
 print("columnar + predict gates OK")
 EOF
-# Warm-start retraining gate (DESIGN.md §15). The steady-state 1-run
-# window shift over the paper-scale 2000-row window must stay >=5x
-# faster than a cold rebuild, and the warm model must agree with the
-# cold oracle to 1e-6 on the newest run's rows. The retrain section
-# always runs at full scale (the claim is about n=2000), so smoke and
-# the committed baseline gate at the same floor.
+# Warm-start retraining gate (DESIGN.md §15). Both 1-run window shifts
+# over the paper-scale 2000-row window — rows out == rows in (in place)
+# and rows out != rows in (the shape a live window mostly sees) — must
+# stay >=8x faster than a cold rebuild, and the warm model must agree
+# with the cold oracle to 1e-6 on the newest run's rows. The retrain
+# section always runs at full scale (the claim is about n=2000), so
+# smoke and the committed baseline gate at the same floor.
 python3 - <<'EOF'
 import json
 
-MIN_SPEEDUP = 5.0
+MIN_SPEEDUP = 8.0
 MAX_PRED_DELTA = 1e-6
 
 for path in ("target/BENCH_compute_smoke.json", "BENCH_compute.json"):
     r = json.load(open(path)).get("retrain")
     assert r is not None, f"{path}: no 'retrain' section"
     assert r["window_rows"] >= 2000, f"{path}: window only {r['window_rows']} rows"
-    assert r["shift_rows"] > 0, f"{path}: shift retired no rows"
-    assert r["warm_s"] > 0 and r["cold_s"] > 0, path
-    assert r["speedup"] >= MIN_SPEEDUP, (
-        f"{path}: warm retrain only {r['speedup']:.2f}x over cold "
-        f"(need >={MIN_SPEEDUP}x)"
-    )
-    assert r["max_pred_delta"] <= MAX_PRED_DELTA, (
-        f"{path}: warm/cold models diverged by {r['max_pred_delta']:e}"
-    )
+    for shape, equal in (("equal_shift", True), ("unequal_shift", False)):
+        s = r.get(shape)
+        assert s is not None, f"{path}: no retrain[{shape!r}]"
+        assert s["retired_rows"] > 0, f"{path}: {shape} retired no rows"
+        assert (s["retired_rows"] == s["appended_rows"]) == equal, (
+            f"{path}: {shape} moved {s['retired_rows']} rows out, "
+            f"{s['appended_rows']} in"
+        )
+        assert s["warm_s"] > 0 and s["cold_s"] > 0, f"{path}: {shape}"
+        assert s["speedup"] >= MIN_SPEEDUP, (
+            f"{path}: {shape} warm retrain only {s['speedup']:.2f}x over cold "
+            f"(need >={MIN_SPEEDUP}x)"
+        )
+        assert s["max_pred_delta"] <= MAX_PRED_DELTA, (
+            f"{path}: {shape} warm/cold models diverged by {s['max_pred_delta']:e}"
+        )
 
 # SVR shrinking regression floor: every benchmarked size sits below
 # SVR_SHRINK_MIN_N, where shrinking must be a no-op — the gate proves

@@ -12,17 +12,17 @@
 //!   aggregated points, so a shift aggregates only the new run.
 //! - **LS-SVM factor** — the Cholesky factor of `A = K + I/γ` is
 //!   maintained with [`Cholesky::shift_window`]: the evicted runs are
-//!   always the *leading* rows in window order, so a steady-state shift
-//!   (rows out == rows in) slides the surviving triangle up-left in
-//!   place, folds the retired columns back in, and borders by the new
-//!   run's kernel rows — the only kernel entries computed — without
-//!   ever assembling a second `n × n` buffer. Unequal shifts take the
-//!   two-step [`Cholesky::retire_leading`] + [`Cholesky::extend`] path
-//!   inside the same call. The dual is refreshed with one two-RHS
-//!   [`Cholesky::solve_multi`] plus [`eliminate_bias`], and the model is
-//!   assembled via [`LsSvmModel::from_parts`] — bit-compatible with what
-//!   a cold [`LsSvmRegressor::fit_prestandardized`] produces, within
-//!   rounding.
+//!   always the *leading* rows in window order, so every shift — rows
+//!   out and rows in equal or not, either of them zero — is one
+//!   single-threaded sweep that slides the surviving rows up-left, folds
+//!   the retired columns back in, and borders by the new run's kernel
+//!   rows, the only kernel entries computed. A steady-state shift (rows
+//!   out == rows in) runs inside the factor's own buffer; any other
+//!   writes one buffer of the new order. The dual is refreshed with one
+//!   two-RHS [`Cholesky::solve_multi`] plus [`eliminate_bias`], and the
+//!   model is assembled via [`LsSvmModel::from_parts`] — bit-compatible
+//!   with what a cold [`LsSvmRegressor::fit_prestandardized`] produces,
+//!   within rounding.
 //! - **Linear ridge factor** — the `(p+1) × (p+1)` Gram factor of
 //!   `G = Z̃ᵀZ̃ + λI` (intercept-augmented standardized rows) is
 //!   maintained with [`Cholesky::update_rank_k`] /
@@ -469,21 +469,17 @@ impl RetrainEngine {
         }
     }
 
-    /// LS-SVM kernel factor: retire the leading rows, then border by the
-    /// new run's kernel rows — the only kernel entries computed.
+    /// LS-SVM kernel factor: retire the leading rows and border by the
+    /// new run's kernel rows — the only kernel entries computed — in one
+    /// shift of whatever shape the window moved by.
     fn lssvm_shift_warm(&mut self, retired_rows: usize, zk: &Matrix, yk: &[f64]) -> FactorPath {
         self.drain_leading(retired_rows);
-        let border = (zk.rows() > 0).then(|| self.kernel_border(zk));
-        let attempt = {
-            let factor = self.factor.as_mut().expect("warm path has factors");
-            match &border {
-                // The steady-state case (one run out, one run in) runs the
-                // fused in-place shift; shape-changing shifts take the
-                // two-step path inside shift_window.
-                Some((b, c)) => factor.shift_window(retired_rows, b, c),
-                None => factor.retire_leading(retired_rows),
-            }
-        };
+        let (b, c) = self.kernel_border(zk);
+        let attempt = self
+            .factor
+            .as_mut()
+            .expect("warm path has factors")
+            .shift_window(retired_rows, &b, &c);
         self.append_rows(zk, yk);
 
         match attempt {
@@ -886,6 +882,27 @@ mod tests {
         assert_eq!(out.appended_rows, 0);
         let cold = eng.retrain_cold().expect("cold reference");
         assert_outcomes_match(&out, &cold, 1e-6, "retire-only");
+    }
+
+    #[test]
+    fn unequal_shifts_stay_warm_and_match_cold() {
+        // Runs differ in length, so the rows a shift retires and the rows
+        // it appends rarely match: 7 out / 8 in, then 8 out / 6 in.
+        // Five raw points per 6 s window, failing after the last one.
+        let run = |seed: u64, rows: usize| synth_run(seed, rows * 5, Some(rows as f64 * 6.0 + 5.0));
+        let mut eng = RetrainEngine::new(quick_cfg(4));
+        for (seed, rows) in [7, 8, 40, 40].into_iter().enumerate() {
+            eng.push_run(&run(seed as u64, rows));
+        }
+        eng.retrain().expect("seed retrain");
+        for (seed, out, into) in [(4, 7, 8), (5, 8, 6)] {
+            eng.push_run(&run(seed, into));
+            let warm = eng.retrain().expect("unequal shift");
+            assert_eq!((warm.retired_rows, warm.appended_rows), (out, into));
+            assert_eq!(warm.lssvm_path, FactorPath::Warm);
+            let cold = eng.retrain_cold().expect("cold reference");
+            assert_outcomes_match(&warm, &cold, 1e-6, &format!("{out} out / {into} in"));
+        }
     }
 
     #[test]

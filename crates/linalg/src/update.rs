@@ -1,28 +1,44 @@
 //! Rank-k maintenance of Cholesky factors.
 //!
-//! A sliding-window retrain changes the factored matrix in three ways, and
-//! each gets a dedicated kernel so the engine never pays the `O(n³)`
-//! refactorization for an `O(k)`-row window shift:
+//! A sliding-window retrain retires the `r` leading rows/columns of the
+//! factored matrix and borders it by `k` incoming ones. One kernel,
+//! [`Cholesky::shift_window`], does every such shift — equal or unequal,
+//! retire-only (`k = 0`) or extend-only (`r = 0`) — so the engine never
+//! pays the `O(n³)` refactorization for an `O(k)`-row window shift:
 //!
-//! * **Append** `k` rows/columns ([`Cholesky::extend`]) — bordering: one
-//!   multi-RHS triangular solve for the new off-diagonal block, then a
-//!   factorization of the `k × k` Schur complement. `O(n²k)`.
-//! * **Retire the `r` leading** rows/columns ([`Cholesky::retire_leading`])
-//!   — the trailing submatrix `A₂₂` is unchanged, and its new factor
-//!   satisfies `L'L'ᵀ = L₂₂L₂₂ᵀ + L₂₁L₂₁ᵀ`: a *positive* rank-`r`
-//!   recombination annihilated row-by-row with Householder reflections.
-//!   Unconditionally stable (it is a QR factorization in disguise), so it
-//!   never needs a conditioning guard. `O(n²r)`.
-//! * **Subtract an outer product** `A − WᵀW` ([`Cholesky::downdate_rank_k`])
-//!   — hyperbolic rotations. Unlike the two above, this is only
-//!   *conditionally* stable: as a rotation parameter `|s| = |vⱼ|/lⱼⱼ`
-//!   approaches 1 the transformation amplifies rounding error without
-//!   bound. A guard refuses the downdate ([`LinalgError::IllConditioned`])
-//!   before any garbage is produced — the factor is only committed after
-//!   every pivot clears the guard — and the caller refactorizes instead.
+//! * **Kept rows.** The trailing block of the old factor already
+//!   satisfies `A₂₂ = L₂₂L₂₂ᵀ + L₂₁L₂₁ᵀ`, so the kept rows' new factor is
+//!   a *positive* rank-`r` recombination, annihilated row by row with
+//!   Householder reflections. Unconditionally stable (it is a QR
+//!   factorization in disguise), so it never needs a conditioning guard.
+//! * **Border rows.** The cross block `B` is forward-solved against the
+//!   new kept factor (`Y = L'⁻¹B`), and the `k × k` Schur complement
+//!   `C − YᵀY` is factored. Only this step can fail: a non-positive-
+//!   definite border reports [`LinalgError::NotPositiveDefinite`] with
+//!   the absolute pivot index.
 //!
-//! [`Cholesky::update_rank_k`] (add `WᵀW`) rides on the same Householder
-//! core as `retire_leading` and shares its unconditional stability.
+//! Both happen in **one left-looking sweep** over the triangle, in blocks
+//! of [`LANES`] kept rows. Each block is slid into place from source
+//! offset `r`, held transposed (`[column][row]`) so the block's rows are
+//! the SIMD lanes, receives every earlier pivot's reflection — each inner
+//! loop an 8-wide multiply-add with no horizontal reduction — then
+//! finishes its own pivots serially and forward-solves the border rows
+//! against itself while it is still in cache. The earlier pivots'
+//! reflectors live in a small `m × ⌈r/8⌉·8` store (each coupling row as
+//! it stood at its pivot, plus `v₀` and `τ`), so no kept row is read
+//! twice. Every row receives the same reflections in the same pivot
+//! order as the textbook row-by-row recombination; only the summation
+//! order inside a reflection's projection differs.
+//!
+//! [`Cholesky::update_rank_k`] (add `WᵀW`) runs the same sweep with no
+//! border, and shares its unconditional stability.
+//! [`Cholesky::downdate_rank_k`] (subtract `WᵀW`) uses hyperbolic
+//! rotations instead — only *conditionally* stable: as a rotation
+//! parameter `|s| = |vⱼ|/lⱼⱼ` approaches 1 the transformation amplifies
+//! rounding error without bound. A guard refuses the downdate
+//! ([`LinalgError::IllConditioned`]) before any garbage is produced — the
+//! factor is only committed after every pivot clears the guard — and the
+//! caller refactorizes instead.
 //!
 //! The multi-RHS solve ([`Cholesky::solve_multi`]) keeps the right-hand
 //! sides interleaved row-major (`n × k`, one row per unknown) so both
@@ -41,134 +57,28 @@ use crate::{Cholesky, LinalgError, Matrix, Result};
 /// and barely slower.
 pub const DOWNDATE_GUARD: f64 = 1e-8;
 
+/// Kept rows per sweep block: one 512-bit vector of `f64` lanes.
+const LANES: usize = 8;
+
+/// One value per row of a sweep block.
+type Lanes = [f64; LANES];
+
 impl Cholesky {
-    /// Extend the factor of `A` to the factor of `[[A, B], [Bᵀ, C]]`.
-    ///
-    /// `b` is the `n × k` cross block between the existing and the new
-    /// rows; `c` is the `k × k` diagonal block of the new rows (only its
-    /// lower triangle is read). Cost `O(n²k)` against `O((n+k)³/3)` for a
-    /// cold factorization.
-    ///
-    /// Returns [`LinalgError::NotPositiveDefinite`] (with the absolute
-    /// pivot index) if the bordered matrix is not positive definite; the
-    /// existing factor is left untouched on any error.
-    pub fn extend(&mut self, b: &Matrix, c: &Matrix) -> Result<()> {
-        let n = self.order();
-        let k = c.rows();
-        if b.rows() != n || b.cols() != k || c.cols() != k {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky extend",
-                lhs: b.shape(),
-                rhs: c.shape(),
-            });
-        }
-        if !b.is_finite() || !c.is_finite() {
-            return Err(LinalgError::NonFinite {
-                what: "cholesky extend blocks",
-            });
-        }
-        if k == 0 {
-            return Ok(());
-        }
-        // Off-diagonal factor block: solve L Y = B for Y (n × k).
-        let mut y = b.clone();
-        self.forward_multi_in_place(&mut y);
-        // New factor rows carry Yᵀ in their first n columns; the transpose
-        // also puts each new row's coefficients contiguous for the syrk.
-        let yt = y.transpose();
-        // Schur complement S = C − YᵀY, then factor it. `factor` only
-        // reads the lower triangle, so the upper copy can stay stale.
-        let yy = crate::syrk_rows(&yt);
-        let mut s = Matrix::scratch(k, k);
-        for i in 0..k {
-            let si = s.row_mut(i);
-            for ((sv, cv), yv) in si[..=i]
-                .iter_mut()
-                .zip(&c.row(i)[..=i])
-                .zip(&yy.row(i)[..=i])
-            {
-                *sv = cv - yv;
-            }
-        }
-        let ls = match Cholesky::factor(&s) {
-            Ok(f) => f,
-            Err(LinalgError::NotPositiveDefinite { pivot }) => {
-                return Err(LinalgError::NotPositiveDefinite { pivot: n + pivot })
-            }
-            Err(e) => return Err(e),
-        };
-        // Assemble [[L, 0], [Yᵀ, L_S]]. Scratch + per-row upper zeroing:
-        // one write pass instead of a full memset followed by the copies.
-        let m = n + k;
-        let mut l = Matrix::scratch(m, m);
-        for i in 0..n {
-            let row = l.row_mut(i);
-            row[..=i].copy_from_slice(&self.l.row(i)[..=i]);
-            row[i + 1..].fill(0.0);
-        }
-        for j in 0..k {
-            let row = l.row_mut(n + j);
-            row[..n].copy_from_slice(yt.row(j));
-            row[n..=n + j].copy_from_slice(&ls.l.row(j)[..=j]);
-            row[n + j + 1..].fill(0.0);
-        }
-        self.l = l;
-        Ok(())
-    }
-
-    /// Shrink the factor of `A` to the factor of its trailing submatrix
-    /// `A[r.., r..]`, retiring the `r` leading rows/columns.
-    ///
-    /// The trailing block of the old factor already satisfies
-    /// `A₂₂ = L₂₂L₂₂ᵀ + L₂₁L₂₁ᵀ`, so the new factor is a positive rank-`r`
-    /// recombination — computed with Householder reflections, which are
-    /// unconditionally stable (no conditioning guard needed, in contrast
-    /// to [`Cholesky::downdate_rank_k`]). Cost `O((n−r)²·r)`.
-    pub fn retire_leading(&mut self, r: usize) -> Result<()> {
-        let n = self.order();
-        if r > n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky retire_leading",
-                lhs: (n, n),
-                rhs: (r, r),
-            });
-        }
-        if r == 0 {
-            return Ok(());
-        }
-        let m = n - r;
-        let mut l = Matrix::scratch(m, m);
-        let mut w = Matrix::scratch(m, r);
-        for i in 0..m {
-            let src = self.l.row(r + i);
-            let dst = l.row_mut(i);
-            dst[..=i].copy_from_slice(&src[r..=r + i]);
-            dst[i + 1..].fill(0.0);
-            w.row_mut(i).copy_from_slice(&src[..r]);
-        }
-        fold_rank_update(&mut l, &mut w)?;
-        self.l = l;
-        Ok(())
-    }
-
-    /// One steady-state sliding-window shift in a single pass: retire the
-    /// `r` leading rows/columns and border by `k = c.rows()` incoming
-    /// ones. When `r == k` (the factored order is unchanged — the
-    /// continuous-retraining steady state) the whole shift happens inside
-    /// the factor's own buffer: slide the kept triangle up-left, fold the
-    /// retired coupling block into it, then write the new border rows
-    /// over the vacated tail — no second `n²` assembly, no reallocation.
-    /// When `r ≠ k` it delegates to [`Cholesky::retire_leading`] +
-    /// [`Cholesky::extend`].
+    /// One sliding-window shift: retire the `r` leading rows/columns of
+    /// the factored matrix and border it by `k = c.rows()` incoming ones,
+    /// leaving the factor of order `n − r + k`.
     ///
     /// `b` is the `(n − r) × k` cross block between the kept and the new
     /// rows; `c` the `k × k` diagonal block of the new rows (only its
-    /// lower triangle is read).
+    /// lower triangle is read). Cost `O((n−r)²·(r + k))`.
     ///
-    /// Unlike the two-step sequence, the fused path mutates in place: if
-    /// it fails (non-positive-definite shifted window, non-finite border)
-    /// **the factor is left unusable** and the caller must rebuild cold —
-    /// which is exactly the retrain engine's fallback contract.
+    /// When `r == k` (the factored order is unchanged — the continuous-
+    /// retraining steady state) the shift runs inside the factor's own
+    /// buffer; otherwise it writes one new buffer of the new order. On
+    /// error (non-positive-definite shifted window, non-finite border) an
+    /// `r ≠ k` shift leaves the factor untouched, but an `r == k` one
+    /// **leaves it unusable** and the caller must rebuild cold — which is
+    /// exactly the retrain engine's fallback contract.
     pub fn shift_window(&mut self, r: usize, b: &Matrix, c: &Matrix) -> Result<()> {
         let n = self.order();
         let k = c.rows();
@@ -179,74 +89,24 @@ impl Cholesky {
                 rhs: c.shape(),
             });
         }
-        if r != k {
-            self.retire_leading(r)?;
-            return self.extend(b, c);
-        }
-        if k == 0 {
-            return Ok(());
-        }
         if !b.is_finite() || !c.is_finite() {
             return Err(LinalgError::NonFinite {
                 what: "cholesky shift blocks",
             });
         }
-        let m = n - r;
-        // Extract the retired coupling block, then slide the kept
-        // triangle up-left in place (destination row i sits strictly
-        // above source row r+i) with the upper tail zeroed in the same
-        // write pass.
-        let mut w = Matrix::scratch(m, r);
-        {
-            let data = self.l.as_mut_slice();
-            for i in 0..m {
-                let src = (r + i) * n;
-                w.row_mut(i).copy_from_slice(&data[src..src + r]);
-                data.copy_within(src + r..src + r + i + 1, i * n);
-                data[i * n + i + 1..(i + 1) * n].fill(0.0);
-            }
+        if r == 0 && k == 0 {
+            return Ok(());
         }
-        fold_rank_update_sub(&mut self.l, m, &mut w)?;
-        // Border against the folded top-left block: Y = L⁻¹B, Schur
-        // complement S = C − YᵀY, new rows written straight into the
-        // vacated tail.
-        let mut y = b.clone();
-        self.forward_multi_sub(m, &mut y);
-        let yt = y.transpose();
-        let yy = crate::syrk_rows(&yt);
-        let mut s = Matrix::scratch(k, k);
-        for i in 0..k {
-            let si = s.row_mut(i);
-            for ((sv, cv), yv) in si[..=i]
-                .iter_mut()
-                .zip(&c.row(i)[..=i])
-                .zip(&yy.row(i)[..=i])
-            {
-                *sv = cv - yv;
-            }
-        }
-        let ls = match Cholesky::factor(&s) {
-            Ok(f) => f,
-            Err(LinalgError::NotPositiveDefinite { pivot }) => {
-                return Err(LinalgError::NotPositiveDefinite { pivot: m + pivot })
-            }
-            Err(e) => return Err(e),
-        };
-        for j in 0..k {
-            let row = self.l.row_mut(m + j);
-            row[..m].copy_from_slice(yt.row(j));
-            row[m..=m + j].copy_from_slice(&ls.l.row(j)[..=j]);
-            row[m + j + 1..].fill(0.0);
-        }
-        Ok(())
+        self.sweep(r, None, b, c)
     }
 
     /// Rank-k update: replace the factor of `A` with the factor of
     /// `A + WᵀW`, where `w` is `k × n` (one added data row per matrix
     /// row, matching the Gram-matrix convention `G += Σ xxᵀ`).
     ///
-    /// Unconditionally stable — shares the Householder recombination core
-    /// with [`Cholesky::retire_leading`]. Cost `O(n²k)`.
+    /// Unconditionally stable — the same Householder sweep as
+    /// [`Cholesky::shift_window`], run in the factor's own buffer (left
+    /// unusable on error). Cost `O(n²k)`.
     pub fn update_rank_k(&mut self, w: &Matrix) -> Result<()> {
         let n = self.order();
         if w.cols() != n {
@@ -264,10 +124,8 @@ impl Cholesky {
         if w.rows() == 0 {
             return Ok(());
         }
-        // Align the update rows with the factor rows: wt[i] holds the k
-        // coefficients that touch unknown i, contiguous per factor row.
-        let mut wt = w.transpose();
-        fold_rank_update(&mut self.l, &mut wt)
+        let no_border = Matrix::zeros(0, 0);
+        self.sweep(w.rows(), Some(w), &Matrix::zeros(n, 0), &no_border)
     }
 
     /// Rank-k downdate: replace the factor of `A` with the factor of
@@ -311,6 +169,37 @@ impl Cholesky {
         Ok(())
     }
 
+    /// The one row sweep behind [`Cholesky::shift_window`] (`w` = `None`:
+    /// retire the `r` leading rows, then border by `b`, `c`) and
+    /// [`Cholesky::update_rank_k`] (`w` = the `r × n` update rows: the
+    /// coupling of kept row `i` is column `i` of `w`, and nothing is
+    /// retired or bordered).
+    fn sweep(&mut self, r: usize, w: Option<&Matrix>, b: &Matrix, c: &Matrix) -> Result<()> {
+        let n = self.order();
+        let k = c.rows();
+        let m = if w.is_some() { n } else { n - r };
+        // In place, destination row i overwrites source row i — the source
+        // of kept row i − r, or of row i itself for an update, which the
+        // sweep has already loaded — and its entries past the diagonal
+        // are already zero, so only lower triangles are written.
+        let mut fresh = (m + k != n).then(|| Matrix::zeros(m + k, m + k));
+        let mut sweep = Sweep::new(m, r, k);
+        let mut i0 = 0;
+        while i0 < m {
+            let rows = LANES.min(m - i0);
+            sweep.load(&self.l, w, i0, rows);
+            sweep.fold(i0, rows)?;
+            sweep.solve_border(b, i0, rows);
+            sweep.store(fresh.as_mut().unwrap_or(&mut self.l), i0, rows);
+            i0 += rows;
+        }
+        sweep.factor_border(fresh.as_mut().unwrap_or(&mut self.l), c)?;
+        if let Some(l) = fresh {
+            self.l = l;
+        }
+        Ok(())
+    }
+
     /// Solve `A X = B` for `k` right-hand sides stored *row-major
     /// interleaved*: `b` is `n × k` with row `i` holding the `i`-th entry
     /// of every right-hand side. Both substitution sweeps then run
@@ -334,20 +223,13 @@ impl Cholesky {
     /// Forward substitution `L Y = B` over `k` interleaved right-hand
     /// sides, in place.
     fn forward_multi_in_place(&self, y: &mut Matrix) {
-        self.forward_multi_sub(self.order(), y);
-    }
-
-    /// [`Cholesky::forward_multi_in_place`] against the leading `n × n`
-    /// sub-factor only (`y` has `n` rows) — the in-place window shift
-    /// solves its border against the already-folded top-left block while
-    /// the trailing rows still hold retired state.
-    fn forward_multi_sub(&self, n: usize, y: &mut Matrix) {
+        let n = self.order();
         let k = y.cols();
         if k == 0 {
             return;
         }
         if k == 2 {
-            return self.forward_2rhs(n, y.as_mut_slice());
+            return self.forward_2rhs(y.as_mut_slice());
         }
         // Row-panel blocking: rows [i0, i1) first absorb every already-
         // solved row — j-blocked so a block of solved rows stays in cache
@@ -401,8 +283,8 @@ impl Cholesky {
     /// sides (the engine's `(1 | y)` dual refresh): both accumulators
     /// live in registers across the whole gather over the contiguous
     /// `L` row, with two partial chains per side to hide add latency.
-    fn forward_2rhs(&self, n: usize, data: &mut [f64]) {
-        for i in 0..n {
+    fn forward_2rhs(&self, data: &mut [f64]) {
+        for i in 0..self.order() {
             let li = self.l.row(i);
             let (solved, cur) = data.split_at_mut(2 * i);
             let (mut a0, mut a1, mut b0, mut b1) = (0.0, 0.0, 0.0, 0.0);
@@ -474,97 +356,115 @@ impl Cholesky {
     }
 }
 
-/// Pivot-panel width of [`fold_rank_update`]. The reflector recurrence
-/// is inherently serial, but only rows *inside* the panel need each
-/// reflection immediately — every trailing row can absorb the whole
-/// panel's reflections in one deferred pass. That pass loads each `w`
-/// row once per panel instead of once per pivot (the unblocked loop
-/// re-streamed the entire `w` mirror from memory `m` times) and its rows
-/// are independent, so it fans out across the thread pool.
-const FOLD_PANEL: usize = 32;
-
-/// Replace `l` (lower-triangular, `m × m`) with the factor of
-/// `L Lᵀ + W Wᵀ`, consuming `w` (`m × k`, rows aligned with factor rows)
-/// as workspace.
-///
-/// Row `j` is annihilated by one Householder reflection over the
-/// `(k+1)`-vector `[lⱼⱼ, wⱼ]`; applying it to each later row `i` touches
-/// only `l[i][j]` plus the contiguous `w` row `i`, so the inner loop is a
-/// pair of length-`k` fused multiply-adds. The reflector is built in the
-/// cancellation-free form `v₀ = −σ/(d + ρ)` so the new pivot comes out
-/// `+ρ` directly and the factor keeps a positive diagonal.
-///
-/// Reflections reach any given row in pivot order whether it sits inside
-/// or below the current panel, so the blocked schedule performs exactly
-/// the operations of the serial one.
-fn fold_rank_update(l: &mut Matrix, w: &mut Matrix) -> Result<()> {
-    let m = l.rows();
-    fold_rank_update_sub(l, m, w)
+/// Working state of one [`Cholesky::sweep`] over `m` kept rows, `r`
+/// retired (or update) columns and `k` border rows.
+struct Sweep {
+    m: usize,
+    r: usize,
+    /// `r` rounded up to whole [`LANES`] groups; the padding columns of
+    /// the coupling block start at zero and every reflection keeps them
+    /// there, so they change no result.
+    rs: usize,
+    k: usize,
+    /// The current block's factor columns: `cols[q][lane]` is column `q`
+    /// of kept row `i0 + lane`.
+    cols: Vec<Lanes>,
+    /// The current block's retired coupling: `coupling[c][lane]`.
+    coupling: Vec<Lanes>,
+    /// Pivot `j`'s coupling row as it stood at its pivot (`rs` wide).
+    u: Vec<f64>,
+    /// Pivot `j`'s reflector scalars `v₀ⱼ`, `τⱼ` (`τⱼ = 0`: none).
+    v0: Vec<f64>,
+    tau: Vec<f64>,
+    /// Border rows solved so far, `k × m` row-major: `Y = L'⁻¹B`.
+    y: Vec<f64>,
 }
 
-/// [`fold_rank_update`] over the leading `m × m` sub-triangle of `l`
-/// only (`w` has `m` rows); trailing rows and columns of `l` are never
-/// read or written, which is what lets the in-place window shift fold
-/// the slid-up triangle before overwriting the retired tail rows.
-fn fold_rank_update_sub(l: &mut Matrix, m: usize, w: &mut Matrix) -> Result<()> {
-    let k = w.cols();
-    debug_assert_eq!(w.rows(), m);
-    if k == 0 {
-        // W Wᵀ = 0: only the pivot-positivity contract remains.
-        for j in 0..m {
-            let d = l[(j, j)];
+impl Sweep {
+    fn new(m: usize, r: usize, k: usize) -> Self {
+        let rs = r.next_multiple_of(LANES);
+        Sweep {
+            m,
+            r,
+            rs,
+            k,
+            cols: vec![[0.0; LANES]; m.next_multiple_of(LANES)],
+            coupling: vec![[0.0; LANES]; rs],
+            u: vec![0.0; m * rs],
+            v0: vec![0.0; m],
+            tau: vec![0.0; m],
+            y: vec![0.0; k * m],
+        }
+    }
+
+    /// Slide kept rows `i0..i0 + rows` into the block, transposed. Kept
+    /// row `i` is source row `r + i` with its coupling in that row's first
+    /// `r` columns — or, for an update, source row `i` with its coupling
+    /// in column `i` of `w`. Unused lanes of a short last block are zeroed.
+    fn load(&mut self, l: &Matrix, w: Option<&Matrix>, i0: usize, rows: usize) {
+        let r = self.r;
+        let off = if w.is_some() { 0 } else { r };
+        let last = i0 + rows - 1;
+        // Column by column, so each block column is written as one whole
+        // cache line while the source rows stream in step. Unused lanes
+        // repeat the last row until they are zeroed below.
+        let src: [&[f64]; LANES] =
+            std::array::from_fn(|lane| &l.row(off + last.min(i0 + lane))[..off + i0]);
+        for (c, cw) in self.coupling[..r].iter_mut().enumerate() {
+            *cw = match w {
+                None => std::array::from_fn(|lane| src[lane][c]),
+                Some(w) => std::array::from_fn(|lane| w[(c, last.min(i0 + lane))]),
+            };
+        }
+        for (q, col) in self.cols[..i0].iter_mut().enumerate() {
+            *col = std::array::from_fn(|lane| src[lane][off + q]);
+        }
+        for (q, col) in self.cols[i0..i0 + LANES].iter_mut().enumerate() {
+            *col = std::array::from_fn(|lane| {
+                if q <= lane && lane < rows {
+                    l[(off + i0 + lane, off + i0 + q)]
+                } else {
+                    0.0
+                }
+            });
+        }
+        if rows < LANES {
+            for cw in self.coupling[..r].iter_mut().chain(&mut self.cols[..i0]) {
+                cw[rows..].fill(0.0);
+            }
+        }
+    }
+
+    /// Apply every earlier pivot's reflection to the block, then finish
+    /// the block's own pivots in order.
+    fn fold(&mut self, i0: usize, rows: usize) -> Result<()> {
+        let rs = self.rs;
+        if rs > 0 {
+            for j in 0..i0 {
+                if self.tau[j] != 0.0 {
+                    reflect(
+                        &mut self.cols[j],
+                        &mut self.coupling,
+                        &self.u[j * rs..(j + 1) * rs],
+                        self.v0[j],
+                        self.tau[j],
+                    );
+                }
+            }
+        }
+        for lane in 0..rows {
+            let j = i0 + lane;
+            let d = self.cols[j][lane];
             if d <= 0.0 || !d.is_finite() {
                 return Err(LinalgError::NotPositiveDefinite { pivot: j });
             }
-        }
-        return Ok(());
-    }
-    // Pad the workspace stride to a whole number of 8-wide SIMD blocks.
-    // The padded tail starts at zero and stays zero under every
-    // reflection (they are linear in the w rows), so the arithmetic over
-    // the real k columns is bit-identical — but no inner sweep ever
-    // drops into a scalar remainder loop. `w` is workspace the callers
-    // discard, so the padded copy needs no write-back.
-    let ks = k.next_multiple_of(8);
-    if ks != k {
-        let mut wp = Matrix::scratch(m, ks);
-        for (dst, src) in wp
-            .as_mut_slice()
-            .chunks_exact_mut(ks)
-            .zip(w.as_slice().chunks_exact(k))
-        {
-            dst[..k].copy_from_slice(src);
-            dst[k..].fill(0.0);
-        }
-        return fold_rank_update_padded(l, m, &mut wp);
-    }
-    fold_rank_update_padded(l, m, w)
-}
-
-/// [`fold_rank_update_sub`] body; requires `w.cols()` to be a multiple
-/// of 8 (or the original unpadded width when it already is one).
-fn fold_rank_update_padded(l: &mut Matrix, m: usize, w: &mut Matrix) -> Result<()> {
-    let k = w.cols();
-    let mut v0s = [0.0; FOLD_PANEL];
-    let mut taus = [0.0; FOLD_PANEL];
-    let mut j0 = 0;
-    while j0 < m {
-        let j1 = (j0 + FOLD_PANEL).min(m);
-        // Serial panel factorization. Pivot j reads w.row(j) after
-        // reflections j0..j only — and since no reflection ever touches
-        // rows at or above its own pivot, panel rows are *final* here:
-        // the deferred pass below reads exactly the reflector states the
-        // panel pivots saw.
-        for j in j0..j1 {
-            let d = l[(j, j)];
-            if d <= 0.0 || !d.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite { pivot: j });
+            let uj = &mut self.u[j * rs..(j + 1) * rs];
+            for (u, w) in uj.iter_mut().zip(&self.coupling) {
+                *u = w[lane];
             }
-            let sigma = crate::dot(w.row(j), w.row(j));
+            let sigma = crate::dot(uj, uj);
             if sigma == 0.0 {
-                v0s[j - j0] = 0.0;
-                taus[j - j0] = 0.0;
-                continue;
+                continue; // τ = 0: nothing to annihilate.
             }
             let rho = (d * d + sigma).sqrt();
             if !rho.is_finite() {
@@ -572,152 +472,132 @@ fn fold_rank_update_padded(l: &mut Matrix, m: usize, w: &mut Matrix) -> Result<(
                     what: "cholesky rank update pivot",
                 });
             }
-            let v0 = -sigma / (d + rho); // = d − ρ without cancellation
+            // Cancellation-free v₀ = d − ρ, so the new pivot comes out +ρ.
+            let v0 = -sigma / (d + rho);
             let tau = 2.0 / (v0 * v0 + sigma);
-            l[(j, j)] = rho;
-            v0s[j - j0] = v0;
-            taus[j - j0] = tau;
-            // Apply within the panel only; trailing rows take the whole
-            // panel at once below.
-            let (head, tail) = w.as_mut_slice().split_at_mut((j + 1) * k);
-            let wj = &head[j * k..];
-            for (t, wi) in tail[..(j1 - j - 1) * k].chunks_exact_mut(k).enumerate() {
-                let i = j + 1 + t;
-                let lij = l[(i, j)];
-                let proj = v0 * lij + crate::dot(wj, wi);
-                let coef = tau * proj;
-                l[(i, j)] = lij - coef * v0;
-                crate::axpy(-coef, wj, wi);
-            }
+            // All lanes take the reflection: the block's finished rows
+            // only change entries above their diagonal (never stored) and
+            // coupling they no longer need.
+            reflect(&mut self.cols[j], &mut self.coupling, uj, v0, tau);
+            self.cols[j][lane] = rho;
+            self.v0[j] = v0;
+            self.tau[j] = tau;
         }
-        // Deferred pass: every row below the panel absorbs reflections
-        // j0..j1 in pivot order, via the compact-WY form
-        // `Q = H_{j0}···H_{j1−1} = I − V T Vᵀ`. A row (over the combined
-        // coordinates `x = [l[i][j0..j1] | wᵢ]`, where each reflector is
-        // `vⱼ = [v0ⱼ eⱼ | uⱼ]`) becomes `x ← x − ((x·V)·T)·Vᵀ` — every
-        // inner loop is a contiguous axpy over L1-resident panel data,
-        // with none of the per-pivot dot-reduction chains the sequential
-        // application pays. Rows are independent — fan out.
-        let lm = l.cols();
-        let nb = j1 - j0;
-        let rows = m - j1;
-        if rows > 0 {
-            // uᵢᵀuⱼ cross products, the transposed panel (for the x·V
-            // product in axpy form), and the T factor
-            // (`T[0..j, j] = −τⱼ · T[0..j, 0..j] · (Vᵀvⱼ)[0..j]`,
-            // `T[j][j] = τⱼ`). A τ = 0 pivot (σ was 0, so uⱼ = 0) zeroes
-            // its whole T row/column and drops out exactly.
-            let (wt, tmat) = {
-                let panel = &w.as_slice()[j0 * k..j1 * k];
-                let mut wt = Matrix::scratch(k, nb);
-                for jj in 0..nb {
-                    for (c, &v) in panel[jj * k..(jj + 1) * k].iter().enumerate() {
-                        wt[(c, jj)] = v;
-                    }
-                }
-                let mut tm = Matrix::zeros(nb, nb);
-                let mut g = vec![0.0; nb];
-                for j in 0..nb {
-                    tm[(j, j)] = taus[j];
-                    if taus[j] == 0.0 {
-                        continue;
-                    }
-                    let uj = &panel[j * k..(j + 1) * k];
-                    for i in 0..j {
-                        g[i] = crate::dot(&panel[i * k..(i + 1) * k], uj);
-                    }
-                    for i in 0..j {
-                        let mut s = 0.0;
-                        for (i2, &gi2) in g[i..j].iter().enumerate() {
-                            s += tm[(i, i + i2)] * gi2;
-                        }
-                        tm[(i, j)] = -taus[j] * s;
-                    }
-                }
-                (wt, tm)
-            };
-            let l_tail = &mut l.as_mut_slice()[j1 * lm..m * lm];
-            let (w_head, w_tail) = w.as_mut_slice().split_at_mut(j1 * k);
-            let panel_w = &w_head[j0 * k..];
-            let (v0s, taus) = (&v0s[..nb], &taus[..nb]);
-            let (wt, tmat) = (&wt, &tmat);
-            let apply_band = |l_band: &mut [f64], w_band: &mut [f64]| {
-                let mut p = vec![0.0; nb];
-                let mut q = vec![0.0; nb];
-                for (lrow, wi) in l_band.chunks_exact_mut(lm).zip(w_band.chunks_exact_mut(k)) {
-                    let lij = &mut lrow[j0..j1];
-                    // p = x·V, absorbing wt rows two at a time so each
-                    // sweep of `p` does double the arithmetic.
-                    for ((pj, &v0), &t) in p.iter_mut().zip(v0s).zip(lij.iter()) {
-                        *pj = v0 * t;
-                    }
-                    let mut c = 0;
-                    while c + 1 < k {
-                        crate::axpy2(wi[c], wt.row(c), wi[c + 1], wt.row(c + 1), &mut p);
-                        c += 2;
-                    }
-                    if c < k {
-                        crate::axpy(wi[c], wt.row(c), &mut p);
-                    }
-                    // q = p·T (T upper triangular), row pairs fused over
-                    // their common tail.
-                    q.fill(0.0);
-                    let mut i2 = 0;
-                    while i2 + 1 < nb {
-                        q[i2] += p[i2] * tmat[(i2, i2)];
-                        crate::axpy2(
-                            p[i2],
-                            &tmat.row(i2)[i2 + 1..],
-                            p[i2 + 1],
-                            &tmat.row(i2 + 1)[i2 + 1..],
-                            &mut q[i2 + 1..],
-                        );
-                        i2 += 2;
-                    }
-                    if i2 < nb {
-                        q[i2] += p[i2] * tmat[(i2, i2)];
-                    }
-                    // x ← x − q·Vᵀ, panel_w row pairs fused into one
-                    // sweep of wᵢ.
-                    for ((t, &qj), &v0) in lij.iter_mut().zip(q.iter()).zip(v0s) {
-                        *t -= qj * v0;
-                    }
-                    let mut jj = 0;
-                    while jj + 1 < nb {
-                        crate::axpy2(
-                            -q[jj],
-                            &panel_w[jj * k..(jj + 1) * k],
-                            -q[jj + 1],
-                            &panel_w[(jj + 1) * k..(jj + 2) * k],
-                            wi,
-                        );
-                        jj += 2;
-                    }
-                    if jj < nb {
-                        crate::axpy(-q[jj], &panel_w[jj * k..(jj + 1) * k], wi);
-                    }
-                }
-            };
-            let _ = taus;
-            let workers = crate::worker_count(rows, rows * nb * k);
-            if workers <= 1 {
-                apply_band(l_tail, w_tail);
-            } else {
-                let band = rows.div_ceil(workers);
-                let apply_band = &apply_band;
-                std::thread::scope(|scope| {
-                    for (lc, wc) in l_tail
-                        .chunks_mut(band * lm)
-                        .zip(w_tail.chunks_mut(band * k))
-                    {
-                        scope.spawn(move || apply_band(lc, wc));
-                    }
-                });
-            }
-        }
-        j0 = j1;
+        Ok(())
     }
-    Ok(())
+
+    /// Forward-solve the border rows' entries for the block's columns.
+    fn solve_border(&mut self, b: &Matrix, i0: usize, rows: usize) {
+        for t in 0..self.k {
+            let y = &mut self.y[t * self.m..(t + 1) * self.m];
+            let acc = lanes_dot(&self.cols[..i0], &y[..i0]);
+            for lane in 0..rows {
+                let i = i0 + lane;
+                let mut s = b[(i, t)] - acc[lane];
+                for q in i0..i {
+                    s -= self.cols[q][lane] * y[q];
+                }
+                y[i] = s / self.cols[i][lane];
+            }
+        }
+    }
+
+    /// Write the finished block into destination rows `i0..i0 + rows`.
+    fn store(&self, dst: &mut Matrix, i0: usize, rows: usize) {
+        let stride = dst.cols();
+        let block = &mut dst.as_mut_slice()[i0 * stride..(i0 + rows) * stride];
+        // Column by column, mirroring `load`.
+        for (q, col) in self.cols[..i0].iter().enumerate() {
+            for (lane, &v) in col[..rows].iter().enumerate() {
+                block[lane * stride + q] = v;
+            }
+        }
+        for (lane, row) in block.chunks_exact_mut(stride).enumerate() {
+            for (v, col) in row[i0..=i0 + lane].iter_mut().zip(&self.cols[i0..]) {
+                *v = col[lane];
+            }
+        }
+    }
+
+    /// Factor the border's Schur complement `C − YYᵀ` and write the `k`
+    /// border rows `[Y | L_S]` after the kept ones.
+    fn factor_border(&self, dst: &mut Matrix, c: &Matrix) -> Result<()> {
+        let (m, k) = (self.m, self.k);
+        if k == 0 {
+            return Ok(());
+        }
+        let y = |t: usize| &self.y[t * m..(t + 1) * m];
+        // `factor` only reads the lower triangle.
+        let mut s = Matrix::scratch(k, k);
+        for t in 0..k {
+            for u in 0..=t {
+                s[(t, u)] = c[(t, u)] - crate::dot(y(t), y(u));
+            }
+        }
+        let ls = match Cholesky::factor(&s) {
+            Ok(f) => f,
+            Err(LinalgError::NotPositiveDefinite { pivot }) => {
+                return Err(LinalgError::NotPositiveDefinite { pivot: m + pivot })
+            }
+            Err(e) => return Err(e),
+        };
+        for t in 0..k {
+            let row = dst.row_mut(m + t);
+            row[..m].copy_from_slice(y(t));
+            row[m..=m + t].copy_from_slice(&ls.l.row(t)[..=t]);
+        }
+        Ok(())
+    }
+}
+
+/// `Σ_q cols[q]·x[q]` per lane, in four interleaved partial sums so the
+/// adds do not serialize on one accumulator.
+fn lanes_dot(cols: &[Lanes], x: &[f64]) -> Lanes {
+    let mut acc = [[0.0; LANES]; 4];
+    let mut quads = cols.chunks_exact(4);
+    let mut xq = x.chunks_exact(4);
+    for (c4, x4) in (&mut quads).zip(&mut xq) {
+        for (a, (c, &xv)) in acc.iter_mut().zip(c4.iter().zip(x4)) {
+            for lane in 0..LANES {
+                a[lane] += c[lane] * xv;
+            }
+        }
+    }
+    for (a, (c, &xv)) in acc
+        .iter_mut()
+        .zip(quads.remainder().iter().zip(xq.remainder()))
+    {
+        for lane in 0..LANES {
+            a[lane] += c[lane] * xv;
+        }
+    }
+    let mut out = [0.0; LANES];
+    for lane in 0..LANES {
+        out[lane] = (acc[0][lane] + acc[1][lane]) + (acc[2][lane] + acc[3][lane]);
+    }
+    out
+}
+
+/// Apply one stored reflection `H = I − τvvᵀ`, `v = [v₀ eⱼ | u]`, to every
+/// lane of a block: `col` is the block's column `j`, `coupling` its
+/// coupling rows.
+fn reflect(col: &mut Lanes, coupling: &mut [Lanes], u: &[f64], v0: f64, tau: f64) {
+    let proj = lanes_dot(coupling, u);
+    let mut coef = [0.0; LANES];
+    for lane in 0..LANES {
+        coef[lane] = tau * (v0 * col[lane] + proj[lane]);
+        col[lane] -= coef[lane] * v0;
+    }
+    // Whole LANES-row groups with fixed-size inner loops: every update is
+    // one vector op. (Over a variable-length row loop the compiler
+    // vectorizes across rows instead, with gathers and scatters.)
+    for (w8, u8) in coupling.chunks_exact_mut(LANES).zip(u.chunks_exact(LANES)) {
+        for (w, &uc) in w8.iter_mut().zip(u8) {
+            for lane in 0..LANES {
+                w[lane] -= coef[lane] * uc;
+            }
+        }
+    }
 }
 
 /// One hyperbolic rank-1 downdate `L Lᵀ − v vᵀ`, consuming `v` as
@@ -801,29 +681,98 @@ mod tests {
         worst
     }
 
+    /// `a[rows, cols]` for half-open index ranges.
+    fn block(a: &Matrix, rows: (usize, usize), cols: (usize, usize)) -> Matrix {
+        a.select_rows(&(rows.0..rows.1).collect::<Vec<_>>())
+            .select_columns(&(cols.0..cols.1).collect::<Vec<_>>())
+    }
+
+    /// Factor the window `[0, n)` of a random SPD matrix of order `n + k`,
+    /// shift it by `r` rows out and `k` in, and return it next to the cold
+    /// factor of the shifted window `[r, n + k)`.
+    fn shifted_and_cold(n: usize, r: usize, k: usize, seed: u64) -> (Cholesky, Cholesky) {
+        let total = n + k;
+        let a = spd(total, seed, total as f64);
+        let mut warm = Cholesky::factor(&block(&a, (0, n), (0, n))).unwrap();
+        let b = block(&a, (r, n), (n, total));
+        let c = block(&a, (n, total), (n, total));
+        warm.shift_window(r, &b, &c).unwrap();
+        let cold = Cholesky::factor(&block(&a, (r, total), (r, total))).unwrap();
+        (warm, cold)
+    }
+
     #[test]
-    fn extend_matches_cold_factor() {
+    fn extend_only_shift_matches_cold_factor() {
         for (n, k) in [(1, 1), (8, 3), (40, 7), (64, 64)] {
-            let a = spd(n + k, 11 + n as u64, (n + k) as f64);
-            // Leading block, cross block, trailing block.
-            let lead = a.select_rows(&(0..n).collect::<Vec<_>>());
-            let lead = lead.select_columns(&(0..n).collect::<Vec<_>>());
-            let b = a
-                .select_rows(&(0..n).collect::<Vec<_>>())
-                .select_columns(&(n..n + k).collect::<Vec<_>>());
-            let c = a
-                .select_rows(&(n..n + k).collect::<Vec<_>>())
-                .select_columns(&(n..n + k).collect::<Vec<_>>());
-            let mut warm = Cholesky::factor(&lead).unwrap();
-            warm.extend(&b, &c).unwrap();
-            let cold = Cholesky::factor(&a).unwrap();
+            let (warm, cold) = shifted_and_cold(n, 0, k, 11 + n as u64);
             let diff = factor_diff(&warm, &cold);
             assert!(diff < 1e-10, "n={n} k={k}: {diff:e}");
         }
     }
 
     #[test]
-    fn extend_rejects_indefinite_border_and_keeps_factor() {
+    fn retire_only_shift_matches_cold_factor() {
+        for (n, r) in [(2, 1), (10, 3), (50, 13), (64, 1)] {
+            let (warm, cold) = shifted_and_cold(n, r, 0, 29 + r as u64);
+            let diff = factor_diff(&warm, &cold);
+            assert!(diff < 1e-10, "n={n} r={r}: {diff:e}");
+        }
+    }
+
+    #[test]
+    fn shift_window_matches_cold_factor() {
+        // Seeds are the ones the equal (131 + n) and unequal (177 + n + r)
+        // cases have always used.
+        for (n, r, k, seed) in [
+            // equal, in place
+            (2, 1, 1, 133),
+            (12, 4, 4, 143),
+            (40, 8, 8, 171),
+            (70, 16, 16, 201),
+            (90, 40, 40, 221),
+            // unequal
+            (20, 3, 7, 200),
+            (30, 9, 2, 216),
+            (60, 7, 8, 244),
+            (60, 8, 6, 245),
+            (33, 17, 5, 227),
+            // the whole window
+            (5, 5, 0, 187),
+            (6, 6, 3, 189),
+        ] {
+            let (warm, cold) = shifted_and_cold(n, r, k, seed);
+            let diff = factor_diff(&warm, &cold);
+            assert!(diff < 1e-10, "n={n} r={r} k={k}: {diff:e}");
+        }
+    }
+
+    #[test]
+    fn retire_all_rows_gives_empty_factor() {
+        let empty = Matrix::zeros(0, 0);
+        let mut ch = Cholesky::factor(&spd(5, 1, 5.0)).unwrap();
+        ch.shift_window(5, &empty, &empty).unwrap();
+        assert_eq!(ch.order(), 0);
+        assert!(Cholesky::factor(&spd(3, 1, 3.0))
+            .unwrap()
+            .shift_window(4, &empty, &empty)
+            .is_err());
+    }
+
+    #[test]
+    fn equal_shift_keeps_the_factor_buffer() {
+        let (n, r) = (40, 7);
+        let a = spd(n + r, 5, (n + r) as f64);
+        let mut ch = Cholesky::factor(&block(&a, (0, n), (0, n))).unwrap();
+        let before = ch.l().as_slice().as_ptr();
+        let b = block(&a, (r, n), (n, n + r));
+        let c = block(&a, (n, n + r), (n, n + r));
+        ch.shift_window(r, &b, &c).unwrap();
+        assert_eq!(ch.order(), n);
+        assert_eq!(ch.l().as_slice().as_ptr(), before, "r == k reallocated");
+    }
+
+    #[test]
+    fn extend_only_shift_rejects_indefinite_border_and_keeps_factor() {
         let n = 6;
         let a = spd(n, 3, n as f64);
         let mut ch = Cholesky::factor(&a).unwrap();
@@ -834,7 +783,7 @@ mod tests {
             *v = 100.0;
         }
         let c = Matrix::identity(2);
-        match ch.extend(&b, &c) {
+        match ch.shift_window(0, &b, &c) {
             Err(LinalgError::NotPositiveDefinite { pivot }) => {
                 assert!(pivot >= n, "pivot {pivot} should be absolute");
             }
@@ -845,32 +794,6 @@ mod tests {
             before.as_slice(),
             "factor must be untouched"
         );
-    }
-
-    #[test]
-    fn retire_leading_matches_cold_factor() {
-        for (n, r) in [(2, 1), (10, 3), (50, 13), (64, 1)] {
-            let a = spd(n, 29 + r as u64, n as f64);
-            let mut warm = Cholesky::factor(&a).unwrap();
-            warm.retire_leading(r).unwrap();
-            let keep: Vec<usize> = (r..n).collect();
-            let trailing = a.select_rows(&keep).select_columns(&keep);
-            let cold = Cholesky::factor(&trailing).unwrap();
-            let diff = factor_diff(&warm, &cold);
-            assert!(diff < 1e-10, "n={n} r={r}: {diff:e}");
-        }
-    }
-
-    #[test]
-    fn retire_all_rows_gives_empty_factor() {
-        let a = spd(5, 1, 5.0);
-        let mut ch = Cholesky::factor(&a).unwrap();
-        ch.retire_leading(5).unwrap();
-        assert_eq!(ch.order(), 0);
-        assert!(Cholesky::factor(&spd(3, 1, 3.0))
-            .unwrap()
-            .retire_leading(4)
-            .is_err());
     }
 
     #[test]
@@ -951,80 +874,10 @@ mod tests {
     }
 
     #[test]
-    fn extend_then_retire_roundtrip_slides_the_window() {
-        // Factor rows 0..n, slide by r three times, and compare against a
-        // cold factor of the final window — the factor lifecycle a
-        // sliding-window retrain exercises.
-        let total = 60;
-        let n = 36;
-        let r = 8;
-        let a = spd(total, 71, total as f64);
-        let idx = |lo: usize, hi: usize| (lo..hi).collect::<Vec<usize>>();
-        let window =
-            |lo: usize, hi: usize| a.select_rows(&idx(lo, hi)).select_columns(&idx(lo, hi));
-        let mut warm = Cholesky::factor(&window(0, n)).unwrap();
-        let mut lo = 0;
-        let mut hi = n;
-        for _ in 0..3 {
-            warm.retire_leading(r).unwrap();
-            lo += r;
-            let b = a.select_rows(&idx(lo, hi)).select_columns(&idx(hi, hi + r));
-            let c = window(hi, hi + r);
-            warm.extend(&b, &c).unwrap();
-            hi += r;
-        }
-        let cold = Cholesky::factor(&window(lo, hi)).unwrap();
-        let diff = factor_diff(&warm, &cold);
-        assert!(diff < 1e-9, "{diff:e}");
-    }
-
-    #[test]
-    fn shift_window_matches_cold_factor() {
-        // r == k exercises the fused in-place slide, including sizes on
-        // both sides of the fold panel width.
-        for (n, r) in [(2, 1), (12, 4), (40, 8), (70, 16), (90, 40)] {
-            let total = n + r;
-            let a = spd(total, 131 + n as u64, total as f64);
-            let idx = |lo: usize, hi: usize| (lo..hi).collect::<Vec<usize>>();
-            let mut warm =
-                Cholesky::factor(&a.select_rows(&idx(0, n)).select_columns(&idx(0, n))).unwrap();
-            let b = a.select_rows(&idx(r, n)).select_columns(&idx(n, total));
-            let c = a.select_rows(&idx(n, total)).select_columns(&idx(n, total));
-            warm.shift_window(r, &b, &c).unwrap();
-            let cold =
-                Cholesky::factor(&a.select_rows(&idx(r, total)).select_columns(&idx(r, total)))
-                    .unwrap();
-            let diff = factor_diff(&warm, &cold);
-            assert!(diff < 1e-9, "n={n} r={r}: {diff:e}");
-        }
-    }
-
-    #[test]
-    fn shift_window_unequal_sizes_delegates() {
-        // r != k falls back to retire + extend; the result must still be
-        // the cold factor of the shifted window.
-        for (n, r, k) in [(20, 3, 7), (30, 9, 2), (16, 0, 5), (16, 5, 0)] {
-            let total = n + k;
-            let a = spd(total, 177 + (n + r) as u64, total as f64);
-            let idx = |lo: usize, hi: usize| (lo..hi).collect::<Vec<usize>>();
-            let mut warm =
-                Cholesky::factor(&a.select_rows(&idx(0, n)).select_columns(&idx(0, n))).unwrap();
-            let b = a.select_rows(&idx(r, n)).select_columns(&idx(n, total));
-            let c = a.select_rows(&idx(n, total)).select_columns(&idx(n, total));
-            warm.shift_window(r, &b, &c).unwrap();
-            let cold =
-                Cholesky::factor(&a.select_rows(&idx(r, total)).select_columns(&idx(r, total)))
-                    .unwrap();
-            let diff = factor_diff(&warm, &cold);
-            assert!(diff < 1e-9, "n={n} r={r} k={k}: {diff:e}");
-        }
-    }
-
-    #[test]
     fn shift_window_rejects_indefinite_border() {
-        // The fused path is destructive on error by contract (callers
-        // rebuild cold), but the error itself must still be the absolute
-        // pivot the extend path would report.
+        // The in-place (r == k) path is destructive on error by contract
+        // (callers rebuild cold), but the error itself must still carry
+        // the absolute pivot.
         let n = 10;
         let r = 2;
         let a = spd(n, 53, n as f64);
@@ -1043,69 +896,58 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Warm factor after a random sequence of extends/retires matches
-        /// the cold factor of the final window.
+        /// One shift of any shape matches the cold factor of the shifted
+        /// window. `shape` pins the edge cases the sweep special-cases:
+        /// extend only, retire only, the whole window retired, and the
+        /// in-place `r == k`; the rest draw `r` and `k` independently.
+        #[test]
+        fn prop_shift_window_matches_cold_factor(
+            seed in 0u64..500,
+            n in 1usize..261,
+            shape in 0usize..6,
+            r in 0usize..25,
+            k in 0usize..25,
+        ) {
+            let r = match shape {
+                0 => 0,
+                2 => n,
+                _ => r.min(n),
+            };
+            let k = match shape {
+                1 => 0,
+                3 => r,
+                _ => k,
+            };
+            let (warm, cold) = shifted_and_cold(n, r, k, seed);
+            let diff = factor_diff(&warm, &cold);
+            prop_assert!(diff < 1e-9, "n={n} r={r} k={k}: {diff:e}");
+        }
+
+        /// Warm factor after a random sequence of shifts — half of them
+        /// the engine's steady-state `r == k` — matches the cold factor of
+        /// the final window.
         #[test]
         fn prop_window_shifts_match_cold_factor(
             seed in 0u64..500,
             n0 in 6usize..24,
-            shifts in proptest::collection::vec((0usize..6, 0usize..6), 1..5),
+            shifts in proptest::collection::vec((0usize..10, 0usize..10), 1..6),
         ) {
-            let total = n0 + shifts.iter().map(|s| s.1).sum::<usize>();
-            let a = spd(total.max(n0), seed, total as f64 + 4.0);
-            let idx = |lo: usize, hi: usize| (lo..hi).collect::<Vec<usize>>();
-            let mut warm = Cholesky::factor(
-                &a.select_rows(&idx(0, n0)).select_columns(&idx(0, n0)),
-            ).unwrap();
+            let total = n0 + shifts.iter().map(|s| s.0.max(s.1)).sum::<usize>();
+            let a = spd(total, seed, total as f64 + 4.0);
+            let mut warm = Cholesky::factor(&block(&a, (0, n0), (0, n0))).unwrap();
             let (mut lo, mut hi) = (0usize, n0);
             for &(retire, append) in &shifts {
                 let retire = retire.min(hi - lo - 1);
-                warm.retire_leading(retire).unwrap();
+                let append = if append % 2 == 0 { retire } else { append };
+                let b = block(&a, (lo + retire, hi), (hi, hi + append));
+                let c = block(&a, (hi, hi + append), (hi, hi + append));
+                warm.shift_window(retire, &b, &c).unwrap();
                 lo += retire;
-                if append > 0 {
-                    let b = a.select_rows(&idx(lo, hi)).select_columns(&idx(hi, hi + append));
-                    let c = a.select_rows(&idx(hi, hi + append)).select_columns(&idx(hi, hi + append));
-                    warm.extend(&b, &c).unwrap();
-                    hi += append;
-                }
+                hi += append;
             }
-            let cold = Cholesky::factor(
-                &a.select_rows(&idx(lo, hi)).select_columns(&idx(lo, hi)),
-            ).unwrap();
-            let diff = factor_diff(&warm, &cold);
-            prop_assert!(diff < 1e-8, "window [{lo},{hi}): {diff:e}");
-        }
-
-        /// Repeated equal-size `shift_window` calls (the retrain engine's
-        /// steady state) stay equivalent to the cold factor of the final
-        /// window.
-        #[test]
-        fn prop_shift_window_matches_cold_factor(
-            seed in 0u64..500,
-            n0 in 4usize..28,
-            r in 1usize..6,
-            steps in 1usize..4,
-        ) {
-            let r = r.min(n0 - 1);
-            let total = n0 + r * steps;
-            let a = spd(total, seed, total as f64 + 4.0);
-            let idx = |lo: usize, hi: usize| (lo..hi).collect::<Vec<usize>>();
-            let mut warm = Cholesky::factor(
-                &a.select_rows(&idx(0, n0)).select_columns(&idx(0, n0)),
-            ).unwrap();
-            let (mut lo, mut hi) = (0usize, n0);
-            for _ in 0..steps {
-                let b = a.select_rows(&idx(lo + r, hi)).select_columns(&idx(hi, hi + r));
-                let c = a.select_rows(&idx(hi, hi + r)).select_columns(&idx(hi, hi + r));
-                warm.shift_window(r, &b, &c).unwrap();
-                lo += r;
-                hi += r;
-            }
-            let cold = Cholesky::factor(
-                &a.select_rows(&idx(lo, hi)).select_columns(&idx(lo, hi)),
-            ).unwrap();
+            let cold = Cholesky::factor(&block(&a, (lo, hi), (lo, hi))).unwrap();
             let diff = factor_diff(&warm, &cold);
             prop_assert!(diff < 1e-8, "window [{lo},{hi}): {diff:e}");
         }
