@@ -1,27 +1,17 @@
 //! The versioned binary artifact container (DESIGN.md §12.1).
 //!
-//! Layout (all integers little-endian):
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic "F2PM"
-//! 4       4     u32 format version (currently 1)
-//! 8       1     u8 model-kind tag (f2pm_ml::persist_bin::TAG_*)
-//! 9       3     reserved, zero
-//! 12      4     u32 metadata length M
-//! 16      M     metadata block (UTF-8, line-oriented)
-//! 16+M    4     u32 CRC32 over bytes [0, 16+M)
-//! +4      8     u64 payload length P
-//! +8      P     model payload (f2pm_ml::persist_bin encoding)
-//! +P      4     u32 CRC32 over the payload bytes
-//! ```
+//! The layout is the shared [`frame`](crate::frame): magic `F2PM`,
+//! format version 1, the model-kind tag (`f2pm_ml::persist_bin::TAG_*`)
+//! in byte 8, the metadata block, then the model payload in the
+//! `f2pm_ml::persist_bin` encoding.
 //!
 //! Both checksums are verified before anything is deserialized, so a
 //! torn write or bit rot is reported as a typed
 //! [`RegistryError::ChecksumMismatch`] instead of reaching the payload
 //! decoder (which is itself hardened against arbitrary bytes).
 
-use crate::{crc32, RegistryError, Result};
+use crate::frame::{self, field, last_lines, meta_lines, parse};
+use crate::{RegistryError, Result};
 use f2pm_features::AggregationConfig;
 use f2pm_ml::persist_bin;
 use f2pm_ml::SavedModel;
@@ -32,9 +22,6 @@ use std::path::Path;
 pub const MAGIC: [u8; 4] = *b"F2PM";
 /// Current artifact format version.
 pub const FORMAT_VERSION: u32 = 1;
-/// Fixed header size before the metadata block (magic + version + kind +
-/// reserved + metadata length).
-pub const HEADER_LEN: usize = 16;
 
 /// Training provenance stored alongside the model payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,29 +65,21 @@ impl ArtifactMeta {
 /// Serialize `meta` + `model` into a complete artifact byte image.
 pub fn encode(meta: &ArtifactMeta, model: &SavedModel) -> Vec<u8> {
     let meta_block = encode_meta(meta);
-    let mut payload = Vec::new();
-    persist_bin::encode_payload(model, &mut payload);
-
-    let mut out = Vec::with_capacity(HEADER_LEN + meta_block.len() + payload.len() + 16);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.push(persist_bin::kind_tag(model));
-    out.extend_from_slice(&[0u8; 3]);
-    out.extend_from_slice(&(meta_block.len() as u32).to_le_bytes());
-    out.extend_from_slice(&meta_block);
-    let head_crc = crc32(&out);
-    out.extend_from_slice(&head_crc.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out
+    frame::encode(
+        MAGIC,
+        FORMAT_VERSION,
+        persist_bin::kind_tag(model),
+        &meta_block,
+        0,
+        |out| persist_bin::encode_payload(model, out),
+    )
 }
 
 /// Decode a complete artifact: verify both checksums, then parse
 /// metadata and payload. The returned model's width always equals
 /// `meta.columns.len()`.
 pub fn decode(bytes: &[u8]) -> Result<(ArtifactMeta, SavedModel)> {
-    let (tag, meta, payload) = split(bytes)?;
+    let (tag, meta, payload) = frame::split(bytes, MAGIC, FORMAT_VERSION, decode_meta_block)?;
     let model = persist_bin::decode_payload(tag, payload)
         .map_err(|e| RegistryError::Malformed(e.to_string()))?;
     if model.as_model().width() != meta.columns.len() {
@@ -117,65 +96,8 @@ pub fn decode(bytes: &[u8]) -> Result<(ArtifactMeta, SavedModel)> {
 /// payload CRC is checked too, so this is a full integrity pass without
 /// the payload deserialization cost). Returns the kind tag and metadata.
 pub fn decode_meta(bytes: &[u8]) -> Result<(u8, ArtifactMeta)> {
-    let (tag, meta, _) = split(bytes)?;
+    let (tag, meta, _) = frame::split(bytes, MAGIC, FORMAT_VERSION, decode_meta_block)?;
     Ok((tag, meta))
-}
-
-/// Verify checksums and structure, returning `(tag, meta, payload)`.
-fn split(bytes: &[u8]) -> Result<(u8, ArtifactMeta, &[u8])> {
-    if bytes.len() < HEADER_LEN {
-        if bytes.len() >= 4 && bytes[..4] != MAGIC {
-            return Err(RegistryError::BadMagic);
-        }
-        return Err(RegistryError::Truncated { what: "header" });
-    }
-    if bytes[..4] != MAGIC {
-        return Err(RegistryError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(RegistryError::UnsupportedVersion { found: version });
-    }
-    let tag = bytes[8];
-    let meta_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let head_end = HEADER_LEN
-        .checked_add(meta_len)
-        .ok_or(RegistryError::Truncated { what: "metadata" })?;
-    if bytes.len() < head_end + 4 {
-        return Err(RegistryError::Truncated { what: "metadata" });
-    }
-    let stored_head_crc = u32::from_le_bytes(bytes[head_end..head_end + 4].try_into().unwrap());
-    if crc32(&bytes[..head_end]) != stored_head_crc {
-        return Err(RegistryError::ChecksumMismatch {
-            section: "header/metadata",
-        });
-    }
-    let meta = decode_meta_block(&bytes[HEADER_LEN..head_end])?;
-
-    let pl_off = head_end + 4;
-    if bytes.len() < pl_off + 8 {
-        return Err(RegistryError::Truncated {
-            what: "payload length",
-        });
-    }
-    let payload_len = u64::from_le_bytes(bytes[pl_off..pl_off + 8].try_into().unwrap());
-    let payload_len = usize::try_from(payload_len)
-        .ok()
-        .filter(|&p| p <= bytes.len().saturating_sub(pl_off + 8 + 4))
-        .ok_or(RegistryError::Truncated { what: "payload" })?;
-    let payload = &bytes[pl_off + 8..pl_off + 8 + payload_len];
-    let crc_off = pl_off + 8 + payload_len;
-    let stored_payload_crc = u32::from_le_bytes(bytes[crc_off..crc_off + 4].try_into().unwrap());
-    if crc32(payload) != stored_payload_crc {
-        return Err(RegistryError::ChecksumMismatch { section: "payload" });
-    }
-    if bytes.len() != crc_off + 4 {
-        return Err(RegistryError::Malformed(format!(
-            "{} trailing bytes after payload checksum",
-            bytes.len() - crc_off - 4
-        )));
-    }
-    Ok((tag, meta, payload))
 }
 
 /// Write an artifact image to `path` (no durability guarantees — the
@@ -213,26 +135,14 @@ fn encode_meta(meta: &ArtifactMeta) -> Vec<u8> {
 }
 
 fn decode_meta_block(bytes: &[u8]) -> Result<ArtifactMeta> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| RegistryError::Malformed("metadata is not UTF-8".to_string()))?;
-    let mut lines = text.lines();
-    let mut field = |label: &str| -> Result<String> {
-        let line = lines
-            .next()
-            .ok_or_else(|| RegistryError::Malformed(format!("metadata missing {label}")))?;
-        line.strip_prefix(label)
-            .and_then(|rest| rest.strip_prefix(' '))
-            .map(|v| v.to_string())
-            .ok_or_else(|| {
-                RegistryError::Malformed(format!("metadata expected {label:?}, got {line:?}"))
-            })
-    };
-    let method = field("method")?;
-    let created_at_unix = parse(&field("created_at")?, "created_at")?;
-    let train_smae: f64 = parse(&field("train_smae")?, "train_smae")?;
-    let window_s: f64 = parse(&field("window_s")?, "window_s")?;
-    let min_points: usize = parse(&field("min_points")?, "min_points")?;
-    let include_stddev = match field("include_stddev")?.as_str() {
+    let mut lines = meta_lines(bytes)?;
+    let mut next = |label: &str| field(&mut lines, label);
+    let method = next("method")?.to_string();
+    let created_at_unix = parse(next("created_at")?, "created_at")?;
+    let train_smae: f64 = parse(next("train_smae")?, "train_smae")?;
+    let window_s: f64 = parse(next("window_s")?, "window_s")?;
+    let min_points: usize = parse(next("min_points")?, "min_points")?;
+    let include_stddev = match next("include_stddev")? {
         "0" => false,
         "1" => true,
         other => {
@@ -241,26 +151,11 @@ fn decode_meta_block(bytes: &[u8]) -> Result<ArtifactMeta> {
             )))
         }
     };
-    let n_columns: usize = parse(&field("columns")?, "columns")?;
-    if n_columns > bytes.len() {
-        // Each column name occupies at least its newline: a count larger
-        // than the block itself is corrupt.
-        return Err(RegistryError::Malformed(
-            "column count too large".to_string(),
-        ));
-    }
-    let columns: Vec<String> = lines.by_ref().take(n_columns).map(str::to_string).collect();
-    if columns.len() != n_columns {
-        return Err(RegistryError::Malformed(format!(
-            "metadata names {} of {n_columns} columns",
-            columns.len()
-        )));
-    }
-    if lines.next().is_some() {
-        return Err(RegistryError::Malformed(
-            "trailing metadata lines".to_string(),
-        ));
-    }
+    let n_columns: usize = parse(next("columns")?, "columns")?;
+    let columns = last_lines(lines, n_columns, bytes.len())?
+        .into_iter()
+        .map(str::to_string)
+        .collect();
     if !(window_s.is_finite() && window_s > 0.0) {
         return Err(RegistryError::Malformed(format!("bad window_s {window_s}")));
     }
@@ -275,11 +170,6 @@ fn decode_meta_block(bytes: &[u8]) -> Result<ArtifactMeta> {
         },
         columns,
     })
-}
-
-fn parse<T: std::str::FromStr>(v: &str, label: &str) -> Result<T> {
-    v.parse()
-        .map_err(|_| RegistryError::Malformed(format!("bad {label} value {v:?}")))
 }
 
 #[cfg(test)]

@@ -1,37 +1,24 @@
-//! The checksummed columnar-history container (DESIGN.md §13.3).
+//! The checksummed columnar-history container (DESIGN.md §13.2).
 //!
-//! Persists a [`ColumnStore`](f2pm_features::ColumnStore) with the same
-//! integrity discipline as the model [`artifact`](crate::artifact)
-//! format: magic, format version, length-prefixed metadata block,
-//! length-prefixed payload, CRC32 over header+metadata and over the
-//! payload, both verified before any value is interpreted.
-//!
-//! Layout (all integers little-endian):
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic "F2PC"
-//! 4       4     u32 format version (currently 1)
-//! 8       4     reserved, zero
-//! 12      4     u32 metadata length M
-//! 16      M     metadata block (UTF-8, line-oriented)
-//! 16+M    4     u32 CRC32 over bytes [0, 16+M)
-//! +4      8     u64 payload length P
-//! +8      P     column payload
-//! +P      4     u32 CRC32 over the payload bytes
-//! ```
+//! Persists a [`ColumnStore`](f2pm_features::ColumnStore) in the same
+//! checksummed [`frame`](crate::frame) as the model
+//! [`artifact`](crate::artifact) format: magic `F2PC`, format version 1,
+//! byte 8 zero, both CRCs verified before any value is interpreted.
 //!
 //! The metadata block names the shape (`chunk_rows`, `rows`, `columns`)
 //! followed by one `<f32|f64> <name>` line per column. The payload is
 //! each column's raw IEEE-754 little-endian values in declaration order,
 //! each column padded to an 8-byte boundary so every f64 column starts
-//! aligned. The expected payload size is computed *from the metadata*
-//! before any allocation, so a corrupt length field cannot trigger an
-//! outsized allocation. Zone maps are not persisted — they are cheap to
-//! recompute and recomputing them means a loaded store's pruning
-//! behaviour can never disagree with its values.
+//! aligned. Both directions convert a whole column at a time, straight
+//! between the column's values and its slice of the image. The expected
+//! payload size is computed *from the metadata* before any allocation,
+//! so a corrupt length field cannot trigger an outsized allocation.
+//! Zone maps are not persisted — they are cheap to recompute and
+//! recomputing them means a loaded store's pruning behaviour can never
+//! disagree with its values.
 
-use crate::{crc32, RegistryError, Result};
+use crate::frame::{self, field, last_lines, meta_lines, parse};
+use crate::{RegistryError, Result};
 use f2pm_features::{Column, ColumnData, ColumnStore, ColumnType};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -40,53 +27,61 @@ use std::path::Path;
 pub const COLUMNS_MAGIC: [u8; 4] = *b"F2PC";
 /// Current columnar container format version.
 pub const COLUMNS_FORMAT_VERSION: u32 = 1;
-/// Fixed header size before the metadata block (magic + version +
-/// reserved + metadata length).
-pub const COLUMNS_HEADER_LEN: usize = 16;
 
 /// Serialize a [`ColumnStore`] into a complete container byte image.
 pub fn encode_columns(store: &ColumnStore) -> Vec<u8> {
     let meta_block = encode_meta(store);
-    let mut payload = Vec::with_capacity(payload_capacity(store));
-    for col in store.columns() {
-        pad_to_8(&mut payload);
-        match &col.data {
-            ColumnData::F32(v) => {
-                for x in v {
-                    payload.extend_from_slice(&x.to_le_bytes());
+    let payload_len = payload_len(
+        store.n_rows(),
+        store.columns().iter().map(|c| c.data.column_type()),
+    );
+    frame::encode(
+        COLUMNS_MAGIC,
+        COLUMNS_FORMAT_VERSION,
+        0,
+        &meta_block,
+        payload_len,
+        |out| {
+            let start = out.len();
+            // Zero-filled, so the alignment pads are already in place.
+            out.resize(start + payload_len, 0);
+            let mut off = 0;
+            for col in store.columns() {
+                off = align8(off);
+                let width = type_width(col.data.column_type());
+                let dst = &mut out[start + off..start + off + store.n_rows() * width];
+                match &col.data {
+                    ColumnData::F32(v) => {
+                        for (d, x) in dst.chunks_exact_mut(4).zip(v) {
+                            d.copy_from_slice(&x.to_le_bytes());
+                        }
+                    }
+                    ColumnData::F64(v) => {
+                        for (d, x) in dst.chunks_exact_mut(8).zip(v) {
+                            d.copy_from_slice(&x.to_le_bytes());
+                        }
+                    }
                 }
+                off += dst.len();
             }
-            ColumnData::F64(v) => {
-                for x in v {
-                    payload.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-        }
-    }
-
-    let mut out = Vec::with_capacity(COLUMNS_HEADER_LEN + meta_block.len() + payload.len() + 16);
-    out.extend_from_slice(&COLUMNS_MAGIC);
-    out.extend_from_slice(&COLUMNS_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&[0u8; 4]);
-    out.extend_from_slice(&(meta_block.len() as u32).to_le_bytes());
-    out.extend_from_slice(&meta_block);
-    let head_crc = crc32(&out);
-    out.extend_from_slice(&head_crc.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out
+        },
+    )
 }
 
 /// Decode a complete container: verify both checksums, then rebuild the
 /// store (zone maps are recomputed from the decoded values).
 pub fn decode_columns(bytes: &[u8]) -> Result<ColumnStore> {
-    let (shape, payload) = split(bytes)?;
+    let (_, shape, payload) = frame::split(
+        bytes,
+        COLUMNS_MAGIC,
+        COLUMNS_FORMAT_VERSION,
+        decode_meta_block,
+    )?;
 
     // Sized from the verified metadata, never from attacker-controlled
     // lengths: a container claiming 2^60 rows fails here with a typed
     // error before any allocation happens.
-    let expected = shape.payload_len();
+    let expected = payload_len(shape.rows, shape.columns.iter().map(|(ty, _)| *ty));
     if payload.len() != expected {
         return Err(RegistryError::Malformed(format!(
             "payload is {} bytes, metadata implies {expected}",
@@ -96,32 +91,23 @@ pub fn decode_columns(bytes: &[u8]) -> Result<ColumnStore> {
 
     let mut columns = Vec::with_capacity(shape.columns.len());
     let mut off = 0usize;
-    for (ty, name) in &shape.columns {
+    for (ty, name) in shape.columns {
         off = align8(off);
+        let src = &payload[off..off + shape.rows * type_width(ty)];
+        off += src.len();
         let data = match ty {
-            ColumnType::F32 => {
-                let mut v = Vec::with_capacity(shape.rows);
-                for i in 0..shape.rows {
-                    let at = off + i * 4;
-                    v.push(f32::from_le_bytes(payload[at..at + 4].try_into().unwrap()));
-                }
-                off += shape.rows * 4;
-                ColumnData::F32(v)
-            }
-            ColumnType::F64 => {
-                let mut v = Vec::with_capacity(shape.rows);
-                for i in 0..shape.rows {
-                    let at = off + i * 8;
-                    v.push(f64::from_le_bytes(payload[at..at + 8].try_into().unwrap()));
-                }
-                off += shape.rows * 8;
-                ColumnData::F64(v)
-            }
+            ColumnType::F32 => ColumnData::F32(
+                src.chunks_exact(4)
+                    .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+                    .collect(),
+            ),
+            ColumnType::F64 => ColumnData::F64(
+                src.chunks_exact(8)
+                    .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+                    .collect(),
+            ),
         };
-        columns.push(Column {
-            name: name.clone(),
-            data,
-        });
+        columns.push(Column { name, data });
     }
 
     ColumnStore::from_columns(shape.chunk_rows, columns).map_err(RegistryError::Malformed)
@@ -146,90 +132,14 @@ struct Shape {
     columns: Vec<(ColumnType, String)>,
 }
 
-impl Shape {
-    /// Exact payload size this shape implies, including alignment pads.
-    fn payload_len(&self) -> usize {
-        let mut off = 0usize;
-        for (ty, _) in &self.columns {
-            off = align8(off);
-            off += self.rows * type_width(*ty);
-        }
-        off
-    }
+/// Exact payload size of `rows` rows of columns typed `types`,
+/// including the alignment pads.
+fn payload_len(rows: usize, types: impl Iterator<Item = ColumnType>) -> usize {
+    types.fold(0, |off, ty| align8(off) + rows * type_width(ty))
 }
 
 fn align8(off: usize) -> usize {
     off.div_ceil(8) * 8
-}
-
-fn pad_to_8(payload: &mut Vec<u8>) {
-    while !payload.len().is_multiple_of(8) {
-        payload.push(0);
-    }
-}
-
-fn payload_capacity(store: &ColumnStore) -> usize {
-    store
-        .columns()
-        .iter()
-        .map(|c| 8 + store.n_rows() * type_width(c.data.column_type()))
-        .sum()
-}
-
-/// Verify checksums and structure, returning `(shape, payload)`.
-fn split(bytes: &[u8]) -> Result<(Shape, &[u8])> {
-    if bytes.len() < COLUMNS_HEADER_LEN {
-        if bytes.len() >= 4 && bytes[..4] != COLUMNS_MAGIC {
-            return Err(RegistryError::BadMagic);
-        }
-        return Err(RegistryError::Truncated { what: "header" });
-    }
-    if bytes[..4] != COLUMNS_MAGIC {
-        return Err(RegistryError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != COLUMNS_FORMAT_VERSION {
-        return Err(RegistryError::UnsupportedVersion { found: version });
-    }
-    let meta_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let head_end = COLUMNS_HEADER_LEN
-        .checked_add(meta_len)
-        .ok_or(RegistryError::Truncated { what: "metadata" })?;
-    if bytes.len() < head_end + 4 {
-        return Err(RegistryError::Truncated { what: "metadata" });
-    }
-    let stored_head_crc = u32::from_le_bytes(bytes[head_end..head_end + 4].try_into().unwrap());
-    if crc32(&bytes[..head_end]) != stored_head_crc {
-        return Err(RegistryError::ChecksumMismatch {
-            section: "header/metadata",
-        });
-    }
-    let shape = decode_meta_block(&bytes[COLUMNS_HEADER_LEN..head_end])?;
-
-    let pl_off = head_end + 4;
-    if bytes.len() < pl_off + 8 {
-        return Err(RegistryError::Truncated {
-            what: "payload length",
-        });
-    }
-    let payload_len = u64::from_le_bytes(bytes[pl_off..pl_off + 8].try_into().unwrap());
-    let payload_len = usize::try_from(payload_len)
-        .ok()
-        .filter(|&p| p <= bytes.len().saturating_sub(pl_off + 8 + 4))
-        .ok_or(RegistryError::Truncated { what: "payload" })?;
-    let payload = &bytes[pl_off + 8..pl_off + 8 + payload_len];
-    let crc_off = pl_off + 8 + payload_len;
-    let stored_payload_crc = u32::from_le_bytes(bytes[crc_off..crc_off + 4].try_into().unwrap());
-    if crc32(payload) != stored_payload_crc {
-        return Err(RegistryError::ChecksumMismatch { section: "payload" });
-    }
-    if bytes.len() != crc_off + 4 {
-        return Err(RegistryError::Malformed(format!(
-            "{} trailing bytes after payload checksum",
-            bytes.len() - crc_off - 4
-        )));
-    }
-    Ok((shape, payload))
 }
 
 fn encode_meta(store: &ColumnStore) -> Vec<u8> {
@@ -248,38 +158,19 @@ fn encode_meta(store: &ColumnStore) -> Vec<u8> {
 }
 
 fn decode_meta_block(bytes: &[u8]) -> Result<Shape> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| RegistryError::Malformed("metadata is not UTF-8".to_string()))?;
-    let mut lines = text.lines();
-    let mut field = |label: &str| -> Result<String> {
-        let line = lines
-            .next()
-            .ok_or_else(|| RegistryError::Malformed(format!("metadata missing {label}")))?;
-        line.strip_prefix(label)
-            .and_then(|rest| rest.strip_prefix(' '))
-            .map(|v| v.to_string())
-            .ok_or_else(|| {
-                RegistryError::Malformed(format!("metadata expected {label:?}, got {line:?}"))
-            })
-    };
-    let chunk_rows: usize = parse(&field("chunk_rows")?, "chunk_rows")?;
-    let rows: usize = parse(&field("rows")?, "rows")?;
-    let n_columns: usize = parse(&field("columns")?, "columns")?;
+    let mut lines = meta_lines(bytes)?;
+    let mut next = |label: &str| field(&mut lines, label);
+    let chunk_rows: usize = parse(next("chunk_rows")?, "chunk_rows")?;
+    let rows: usize = parse(next("rows")?, "rows")?;
+    let n_columns: usize = parse(next("columns")?, "columns")?;
     if chunk_rows == 0 {
         return Err(RegistryError::Malformed("chunk_rows is zero".to_string()));
     }
     if n_columns == 0 {
         return Err(RegistryError::Malformed("no columns".to_string()));
     }
-    if n_columns > bytes.len() {
-        // Each column line occupies at least its newline: a count larger
-        // than the block itself is corrupt.
-        return Err(RegistryError::Malformed(
-            "column count too large".to_string(),
-        ));
-    }
     let mut columns = Vec::with_capacity(n_columns);
-    for line in lines.by_ref().take(n_columns) {
+    for line in last_lines(lines, n_columns, bytes.len())? {
         let (ty, name) = line
             .split_once(' ')
             .ok_or_else(|| RegistryError::Malformed(format!("bad column line {line:?}")))?;
@@ -296,17 +187,6 @@ fn decode_meta_block(bytes: &[u8]) -> Result<Shape> {
             return Err(RegistryError::Malformed("empty column name".to_string()));
         }
         columns.push((ty, name.to_string()));
-    }
-    if columns.len() != n_columns {
-        return Err(RegistryError::Malformed(format!(
-            "metadata names {} of {n_columns} columns",
-            columns.len()
-        )));
-    }
-    if lines.next().is_some() {
-        return Err(RegistryError::Malformed(
-            "trailing metadata lines".to_string(),
-        ));
     }
     // Row count sanity: the claimed rows must imply a payload size that
     // doesn't overflow, or Shape::payload_len would wrap.
@@ -332,11 +212,6 @@ fn type_width(ty: ColumnType) -> usize {
         ColumnType::F32 => 4,
         ColumnType::F64 => 8,
     }
-}
-
-fn parse<T: std::str::FromStr>(v: &str, label: &str) -> Result<T> {
-    v.parse()
-        .map_err(|_| RegistryError::Malformed(format!("bad {label} value {v:?}")))
 }
 
 #[cfg(test)]
@@ -418,27 +293,30 @@ mod tests {
         ));
     }
 
+    /// A sealed image (valid checksums) of an arbitrary metadata block
+    /// and payload.
+    fn seal(meta: &str, payload: &[u8]) -> Vec<u8> {
+        frame::encode(
+            COLUMNS_MAGIC,
+            COLUMNS_FORMAT_VERSION,
+            0,
+            meta.as_bytes(),
+            payload.len(),
+            |out| out.extend_from_slice(payload),
+        )
+    }
+
     #[test]
     fn metadata_payload_size_mismatch_rejected() {
         // Tamper with the claimed row count and re-seal both checksums:
         // the payload no longer matches what the metadata implies.
         let store = small_store();
         let image = encode_columns(&store);
-        let meta = encode_meta(&store);
-        let meta_tampered = String::from_utf8(meta)
-            .unwrap()
-            .replace("rows 11", "rows 12");
-        let mut out = Vec::new();
-        out.extend_from_slice(&COLUMNS_MAGIC);
-        out.extend_from_slice(&COLUMNS_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&[0u8; 4]);
-        out.extend_from_slice(&(meta_tampered.len() as u32).to_le_bytes());
-        out.extend_from_slice(meta_tampered.as_bytes());
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        let meta = String::from_utf8(encode_meta(&store)).unwrap();
+        let (_, _, payload) =
+            frame::split(&image, COLUMNS_MAGIC, COLUMNS_FORMAT_VERSION, |_| Ok(())).unwrap();
         // Reuse the original payload bytes (11 rows' worth).
-        let orig_head_end = COLUMNS_HEADER_LEN + encode_meta(&store).len();
-        out.extend_from_slice(&image[orig_head_end + 4..]);
+        let out = seal(&meta.replace("rows 11", "rows 12"), payload);
         match decode_columns(&out) {
             Err(RegistryError::Malformed(msg)) => {
                 assert!(msg.contains("metadata implies"), "{msg}")
@@ -450,18 +328,8 @@ mod tests {
     #[test]
     fn absurd_row_count_fails_before_allocation() {
         let meta = "chunk_rows 4096\nrows 18446744073709551615\ncolumns 1\nf64 x\n";
-        let mut out = Vec::new();
-        out.extend_from_slice(&COLUMNS_MAGIC);
-        out.extend_from_slice(&COLUMNS_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&[0u8; 4]);
-        out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-        out.extend_from_slice(meta.as_bytes());
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out.extend_from_slice(&0u64.to_le_bytes());
-        out.extend_from_slice(&crc32(&[]).to_le_bytes());
         assert!(matches!(
-            decode_columns(&out),
+            decode_columns(&seal(meta, &[])),
             Err(RegistryError::Malformed(_))
         ));
     }

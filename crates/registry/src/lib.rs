@@ -17,10 +17,11 @@
 //!   header+metadata and payload so corruption is detected *before* any
 //!   deserialization. Floats travel as IEEE bit patterns — save → load →
 //!   `predict_batch` is bit-exact.
-//! - **[`column_file`]** — the same container discipline (magic `F2PC`,
-//!   version, checksummed metadata + payload) applied to the columnar
-//!   datapoint history of DESIGN.md §13, so `f2pm export-columnar` /
-//!   `f2pm query` get torn-write detection for free.
+//! - **[`column_file`]** — the same checksummed frame, byte for byte
+//!   (magic `F2PC`), applied to the columnar datapoint history of
+//!   DESIGN.md §13, so `f2pm export-columnar` / `f2pm query` get
+//!   torn-write detection for free. One private module writes and
+//!   verifies that frame for both containers.
 //! - **[`store`]** — a registry directory of numbered generation
 //!   artifacts plus a `MANIFEST` naming the active generation. Publish
 //!   writes artifact → fsync → atomic rename, then swings the manifest
@@ -37,6 +38,7 @@
 
 pub mod artifact;
 pub mod column_file;
+mod frame;
 pub mod store;
 
 pub use artifact::{ArtifactMeta, FORMAT_VERSION, MAGIC};
@@ -161,37 +163,74 @@ pub type Result<T> = std::result::Result<T, RegistryError>;
 /// CRC-32 (IEEE 802.3, the zlib/PNG polynomial) over `bytes`.
 ///
 /// Implemented locally — the offline dependency set has no checksum
-/// crate — with the standard 256-entry table, built at compile time.
+/// crate — as slicing-by-16: each step folds 16 input bytes through 16
+/// tables built at compile time, and a byte-at-a-time loop over table 0
+/// (the standard 256-entry table) finishes the tail. Same values as the
+/// plain table loop for every input, at memory speed.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
+    let mut c = !0u32;
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let b: &[u8; 16] = block.try_into().unwrap();
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = CRC_TABLES[15][(lo & 0xff) as usize]
+            ^ CRC_TABLES[14][((lo >> 8) & 0xff) as usize]
+            ^ CRC_TABLES[13][((lo >> 16) & 0xff) as usize]
+            ^ CRC_TABLES[12][(lo >> 24) as usize];
+        for (k, &byte) in b[4..].iter().enumerate() {
+            c ^= CRC_TABLES[11 - k][byte as usize];
         }
-        table
-    };
-    let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
-    c ^ 0xffff_ffff
+    for &byte in blocks.remainder() {
+        c = CRC_TABLES[0][((c ^ byte as u32) & 0xff) as usize] ^ (c >> 8);
+    }
+    !c
 }
+
+/// `CRC_TABLES[0]` is the reflected IEEE table; `CRC_TABLES[k][i]` is the
+/// CRC state after byte `i` is followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
+    // Table-major order: table 0 is complete before table 1 reads it.
+    let mut i = 0;
+    while i < 16 * 256 {
+        let (k, b) = (i / 256, i % 256);
+        t[k][b] = if k == 0 {
+            let (mut c, mut bit) = (b as u32, 0);
+            while bit < 8 {
+                c = (c >> 1) ^ (0xedb8_8320 & (c & 1).wrapping_neg());
+                bit += 1;
+            }
+            c
+        } else {
+            (t[k - 1][b] >> 8) ^ t[0][(t[k - 1][b] & 0xff) as usize]
+        };
+        i += 1;
+    }
+    t
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time table loop: the reference the sliced kernel
+    /// must agree with on every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// A deterministic, non-periodic byte pattern.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| ((i * 2_654_435_761) >> 7) as u8)
+            .collect()
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -199,6 +238,30 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xe8b7_be43);
+        // 1 MiB reaches the 16-byte loop; value from Python's zlib.crc32.
+        assert_eq!(crc32(&pattern(1 << 20)), 0x005f_a129);
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_table_at_every_length_and_offset() {
+        let buf = pattern(320);
+        for start in 0..16 {
+            for len in 0..=300 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_matches_the_bytewise_table(
+            words in proptest::collection::vec(0u16..256, 0..2048),
+        ) {
+            // The stub's ranges are half-open: draw u16 to reach 0xff.
+            let bytes: Vec<u8> = words.iter().map(|&w| w as u8).collect();
+            prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        }
     }
 
     #[test]

@@ -278,13 +278,20 @@ impl ReactorPool {
     }
 
     /// Wake every reactor (they observe the stop flag and tear down) and
-    /// join the threads.
-    pub(crate) fn shutdown(self) {
+    /// join the threads. A socket reactor 0 accepted (and counted open)
+    /// but handed to a peer that stopped before registering it is closed
+    /// here, so the live-connection gauge ends at zero.
+    pub(crate) fn shutdown(self, metrics: &ServeMetrics) {
         for s in &self.shareds {
             s.waker.wake();
         }
         for h in self.handles {
             h.join().ok();
+        }
+        for s in &self.shareds {
+            for _ in s.inbox.lock().new_conns.drain(..) {
+                metrics.connection_closed();
+            }
         }
     }
 }
@@ -329,7 +336,11 @@ struct Reactor {
 
 impl Reactor {
     fn run(mut self) {
-        loop {
+        // The stop flag is read before every wait, not only after it: a
+        // turn that drains the waker for some other wake (a new conn, a
+        // shard nudge) can swallow the shutdown wake with it, and a
+        // reactor that went back to sleep then would never wake again.
+        while !self.inner.stop.load(Ordering::SeqCst) {
             // Parked events poll the shard queue on a short tick; an
             // otherwise-idle reactor sleeps until epoll/eventfd activity.
             let timeout = if self.parked.is_empty() {
@@ -344,8 +355,7 @@ impl Reactor {
             self.events = events;
             let turn = Instant::now();
             if self.inner.stop.load(Ordering::SeqCst) {
-                self.teardown();
-                return;
+                break;
             }
             for i in 0..self.events.len() {
                 let ev = self.events[i];
@@ -367,6 +377,7 @@ impl Reactor {
             self.retry_parked();
             self.metrics.record_reactor_turn(turn.elapsed());
         }
+        self.teardown();
     }
 
     /// Slab index for `token` if the generation still matches (a stale

@@ -235,7 +235,7 @@ impl ServeHandle {
         inner.stop.store(true, Ordering::SeqCst);
         // Eventfd wake per reactor: each observes the stop flag, closes
         // its slab, and exits.
-        reactors.shutdown();
+        reactors.shutdown(&metrics);
         let depths = inner.pool.queue_depths();
         let generation = inner.registry.generation();
         let snapshot = metrics.snapshot(depths, generation);

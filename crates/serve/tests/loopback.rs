@@ -108,6 +108,12 @@ impl Client {
     /// worker publishes asynchronously). Pushed alerts that arrive in
     /// between are skipped.
     fn wait_estimate(&mut self) -> (f64, f64, u64) {
+        self.wait_estimate_since(f64::NEG_INFINITY)
+    }
+
+    /// [`Client::wait_estimate`] for an estimate of a window that closed
+    /// at `t_min` or later.
+    fn wait_estimate_since(&mut self, t_min: f64) -> (f64, f64, u64) {
         for _ in 0..500 {
             self.send(&Message::PredictRequest { host_id: self.host });
             loop {
@@ -117,8 +123,8 @@ impl Client {
                         rttf: Some(r),
                         model_generation,
                         ..
-                    } => return (t, r, model_generation),
-                    Message::RttfEstimate { rttf: None, .. } => break,
+                    } if t >= t_min => return (t, r, model_generation),
+                    Message::RttfEstimate { .. } => break,
                     Message::Alert { .. } => {}
                     other => panic!("unexpected reply {other:?}"),
                 }
@@ -203,8 +209,11 @@ fn hot_reload_mid_stream_keeps_connection_and_window_state() {
     // on the new model: 500 − 100 = 400.
     for _ in 0..30 {
         client.send(&Message::Datapoint(dp(t, 100.0)));
+        // Wait for the estimate of the newest window this stream has
+        // closed (30 s windows from t = 0), not a stale board entry.
+        let closed = (t / 30.0).floor() * 30.0;
         t += 5.0;
-        let (_, rttf, generation) = client.wait_estimate();
+        let (_, rttf, generation) = client.wait_estimate_since(closed);
         if generation == 2 {
             assert_eq!(rttf, 400.0);
             client.send(&Message::Bye);
@@ -393,6 +402,19 @@ fn metrics_scrape_mid_load_and_after_hot_reload() {
         t += 5.0;
     }
     client.wait_estimate();
+    // The reader counts a datapoint when it enqueues it, a shard worker
+    // counts its event when it dequeues it: the first estimate can come
+    // back while later datapoints still sit in the shard queue. Wait
+    // (without a scrape, which would count itself) until the workers
+    // have dequeued all 40: each records one queue-wait sample right
+    // after counting the event.
+    for _ in 0..500 {
+        let drained: u64 = server.metrics().queue_wait_buckets.iter().sum();
+        if drained >= 40 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
     let text = client.scrape();
     assert_eq!(
         sample(&text, "f2pm_serve_datapoints_total "),
@@ -482,8 +504,11 @@ fn store_publish_and_rollback_swap_models_on_live_connections() {
     let mut saw_gen2 = false;
     for _ in 0..30 {
         client.send(&Message::Datapoint(dp(t, 100.0)));
+        // Wait for the estimate of the newest window this stream has
+        // closed (30 s windows from t = 0), not a stale board entry.
+        let closed = (t / 30.0).floor() * 30.0;
         t += 5.0;
-        let (_, rttf, generation) = client.wait_estimate();
+        let (_, rttf, generation) = client.wait_estimate_since(closed);
         if generation == 2 {
             assert_eq!(rttf, 400.0);
             saw_gen2 = true;
@@ -508,8 +533,11 @@ fn store_publish_and_rollback_swap_models_on_live_connections() {
     let mut saw_rollback = false;
     for _ in 0..30 {
         client.send(&Message::Datapoint(dp(t, 100.0)));
+        // Wait for the estimate of the newest window this stream has
+        // closed (30 s windows from t = 0), not a stale board entry.
+        let closed = (t / 30.0).floor() * 30.0;
         t += 5.0;
-        let (_, rttf, generation) = client.wait_estimate();
+        let (_, rttf, generation) = client.wait_estimate_since(closed);
         if generation == 3 {
             assert_eq!(rttf, 800.0);
             saw_rollback = true;
