@@ -46,7 +46,7 @@
 
 use f2pm_features::AggregationConfig;
 use f2pm_ml::linreg::LinearModel;
-use f2pm_ml::persist::SavedModel;
+use f2pm_ml::SavedModel;
 use f2pm_monitor::wire::{Message, PROTOCOL_VERSION};
 use f2pm_monitor::{Collector, Datapoint, SimCollector, SimCollectorConfig};
 use f2pm_serve::{

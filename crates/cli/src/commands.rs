@@ -3,12 +3,12 @@
 use f2pm::F2pmConfig;
 use f2pm_features::{aggregate_history, aggregate_run, AggregationConfig, Dataset};
 use f2pm_ml::{
-    evaluate_all, evaluate_one, persist, LinearRegression, LsSvmRegressor, M5Params, M5Prime,
-    Regressor, RepTree, RepTreeParams, SavedModel, SvrParams, SvrRegressor,
+    evaluate_all, LsSvmRegressor, M5Params, M5Prime, Metrics, RepTree, RepTreeParams,
+    SMaeThreshold, SavedModel, SvrParams, SvrRegressor,
 };
 use f2pm_monitor::wire::{Message, PROTOCOL_VERSION};
 use f2pm_monitor::{load_csv, save_csv, Collector, DataHistory, Datapoint, ProcCollector};
-use f2pm_registry::{ArtifactMeta, ModelStore};
+use f2pm_registry::{artifact, ArtifactMeta, ModelStore};
 use f2pm_serve::{ModelRegistry, PredictionServer, ServeConfig, StoreWatcher};
 use f2pm_sim::Campaign;
 use std::collections::HashMap;
@@ -21,38 +21,39 @@ USAGE:
   f2pm campaign --runs N [--seed S] [--quick] --out history.csv
   f2pm monitor  --seconds N [--interval SECS] --out history.csv
   f2pm evaluate --history history.csv [--window SECS] [--train-frac F]
-  f2pm train    --history history.csv --method NAME [--out model.txt]
+  f2pm train    --history history.csv --method NAME [--out model.f2pm]
                 [--save-artifact DIR] [--window SECS]
-  f2pm predict  --model model.txt --history history.csv [--window SECS]
-  f2pm serve    (--model model.txt | --history history.csv [--method NAME]
-                 | --models-dir DIR)
+  f2pm predict  --model model.f2pm --history history.csv
+  f2pm serve    (--model model.f2pm | --models-dir DIR
+                 | --history history.csv [--method NAME] [--window SECS])
                 [--addr HOST:PORT] [--instance-id N] [--shards N]
                 [--reactors N] [--queue CAP] [--threshold SECS] [--hits K]
-                [--window SECS] [--seconds N] [--watch] [--retrain RUNS]
-  f2pm models   DIR (list | verify | rollback [--to GEN]
-                     | import --model model.txt [--window SECS])
+                [--seconds N] [--retrain RUNS]
+  f2pm models   DIR (list | verify | rollback [--to GEN])
   f2pm stats    [--addr HOST:PORT] [--watch] [--interval SECS] [--count N]
   f2pm fleet    (top-k | stats | scrape) --addrs HOST:PORT[,HOST:PORT...]
                 [--k N]
   f2pm export-columnar --history history.csv --out store.f2pc
                 [--window SECS] [--host ID] [--chunk-rows N]
-  f2pm query    --store store.f2pc --model model.txt [--run ID] [--host ID]
+  f2pm query    --store store.f2pc --model model.f2pm [--run ID] [--host ID]
                 [--t-min SECS] [--t-max SECS] [--cohort run|host]
   f2pm retrain-bench [--runs N] [--rows-per-run N] [--reps N]
 
 METHODS (train): linear, rep_tree, m5p, svm, ls_svm
 
+Every model file is one checksummed F2PM artifact: `train --out` writes
+it, and `predict`, `query` and `serve --model` verify both checksums
+before use and take the aggregation config and input columns from it.
 `serve` starts the sharded online RTTF prediction service (wire protocol
-v4 only; clients speaking another version are disconnected); `--watch`
-hot-reloads the model whenever the file changes, and `--seconds` bounds
-the run (default: forever). With `--history` it trains
-the model in-process at boot instead of loading a file, so the metrics
-exposition carries the training-stage timings. With `--models-dir` it
-cold-starts from the store's manifest-active binary artifact (no training
-pass, no `--history`) and hot-reloads whenever the manifest advances —
-publish with `f2pm train --save-artifact DIR`, operate the store with
-`f2pm models DIR {list,verify,rollback}`, and convert legacy text models
-with `f2pm models DIR import --model model.txt`. `--retrain RUNS` (with
+v4 only; clients speaking another version are disconnected);
+`--seconds` bounds the run (default: forever). With `--model` it serves
+that one artifact as is. With `--history` it trains the model in-process
+at boot instead, so the metrics exposition carries the training-stage
+timings. With `--models-dir` it cold-starts from the store's
+manifest-active artifact (no training pass, no `--history`) and
+hot-reloads whenever the manifest advances — publish with
+`f2pm train --save-artifact DIR` and operate the store with
+`f2pm models DIR {list,verify,rollback}`. `--retrain RUNS` (with
 `--models-dir` only) closes the loop: a background worker reassembles the
 failing runs streamed by live clients, warm-retrains an LS-SVM over the
 last RUNS of them (rank-k factor updates — no O(n³) rebuild per run), and
@@ -71,15 +72,16 @@ prints per-instance rows plus cluster totals, and `scrape` prints one
 merged exposition in which counters sum exactly across instances and
 gauges stay attributable behind an `instance` label. `export-columnar`
 converts a history CSV into the checksummed columnar store format and
-`query` re-scores it against a saved model — zone maps prune chunks the
+`query` re-scores it against a model artifact — zone maps prune chunks the
 filter cannot match, and errors stream into per-run (or per-host) MAE /
 S-MAE cohorts without ever materializing the history as rows.
 `retrain-bench` measures the warm-start retraining engine's steady-state
 1-run window shift against a cold rebuild on this machine (the loop
 behind `serve --retrain`) and verifies warm/cold model equivalence.";
 
-/// Parse `--key value` pairs and bare `--flag`s.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parse `--key value` pairs and bare `--flag`s, rejecting any key the
+/// subcommand does not list in `accepted`.
+fn parse_flags(args: &[String], accepted: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -87,6 +89,12 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a:?}"));
         };
+        if !accepted.contains(&key) {
+            return Err(format!(
+                "unknown flag --{key} (accepted: --{})",
+                accepted.join(", --")
+            ));
+        }
         // Bare boolean flags.
         if matches!(key, "quick" | "watch") {
             out.insert(key.to_string(), "true".to_string());
@@ -136,7 +144,7 @@ fn aggregation_from(flags: &HashMap<String, String>) -> Result<AggregationConfig
 /// `f2pm campaign`: run the simulated monitoring campaign, save the
 /// history as CSV.
 pub fn campaign(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["out", "runs", "seed", "quick"])?;
     let out = require(&flags, "out")?;
     let runs: usize = get_parsed(&flags, "runs")?.unwrap_or(4);
     let seed: u64 = get_parsed(&flags, "seed")?.unwrap_or(42);
@@ -167,7 +175,7 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
 
 /// `f2pm monitor`: sample the real local host via /proc.
 pub fn monitor(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["out", "seconds", "interval"])?;
     let out = require(&flags, "out")?;
     let seconds: u64 = get_parsed(&flags, "seconds")?.unwrap_or(10);
     let interval: f64 = get_parsed(&flags, "interval")?.unwrap_or(1.5);
@@ -225,27 +233,13 @@ fn fit_saved_model(method: &str, x: &f2pm_linalg::Matrix, y: &[f64]) -> Result<S
                 .fit_lssvm(x, y)
                 .map_err(|e| e.to_string())?,
         ),
-        other => return Err(format!("unknown method {other:?}")),
-    })
-}
-
-fn method_by_name(name: &str) -> Result<Box<dyn Regressor>, String> {
-    Ok(match name {
-        "linear" => Box::new(LinearRegression::new()),
-        "rep_tree" => Box::new(RepTree::new(RepTreeParams::default())),
-        "m5p" => Box::new(M5Prime::new(M5Params::default())),
-        "svm" => Box::new(SvrRegressor::new(SvrParams::default())),
-        "ls_svm" => Box::new(LsSvmRegressor::new(
-            f2pm_ml::Kernel::Rbf { gamma: 0.03 },
-            10.0,
-        )),
         other => return Err(format!("unknown method {other:?} (see --help)")),
     })
 }
 
 /// `f2pm evaluate`: §III-D method comparison on a saved history.
 pub fn evaluate(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["history", "window", "train-frac"])?;
     let path = require(&flags, "history")?;
     let agg = aggregation_from(&flags)?;
     let train_frac: f64 = get_parsed(&flags, "train-frac")?.unwrap_or(0.7);
@@ -270,21 +264,18 @@ pub fn evaluate(args: &[String]) -> Result<(), String> {
         valid.len()
     );
     let suite = f2pm_ml::paper_method_suite(&[1.0, 1e4, 1e9]);
-    let reports = evaluate_all(
-        &suite,
-        &train,
-        &valid,
-        f2pm_ml::SMaeThreshold::paper_default(),
-    );
+    let reports = evaluate_all(&suite, &train, &valid, SMaeThreshold::paper_default());
     print!("{}", f2pm_ml::validate::format_report_table(&reports));
     Ok(())
 }
 
-/// `f2pm train`: fit one method, persist the model (text file via
-/// `--out`, and/or publish a binary artifact generation via
-/// `--save-artifact DIR`).
+/// `f2pm train`: fit one method and persist it as an artifact (one file
+/// via `--out`, and/or a new store generation via `--save-artifact DIR`).
 pub fn train(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(
+        args,
+        &["history", "method", "out", "save-artifact", "window"],
+    )?;
     let path = require(&flags, "history")?;
     let out = flags.get("out").cloned();
     let artifact_dir = flags.get("save-artifact").cloned();
@@ -301,34 +292,29 @@ pub fn train(args: &[String]) -> Result<(), String> {
         return Err("history contains no labeled (failing) runs".to_string());
     }
 
-    // Fit concretely so the model can be persisted.
     let saved = fit_saved_model(&method, &ds.x, &ds.y)?;
-
-    // Training-set metrics as a sanity report.
-    let probe = method_by_name(&method)?;
-    let rep = evaluate_one(
-        probe.as_ref(),
-        &ds,
-        &ds,
-        f2pm_ml::SMaeThreshold::paper_default(),
-    )
-    .map_err(|e| e.to_string())?;
+    // Training-set metrics of the model just fitted, as a sanity report.
+    let predictions = saved
+        .as_model()
+        .predict_batch(&ds.x)
+        .map_err(|e| e.to_string())?;
+    let metrics = Metrics::compute(&predictions, &ds.y, SMaeThreshold::paper_default());
     eprintln!(
         "trained {} on {} datapoints: training-set S-MAE {:.1} s, MAE {:.1} s",
         method,
         ds.len(),
-        rep.metrics.smae,
-        rep.metrics.mae
+        metrics.smae,
+        metrics.mae
     );
 
+    let columns = f2pm_features::aggregate::aggregated_column_names_with(&agg);
+    let meta = ArtifactMeta::new(&method, agg, columns, metrics.smae);
     if let Some(out) = &out {
-        persist::save(&saved, out).map_err(|e| format!("writing {out}: {e}"))?;
+        artifact::save(out, &meta, &saved).map_err(|e| format!("writing {out}: {e}"))?;
         println!("wrote {out}");
     }
     if let Some(dir) = &artifact_dir {
         let store = ModelStore::open(dir).map_err(|e| format!("opening store {dir}: {e}"))?;
-        let columns = f2pm_features::aggregate::aggregated_column_names_with(&agg);
-        let meta = ArtifactMeta::new(&method, agg, columns, rep.metrics.smae);
         let generation = store
             .publish(&meta, &saved)
             .map_err(|e| format!("publishing to {dir}: {e}"))?;
@@ -337,14 +323,16 @@ pub fn train(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `f2pm predict`: score a saved history's last run with a saved model.
+/// `f2pm predict`: score a saved history's last run with a model
+/// artifact, aggregated the way the artifact records.
 pub fn predict(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["model", "history"])?;
     let model_path = require(&flags, "model")?;
     let history_path = require(&flags, "history")?;
-    let agg = aggregation_from(&flags)?;
 
-    let saved = persist::load(&model_path).map_err(|e| format!("reading {model_path}: {e}"))?;
+    let (meta, saved) =
+        artifact::load(&model_path).map_err(|e| format!("reading {model_path}: {e}"))?;
+    let agg = meta.agg;
     let model = saved.as_model();
     let history = load_csv(&history_path).map_err(|e| format!("reading {history_path}: {e}"))?;
     let runs = history.runs();
@@ -365,20 +353,26 @@ pub fn predict(args: &[String]) -> Result<(), String> {
         }
     );
     // One batched scoring pass over every window (the kernel models score
-    // this allocation-free and in parallel) instead of a per-window call.
-    let agg = AggregationConfig::default();
-    let width = points[0].input_width(&agg);
-    if width != model.width() {
-        return Err(format!(
-            "model expects {} inputs but the aggregation produced {} — \
-             was the model trained with a different --window?",
-            model.width(),
-            width
-        ));
-    }
-    let mut x = f2pm_linalg::Matrix::zeros(points.len(), width);
+    // this allocation-free and in parallel) instead of a per-window call,
+    // gathering the artifact's input columns out of the full layout.
+    let layout = f2pm_features::aggregate::aggregated_column_names_with(&agg);
+    let idx = meta
+        .columns
+        .iter()
+        .map(|c| {
+            layout
+                .iter()
+                .position(|l| l == c)
+                .ok_or_else(|| format!("{model_path}: unknown aggregated column {c:?}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut full = vec![0.0; layout.len()];
+    let mut x = f2pm_linalg::Matrix::zeros(points.len(), idx.len());
     for (i, p) in points.iter().enumerate() {
-        p.write_into(&agg, x.row_mut(i));
+        p.write_into(&agg, &mut full);
+        for (dst, &j) in x.row_mut(i).iter_mut().zip(&idx) {
+            *dst = full[j];
+        }
     }
     let estimates = model.predict_batch(&x).map_err(|e| e.to_string())?;
     for (p, est) in points.iter().zip(&estimates) {
@@ -394,7 +388,7 @@ pub fn predict(args: &[String]) -> Result<(), String> {
 /// `f2pm export-columnar`: convert a row-oriented history CSV into the
 /// checksummed columnar container (`F2PC`) that `f2pm query` scans.
 pub fn export_columnar(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["history", "out", "window", "host", "chunk-rows"])?;
     let history_path = require(&flags, "history")?;
     let out = require(&flags, "out")?;
     let agg = aggregation_from(&flags)?;
@@ -424,9 +418,12 @@ pub fn export_columnar(args: &[String]) -> Result<(), String> {
 }
 
 /// `f2pm query`: filtered, cohort-grouped offline re-scoring of a
-/// columnar history against a saved model.
+/// columnar history against a model artifact.
 pub fn query(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(
+        args,
+        &["store", "model", "run", "host", "t-min", "t-max", "cohort"],
+    )?;
     let store_path = require(&flags, "store")?;
     let model_path = require(&flags, "model")?;
     let filter = f2pm::QueryFilter {
@@ -443,13 +440,26 @@ pub fn query(args: &[String]) -> Result<(), String> {
 
     let store = f2pm_registry::load_columns(&store_path)
         .map_err(|e| format!("reading {store_path}: {e}"))?;
-    let saved = persist::load(&model_path).map_err(|e| format!("reading {model_path}: {e}"))?;
+    let (meta, saved) =
+        artifact::load(&model_path).map_err(|e| format!("reading {model_path}: {e}"))?;
+    let features: Vec<&str> = store
+        .feature_column_indices()
+        .into_iter()
+        .map(|j| store.column(j).name.as_str())
+        .collect();
+    if features != meta.columns {
+        return Err(format!(
+            "{model_path}'s {} input columns do not match the {} feature columns of {store_path}",
+            meta.columns.len(),
+            features.len()
+        ));
+    }
     let report = f2pm::run_query(
         &store,
         saved.as_model(),
         &filter,
         cohort,
-        f2pm_ml::SMaeThreshold::paper_default(),
+        SMaeThreshold::paper_default(),
     )
     .map_err(|e| e.to_string())?;
 
@@ -484,6 +494,24 @@ pub fn query(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Every flag `f2pm serve` accepts.
+const SERVE_FLAGS: &[&str] = &[
+    "models-dir",
+    "model",
+    "history",
+    "method",
+    "window",
+    "addr",
+    "instance-id",
+    "shards",
+    "reactors",
+    "queue",
+    "threshold",
+    "hits",
+    "seconds",
+    "retrain",
+];
+
 /// Map the `f2pm serve` flag surface onto the typed, validated
 /// [`f2pm::ServeOptions`] builder. The three-way model choice becomes a
 /// [`f2pm::ModelSource`], and every invalid combination surfaces as the
@@ -517,7 +545,7 @@ fn serve_options_from(flags: &HashMap<String, String>) -> Result<f2pm::ServeOpti
     if flags.contains_key("method") && !matches!(source, ModelSource::BootTrain { .. }) {
         return Err("--method only applies to --history boot-training".to_string());
     }
-    let mut b = f2pm::ServeOptions::builder(source).watch(flags.contains_key("watch"));
+    let mut b = f2pm::ServeOptions::builder(source);
     if let Some(a) = flags.get("addr") {
         b = b.addr(a.clone());
     }
@@ -558,10 +586,6 @@ fn resolve_model_source(
     opts: &f2pm::ServeOptions,
 ) -> Result<(std::sync::Arc<ModelRegistry>, String, Option<StoreWatcher>), String> {
     use f2pm::ModelSource;
-    let mut agg = AggregationConfig::default();
-    if let Some(w) = opts.window_s {
-        agg.window_s = w;
-    }
     match &opts.source {
         ModelSource::Artifact(dir) => {
             let dir = dir.display().to_string();
@@ -582,11 +606,15 @@ fn resolve_model_source(
         ModelSource::File(path) => {
             let path = path.display().to_string();
             let registry =
-                ModelRegistry::from_file(&path, agg).map_err(|e| format!("loading {path}: {e}"))?;
+                ModelRegistry::from_artifact(&path).map_err(|e| format!("loading {path}: {e}"))?;
             let kind = registry.current().kind;
-            Ok((registry, format!("{kind} model from {path}"), None))
+            Ok((registry, format!("{kind} artifact from {path}"), None))
         }
         ModelSource::BootTrain { history, method } => {
+            let mut agg = AggregationConfig::default();
+            if let Some(w) = opts.window_s {
+                agg.window_s = w;
+            }
             // Boot-train in-process: the aggregate/train spans land in the
             // global metrics registry, so scrapes of this server expose
             // the training-stage timings.
@@ -618,15 +646,10 @@ fn resolve_model_source(
 
 /// `f2pm serve`: the sharded online RTTF prediction service.
 pub fn serve(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, SERVE_FLAGS)?;
     let opts = serve_options_from(&flags)?;
     let cfg = ServeConfig::from_options(&opts);
     let (registry, source, mut store_watcher) = resolve_model_source(&opts)?;
-    let model_path = match &opts.source {
-        f2pm::ModelSource::File(path) => Some(path.display().to_string()),
-        _ => None,
-    };
-    let watch = opts.watch;
     let seconds = opts.seconds;
 
     // Continuous retraining (artifact stores only, enforced by the
@@ -656,7 +679,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
 
     let server = PredictionServer::start_with_tap(&*opts.addr, cfg, registry, tap)
         .map_err(|e| format!("binding {}: {e}", opts.addr))?;
-    let registry = server.registry();
     println!(
         "serving {source} on {} (instance {}, {} shards, {} reactors, alert ≤ {:.0} s × {})",
         server.addr(),
@@ -667,31 +689,10 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         cfg.policy.consecutive_hits
     );
 
-    let mtime = |p: &str| std::fs::metadata(p).and_then(|m| m.modified()).ok();
-    let mut last_mtime = model_path.as_deref().and_then(mtime);
     let started = std::time::Instant::now();
     let mut stats_printed = 0u64;
     loop {
         std::thread::sleep(std::time::Duration::from_millis(500));
-        if let (true, Some(path)) = (watch, model_path.as_deref()) {
-            let now_mtime = mtime(path);
-            if now_mtime.is_some() && now_mtime != last_mtime {
-                // Advance the watermark only after a successful install,
-                // and to the mtime observed *before* the read: a reload
-                // that races a non-atomic writer (partial file → parse
-                // error, or a write landing mid-read) is retried on the
-                // next tick instead of being silently skipped forever.
-                match registry.reload_from_file(path) {
-                    Ok(g) => {
-                        last_mtime = now_mtime;
-                        eprintln!("hot-reloaded {path} → model generation {g}");
-                    }
-                    Err(e) => {
-                        eprintln!("reload of {path} failed (keeping current, will retry): {e}")
-                    }
-                }
-            }
-        }
         if let Some(watcher) = &mut store_watcher {
             match watcher.poll() {
                 Ok(Some((store_gen, install_gen))) => eprintln!(
@@ -736,17 +737,16 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `f2pm models DIR {list,verify,rollback,import}`: operate a model
-/// artifact store.
+/// `f2pm models DIR {list,verify,rollback}`: operate a model artifact
+/// store.
 pub fn models(args: &[String]) -> Result<(), String> {
-    const MODELS_USAGE: &str = "usage: f2pm models DIR (list | verify | rollback [--to GEN] | \
-         import --model model.txt [--window SECS])";
+    const MODELS_USAGE: &str = "usage: f2pm models DIR (list | verify | rollback [--to GEN])";
     let (dir, rest) = args.split_first().ok_or(MODELS_USAGE)?;
     if dir.starts_with("--") {
         return Err(MODELS_USAGE.to_string());
     }
     let (action, rest) = rest.split_first().ok_or(MODELS_USAGE)?;
-    let flags = parse_flags(rest)?;
+    let flags = parse_flags(rest, &["to"])?;
     let store = ModelStore::open(dir).map_err(|e| format!("opening store {dir}: {e}"))?;
 
     match action.as_str() {
@@ -807,26 +807,6 @@ pub fn models(args: &[String]) -> Result<(), String> {
             println!("rolled back: active generation is now {generation}");
             Ok(())
         }
-        "import" => {
-            // Legacy shim: lift a v1 text-format model into a store
-            // generation so old `--model model.txt` deployments can move
-            // to the checksum-verified artifact path.
-            let model_path = require(&flags, "model")?;
-            let agg = aggregation_from(&flags)?;
-            let saved =
-                persist::load(&model_path).map_err(|e| format!("reading {model_path}: {e}"))?;
-            let columns = f2pm_features::aggregate::aggregated_column_names_with(&agg);
-            // Training S-MAE is unknown for an imported model.
-            let meta = ArtifactMeta::new(saved.kind(), agg, columns, f64::NAN);
-            let generation = store
-                .publish(&meta, &saved)
-                .map_err(|e| format!("publishing to {dir}: {e}"))?;
-            println!(
-                "imported {model_path} ({}) as generation {generation} in {dir}",
-                saved.kind()
-            );
-            Ok(())
-        }
         other => Err(format!("unknown models action {other:?}\n{MODELS_USAGE}")),
     }
 }
@@ -867,7 +847,7 @@ fn connect_serve(addr: &str) -> Result<std::net::TcpStream, String> {
 /// With `--watch`, a lost connection re-resolves and reconnects instead
 /// of exiting — serve restarts (deploys, rollbacks) don't kill the watch.
 pub fn stats(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["addr", "watch", "interval", "count"])?;
     let addr = flags
         .get("addr")
         .cloned()
@@ -923,7 +903,7 @@ pub fn fleet(args: &[String]) -> Result<(), String> {
     if !matches!(action.as_str(), "top-k" | "stats" | "scrape") {
         return Err(format!("unknown fleet action {action:?}\n{FLEET_USAGE}"));
     }
-    let flags = parse_flags(rest)?;
+    let flags = parse_flags(rest, &["addrs", "k"])?;
     let k: usize = get_parsed(&flags, "k")?.unwrap_or(10);
     if k == 0 {
         return Err("--k must be positive".to_string());
@@ -1018,7 +998,7 @@ pub fn retrain_bench(args: &[String]) -> Result<(), String> {
     use f2pm_monitor::RunData;
     use std::time::Instant;
 
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["runs", "rows-per-run", "reps"])?;
     let window_runs: usize = get_parsed(&flags, "runs")?.unwrap_or(250);
     let rows_per_run: usize = get_parsed(&flags, "rows-per-run")?.unwrap_or(8);
     let reps: usize = get_parsed(&flags, "reps")?.unwrap_or(5);
@@ -1136,30 +1116,71 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    const KEYS: &[&str] = &["runs", "quick", "out", "window", "dangling"];
+
     #[test]
     fn flag_parser_handles_pairs_and_booleans() {
-        let f = parse_flags(&s(&["--runs", "3", "--quick", "--out", "x.csv"])).unwrap();
+        let f = parse_flags(&s(&["--runs", "3", "--quick", "--out", "x.csv"]), KEYS).unwrap();
         assert_eq!(f.get("runs").unwrap(), "3");
         assert_eq!(f.get("quick").unwrap(), "true");
         assert_eq!(f.get("out").unwrap(), "x.csv");
-        assert!(parse_flags(&s(&["positional"])).is_err());
-        assert!(parse_flags(&s(&["--dangling"])).is_err());
+        assert!(parse_flags(&s(&["positional"]), KEYS).is_err());
+        assert!(parse_flags(&s(&["--dangling"]), KEYS).is_err());
+        let err = parse_flags(&s(&["--run", "3"]), KEYS).unwrap_err();
+        assert!(err.contains("unknown flag --run "), "{err}");
     }
 
     #[test]
     fn typed_getters() {
-        let f = parse_flags(&s(&["--runs", "3", "--window", "2.5"])).unwrap();
+        let f = parse_flags(&s(&["--runs", "3", "--window", "2.5"]), KEYS).unwrap();
         assert_eq!(get_parsed::<usize>(&f, "runs").unwrap(), Some(3));
         assert_eq!(get_parsed::<f64>(&f, "window").unwrap(), Some(2.5));
         assert_eq!(get_parsed::<u64>(&f, "missing").unwrap(), None);
-        let bad = parse_flags(&s(&["--runs", "abc"])).unwrap();
+        let bad = parse_flags(&s(&["--runs", "abc"]), KEYS).unwrap();
         assert!(get_parsed::<usize>(&bad, "runs").is_err());
     }
 
     #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        // Parsing comes first, so none of these files needs to exist.
+        let err = serve(&s(&["--model", "m.f2pm", "--watch"])).unwrap_err();
+        assert!(err.contains("unknown flag --watch"), "{err}");
+        let err = predict(&s(&[
+            "--model",
+            "m.f2pm",
+            "--history",
+            "h.csv",
+            "--window",
+            "30",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("unknown flag --window"), "{err}");
+        let err = serve(&s(&["--model", "m.f2pm", "--shard", "4"])).unwrap_err();
+        assert!(err.contains("unknown flag --shard"), "{err}");
+        // `stats --watch` (reconnect through restarts) is still a flag:
+        // this fails on the dial, not on the parse.
+        let err = stats(&s(&["--addr", "127.0.0.1:1", "--watch"])).unwrap_err();
+        assert!(err.contains("connecting"), "{err}");
+    }
+
+    #[test]
     fn unknown_method_rejected() {
-        assert!(method_by_name("nope").is_err());
-        assert!(method_by_name("rep_tree").is_ok());
+        let x = f2pm_linalg::Matrix::zeros(2, 1);
+        let err = fit_saved_model("nope", &x, &[0.0, 1.0]).unwrap_err();
+        assert!(err.contains("unknown method"), "{err}");
+        assert!(fit_saved_model("rep_tree", &x, &[0.0, 1.0]).is_ok());
+    }
+
+    /// A default-layout linear artifact, as `train --out` would write it.
+    fn write_linear_artifact(path: &std::path::Path, intercept: f64) {
+        let agg = AggregationConfig::default();
+        let columns = f2pm_features::aggregate::aggregated_column_names_with(&agg);
+        let saved = SavedModel::Linear(f2pm_ml::linreg::LinearModel {
+            intercept,
+            coefficients: vec![0.0; columns.len()],
+        });
+        let meta = ArtifactMeta::new("linear", agg, columns, f64::NAN);
+        artifact::save(path, &meta, &saved).unwrap();
     }
 
     #[test]
@@ -1167,7 +1188,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("f2pm_cli_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let hist = dir.join("history.csv");
-        let model = dir.join("model.txt");
+        let model = dir.join("model.f2pm");
 
         campaign(&s(&[
             "--runs",
@@ -1206,11 +1227,11 @@ mod tests {
     }
 
     #[test]
-    fn predict_rejects_window_mismatch() {
-        let dir = std::env::temp_dir().join(format!("f2pm_cli_mm_{}", std::process::id()));
+    fn train_out_artifact_records_its_own_training_smae() {
+        let dir = std::env::temp_dir().join(format!("f2pm_cli_smae_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let hist = dir.join("history.csv");
-        let model = dir.join("model.txt");
+        let model = dir.join("model.f2pm");
         campaign(&s(&[
             "--runs",
             "1",
@@ -1224,22 +1245,79 @@ mod tests {
             hist.to_str().unwrap(),
             "--method",
             "linear",
+            "--window",
+            "15",
             "--out",
             model.to_str().unwrap(),
         ]))
         .unwrap();
-        // Width is the same regardless of window (30 columns), so the
-        // mismatch guard triggers only for a truly different layout; here
-        // predict must succeed for any window.
+
+        let (meta, saved) = artifact::load(&model).unwrap();
+        assert_eq!(meta.method, "linear");
+        assert_eq!(meta.agg.window_s, 15.0);
+        let history = load_csv(&hist).unwrap();
+        let ds = Dataset::from_points(&aggregate_history(&history, &meta.agg));
+        let predictions = saved.as_model().predict_batch(&ds.x).unwrap();
+        let smae = Metrics::compute(&predictions, &ds.y, SMaeThreshold::paper_default()).smae;
+        assert_eq!(meta.train_smae.to_bits(), smae.to_bits());
+
+        // predict aggregates the way the artifact records.
         predict(&s(&[
             "--model",
             model.to_str().unwrap(),
             "--history",
             hist.to_str().unwrap(),
-            "--window",
-            "30",
         ]))
         .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_model_flag_rejects_a_flipped_payload_byte() {
+        let dir = std::env::temp_dir().join(format!("f2pm_cli_crc_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let hist = dir.join("history.csv");
+        let store = dir.join("history.f2pc");
+        let model = dir.join("model.f2pm");
+        write_tiny_history(&hist);
+        export_columnar(&s(&[
+            "--history",
+            hist.to_str().unwrap(),
+            "--out",
+            store.to_str().unwrap(),
+        ]))
+        .unwrap();
+        write_linear_artifact(&model, 900.0);
+        let (model_s, hist_s, store_s) = (
+            model.to_str().unwrap(),
+            hist.to_str().unwrap(),
+            store.to_str().unwrap(),
+        );
+        let predict_args = s(&["--model", model_s, "--history", hist_s]);
+        let query_args = s(&["--model", model_s, "--store", store_s]);
+        predict(&predict_args).unwrap();
+        query(&query_args).unwrap();
+
+        // The last payload byte sits just before the 4-byte payload CRC.
+        let mut bytes = std::fs::read(&model).unwrap();
+        let at = bytes.len() - 5;
+        bytes[at] ^= 0x01;
+        std::fs::write(&model, bytes).unwrap();
+        for err in [
+            predict(&predict_args).unwrap_err(),
+            query(&query_args).unwrap_err(),
+            serve(&s(&[
+                "--model",
+                model_s,
+                "--addr",
+                "127.0.0.1:0",
+                "--seconds",
+                "1",
+            ]))
+            .unwrap_err(),
+        ] {
+            assert!(err.contains("payload checksum mismatch"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1247,40 +1325,20 @@ mod tests {
     fn missing_required_flags_error() {
         assert!(campaign(&s(&["--runs", "2"])).is_err()); // no --out
         assert!(train(&s(&["--history", "x.csv"])).is_err()); // no method/out
-        assert!(predict(&s(&["--model", "m.txt"])).is_err()); // no history
+        assert!(predict(&s(&["--model", "m.f2pm"])).is_err()); // no history
         assert!(evaluate(&s(&[])).is_err());
     }
 
     #[test]
-    fn serve_runs_bounded_and_hot_reloads_on_watch() {
+    fn serve_runs_bounded_from_an_artifact_file() {
         let dir = std::env::temp_dir().join(format!("f2pm_cli_serve_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let model = dir.join("model.txt");
-        // A hand-written linear model over the full default aggregated
-        // layout (what `from_file` serves against).
-        let width =
-            f2pm_features::aggregate::aggregated_column_names_with(&AggregationConfig::default())
-                .len();
-        let saved = SavedModel::Linear(f2pm_ml::linreg::LinearModel {
-            intercept: 900.0,
-            coefficients: vec![0.0; width],
-        });
-        persist::save(&saved, &model).unwrap();
-
-        // Overwrite the model file shortly after startup; --watch must
-        // pick it up without the server restarting.
-        let model_c = model.clone();
-        let rewriter = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(600));
-            let saved = SavedModel::Linear(f2pm_ml::linreg::LinearModel {
-                intercept: 450.0,
-                coefficients: vec![0.0; width],
-            });
-            persist::save(&saved, &model_c).unwrap();
-        });
+        let model = dir.join("model.f2pm");
+        write_linear_artifact(&model, 900.0);
+        let model_s = model.to_str().unwrap();
         serve(&s(&[
             "--model",
-            model.to_str().unwrap(),
+            model_s,
             "--addr",
             "127.0.0.1:0",
             "--shards",
@@ -1288,16 +1346,17 @@ mod tests {
             "--reactors",
             "1",
             "--seconds",
-            "2",
-            "--watch",
+            "1",
         ]))
         .unwrap();
-        rewriter.join().unwrap();
 
         // Bad flags are rejected up front.
         assert!(serve(&s(&["--addr", "127.0.0.1:0"])).is_err()); // no --model
-        assert!(serve(&s(&["--model", model.to_str().unwrap(), "--shards", "0"])).is_err());
-        assert!(serve(&s(&["--model", model.to_str().unwrap(), "--reactors", "0"])).is_err());
+        assert!(serve(&s(&["--model", model_s, "--shards", "0"])).is_err());
+        assert!(serve(&s(&["--model", model_s, "--reactors", "0"])).is_err());
+        // The artifact records its aggregation: no window override.
+        let err = serve(&s(&["--model", model_s, "--window", "30"])).unwrap_err();
+        assert!(err.contains("window conflicts"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1305,19 +1364,9 @@ mod tests {
     fn stats_scrapes_a_live_server() {
         let dir = std::env::temp_dir().join(format!("f2pm_cli_stats_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let model = dir.join("model.txt");
-        let width =
-            f2pm_features::aggregate::aggregated_column_names_with(&AggregationConfig::default())
-                .len();
-        persist::save(
-            &SavedModel::Linear(f2pm_ml::linreg::LinearModel {
-                intercept: 900.0,
-                coefficients: vec![0.0; width],
-            }),
-            &model,
-        )
-        .unwrap();
-        let registry = ModelRegistry::from_file(&model, AggregationConfig::default()).unwrap();
+        let model = dir.join("model.f2pm");
+        write_linear_artifact(&model, 900.0);
+        let registry = ModelRegistry::from_artifact(&model).unwrap();
         let server =
             PredictionServer::start("127.0.0.1:0", ServeConfig::default(), registry).unwrap();
         let addr = server.addr().to_string();
@@ -1381,10 +1430,6 @@ mod tests {
             text.contains("f2pm_stage_duration_us_count{stage=\"train:linear\"}"),
             "{text}"
         );
-        // --watch without a file to watch is rejected up front by the
-        // typed options builder.
-        let err = serve(&s(&["--history", hist.to_str().unwrap(), "--watch"])).unwrap_err();
-        assert!(err.contains("watch needs a model file"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1436,13 +1481,13 @@ mod tests {
             "linear"
         ]))
         .is_err());
-        assert!(serve(&s(&["--models-dir", &store_s, "--model", "m.txt"])).is_err());
+        assert!(serve(&s(&["--models-dir", &store_s, "--model", "m.f2pm"])).is_err());
         assert!(serve(&s(&["--models-dir", &store_s, "--window", "30"])).is_err());
-        assert!(serve(&s(&["--models-dir", &store_s, "--watch"])).is_err());
         let empty = dir.join("empty_store");
         let err = serve(&s(&["--models-dir", empty.to_str().unwrap()])).unwrap_err();
         assert!(err.contains("no published generation"), "{err}");
         assert!(models(&s(&[&store_s, "frobnicate"])).is_err());
+        assert!(models(&s(&[&store_s, "import", "--model", "m.f2pm"])).is_err());
         assert!(models(&s(&["--model", "backwards"])).is_err());
 
         // Cold-start a real server from the store (no --history, no
@@ -1520,27 +1565,9 @@ mod tests {
         assert_eq!(sample(&text, "f2pm_serve_dropped_frames_total "), Some(0.0));
         server.join().unwrap();
 
-        // The legacy-format shim: a v1 text model becomes a generation.
-        let legacy = dir.join("legacy.txt");
-        train(&s(&[
-            "--history",
-            hist.to_str().unwrap(),
-            "--method",
-            "linear",
-            "--out",
-            legacy.to_str().unwrap(),
-        ]))
-        .unwrap();
-        models(&s(&[
-            &store_s,
-            "import",
-            "--model",
-            legacy.to_str().unwrap(),
-        ]))
-        .unwrap();
         let store = ModelStore::open(&store_dir).unwrap();
-        assert_eq!(store.active_generation().unwrap(), Some(3));
-        assert_eq!(store.generations().unwrap(), vec![1, 2, 3]);
+        assert_eq!(store.active_generation().unwrap(), Some(1));
+        assert_eq!(store.generations().unwrap(), vec![1, 2]);
         assert!(models(&s(&[&store_s, "rollback", "--to", "99"])).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1558,42 +1585,44 @@ mod tests {
 
     #[test]
     fn serve_flags_map_onto_the_options_builder() {
-        let flags = parse_flags(&s(&[
-            "--model",
-            "m.txt",
-            "--addr",
-            "0.0.0.0:9001",
-            "--shards",
-            "8",
-            "--instance-id",
-            "7",
-            "--threshold",
-            "90",
-            "--hits",
-            "3",
-            "--watch",
-        ]))
+        let flags = parse_flags(
+            &s(&[
+                "--model",
+                "m.f2pm",
+                "--addr",
+                "0.0.0.0:9001",
+                "--shards",
+                "8",
+                "--instance-id",
+                "7",
+                "--threshold",
+                "90",
+                "--hits",
+                "3",
+            ]),
+            SERVE_FLAGS,
+        )
         .unwrap();
         let opts = serve_options_from(&flags).unwrap();
-        assert_eq!(opts.source, f2pm::ModelSource::File("m.txt".into()));
+        assert_eq!(opts.source, f2pm::ModelSource::File("m.f2pm".into()));
         assert_eq!(opts.addr, "0.0.0.0:9001");
         assert_eq!(opts.shards, 8);
         assert_eq!(opts.instance_id, 7);
         assert_eq!(opts.alert_threshold_s, 90.0);
         assert_eq!(opts.alert_hits, 3);
-        assert!(opts.watch);
 
         // Invalid combinations all surface through the builder's one
         // typed error kind.
-        let bad = parse_flags(&s(&["--models-dir", "store", "--window", "30"])).unwrap();
+        let parse = |args: &[&str]| parse_flags(&s(args), SERVE_FLAGS).unwrap();
+        let bad = parse(&["--models-dir", "store", "--window", "30"]);
         assert!(serve_options_from(&bad).unwrap_err().contains("artifact"));
-        let none = parse_flags(&s(&["--shards", "4"])).unwrap();
+        let none = parse(&["--shards", "4"]);
         assert!(serve_options_from(&none).is_err());
-        let both = parse_flags(&s(&["--model", "m.txt", "--history", "h.csv"])).unwrap();
+        let both = parse(&["--model", "m.f2pm", "--history", "h.csv"]);
         assert!(serve_options_from(&both)
             .unwrap_err()
             .contains("mutually exclusive"));
-        let stray = parse_flags(&s(&["--model", "m.txt", "--method", "linear"])).unwrap();
+        let stray = parse(&["--model", "m.f2pm", "--method", "linear"]);
         assert!(serve_options_from(&stray).unwrap_err().contains("--method"));
     }
 

@@ -4,26 +4,26 @@
 //! f2pm campaign --runs 6 --seed 42 --out history.csv [--quick]
 //! f2pm monitor  --seconds 30 --interval 1.5 --out history.csv
 //! f2pm evaluate --history history.csv [--window 10]
-//! f2pm train    --history history.csv --method rep_tree --out model.txt
-//! f2pm predict  --model model.txt --history history.csv
-//! f2pm serve    --model model.txt --addr 0.0.0.0:7878 --shards 4 --watch
+//! f2pm train    --history history.csv --method rep_tree --out model.f2pm
+//! f2pm predict  --model model.f2pm --history history.csv
+//! f2pm serve    --model model.f2pm --addr 0.0.0.0:7878 --shards 4
 //! f2pm serve    --models-dir models/ --addr 0.0.0.0:7878
 //! f2pm models   models/ list
 //! f2pm stats    --addr 127.0.0.1:7878 --watch
 //! f2pm fleet    top-k --addrs 127.0.0.1:7878,127.0.0.1:7879 --k 10
 //! f2pm export-columnar --history history.csv --out store.f2pc
-//! f2pm query    --store store.f2pc --model model.txt --cohort run
+//! f2pm query    --store store.f2pc --model model.f2pm --cohort run
 //! ```
 //!
 //! `campaign` collects data from the simulated testbed; `monitor` samples
 //! the *real* local Linux host via `/proc`; `evaluate` compares the §III-D
-//! method suite on a history; `train` fits one method and persists the
-//! model; `predict` replays a history's last run through a saved model and
-//! prints the per-window RTTF estimates; `serve` runs the sharded online
-//! prediction service (live per-host RTTF estimates, pushed rejuvenation
-//! alerts, model hot-reload); `models` operates an on-disk store of
-//! versioned binary model artifacts (list, verify checksums, roll back
-//! the active generation, import legacy text models); `stats` scrapes a
+//! method suite on a history; `train` fits one method and saves it as a
+//! checksummed model artifact; `predict` replays a history's last run
+//! through an artifact and prints the per-window RTTF estimates; `serve`
+//! runs the sharded online prediction service (live per-host RTTF
+//! estimates, pushed rejuvenation alerts, hot reload from a model store);
+//! `models` operates an on-disk store of versioned model artifacts (list,
+//! verify checksums, roll back the active generation); `stats` scrapes a
 //! running serve instance's Prometheus-style metrics exposition over the
 //! wire protocol, reconnecting through restarts with `--watch`;
 //! `fleet` fans out to every instance of a serve fleet and
@@ -31,7 +31,7 @@
 //! rollups, or one merged exposition; `export-columnar` converts a
 //! history CSV into the checksummed columnar store and `query`
 //! re-scores that store against a
-//! saved model with zone-map pruning and per-cohort error breakdowns.
+//! model artifact with zone-map pruning and per-cohort error breakdowns.
 
 mod commands;
 

@@ -45,7 +45,7 @@ fn unknown_command_fails_cleanly() {
 fn full_lifecycle_campaign_evaluate_train_predict() {
     let dir = tmpdir("lifecycle");
     let hist = dir.join("history.csv");
-    let model = dir.join("model.txt");
+    let model = dir.join("model.f2pm");
 
     // 1. Collect.
     let out = f2pm(&[
@@ -76,7 +76,7 @@ fn full_lifecycle_campaign_evaluate_train_predict() {
     assert!(table.contains("rep_tree"));
     assert!(table.contains("S-MAE"));
 
-    // 3. Train + persist.
+    // 3. Train + persist as a checksummed artifact.
     let out = f2pm(&[
         "train",
         "--history",
@@ -91,8 +91,8 @@ fn full_lifecycle_campaign_evaluate_train_predict() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let model_text = std::fs::read_to_string(&model).unwrap();
-    assert!(model_text.starts_with("f2pm-model 1\nrep_tree"));
+    let model_bytes = std::fs::read(&model).unwrap();
+    assert!(model_bytes.starts_with(b"F2PM"));
 
     // 4. Predict on the saved history.
     let out = f2pm(&[
@@ -128,7 +128,7 @@ fn train_rejects_missing_history_file() {
         "--method",
         "linear",
         "--out",
-        "/tmp/never_written.txt",
+        "never_written.f2pm",
     ]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("reading"));
@@ -154,7 +154,7 @@ fn train_rejects_unknown_method() {
         "--method",
         "deep_transformer",
         "--out",
-        dir.join("m.txt").to_str().unwrap(),
+        dir.join("m.f2pm").to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown method"));

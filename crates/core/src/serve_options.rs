@@ -1,7 +1,7 @@
 //! The validated fleet-facing serve configuration.
 //!
 //! `f2pm serve` grew one flag at a time — `--model`, `--history`,
-//! `--models-dir`, `--watch`, `--window`, `--shards`, `--reactors`,
+//! `--models-dir`, `--window`, `--shards`, `--reactors`,
 //! `--threshold`, `--hits`, ... — with the mutual-exclusion rules encoded
 //! as ad-hoc `if` chains inside the CLI. Fleet tooling (the multi-instance
 //! loadgen, `f2pm fleet` spawn helpers) needs the *same* configuration
@@ -28,8 +28,10 @@ pub enum ModelSource {
     /// and hot-reload whenever the manifest advances. The artifact records
     /// its own aggregation config, so an explicit window is rejected.
     Artifact(PathBuf),
-    /// Load a text model file; optionally hot-reload on mtime change
-    /// (the only source `watch` is valid for).
+    /// Load one checksum-verified artifact file (what `f2pm train --out`
+    /// writes) and serve it as is: no hot reload. Like
+    /// [`ModelSource::Artifact`], the file records its own aggregation
+    /// config, so an explicit window is rejected.
     File(PathBuf),
     /// Boot-train in-process from a history CSV with the named §III-D
     /// method, so the exposition carries the training-stage timings.
@@ -62,11 +64,10 @@ pub struct ServeOptions {
     pub alert_threshold_s: f64,
     /// Consecutive below-threshold estimates required before alerting.
     pub alert_hits: usize,
-    /// Aggregation window override (seconds); `None` keeps the default
-    /// (or, for [`ModelSource::Artifact`], the artifact's own config).
+    /// Aggregation window override (seconds) for
+    /// [`ModelSource::BootTrain`]; `None` keeps the default. Artifact
+    /// sources always use the artifact's own config.
     pub window_s: Option<f64>,
-    /// Hot-reload a [`ModelSource::File`] model on mtime change.
-    pub watch: bool,
     /// Bound the run (seconds); `None` = run until killed.
     pub seconds: Option<u64>,
     /// Stable fleet identity of this instance, surfaced in the
@@ -93,7 +94,6 @@ impl ServeOptions {
             alert_threshold_s: crate::RejuvenationPolicy::default().rttf_threshold_s,
             alert_hits: crate::RejuvenationPolicy::default().consecutive_hits,
             window_s: None,
-            watch: false,
             seconds: None,
             instance_id: 0,
             retrain_window_runs: None,
@@ -113,7 +113,6 @@ pub struct ServeOptionsBuilder {
     alert_threshold_s: f64,
     alert_hits: usize,
     window_s: Option<f64>,
-    watch: bool,
     seconds: Option<u64>,
     instance_id: u32,
     retrain_window_runs: Option<usize>,
@@ -159,12 +158,6 @@ impl ServeOptionsBuilder {
     /// Aggregation window override (seconds).
     pub fn window_s(mut self, window_s: f64) -> Self {
         self.window_s = Some(window_s);
-        self
-    }
-
-    /// Hot-reload the model file on mtime change.
-    pub fn watch(mut self, watch: bool) -> Self {
-        self.watch = watch;
         self
     }
 
@@ -229,27 +222,15 @@ impl ServeOptionsBuilder {
             }
         }
         match &self.source {
-            ModelSource::Artifact(_) => {
+            ModelSource::Artifact(_) | ModelSource::File(_) => {
                 if self.window_s.is_some() {
                     return Err(invalid(
-                        "window conflicts with an artifact store: the artifact records \
+                        "window conflicts with an artifact: the artifact records \
                          its own aggregation config",
                     ));
                 }
-                if self.watch {
-                    return Err(invalid(
-                        "watch is implicit with an artifact store (the manifest is \
-                         always polled)",
-                    ));
-                }
             }
-            ModelSource::File(_) => {}
             ModelSource::BootTrain { method, .. } => {
-                if self.watch {
-                    return Err(invalid(
-                        "watch needs a model file to watch; a boot-trained model has none",
-                    ));
-                }
                 const METHODS: [&str; 5] = ["linear", "rep_tree", "m5p", "svm", "ls_svm"];
                 if !METHODS.contains(&method.as_str()) {
                     return Err(invalid(format!(
@@ -267,7 +248,6 @@ impl ServeOptionsBuilder {
             alert_threshold_s: self.alert_threshold_s,
             alert_hits: self.alert_hits,
             window_s: self.window_s,
-            watch: self.watch,
             seconds: self.seconds,
             instance_id: self.instance_id,
             retrain_window_runs: self.retrain_window_runs,
@@ -280,7 +260,7 @@ mod tests {
     use super::*;
 
     fn file_source() -> ModelSource {
-        ModelSource::File(PathBuf::from("model.txt"))
+        ModelSource::File(PathBuf::from("model.f2pm"))
     }
 
     #[test]
@@ -293,7 +273,6 @@ mod tests {
         let policy = crate::RejuvenationPolicy::default();
         assert_eq!(o.alert_threshold_s, policy.rttf_threshold_s);
         assert_eq!(o.alert_hits, policy.consecutive_hits);
-        assert!(!o.watch);
         assert_eq!(o.instance_id, 0);
         assert_eq!(o.retrain_window_runs, None);
     }
@@ -335,14 +314,13 @@ mod tests {
             ServeOptions::builder(file_source()).alert_hits(0),
             ServeOptions::builder(file_source()).alert_threshold_s(f64::NAN),
             ServeOptions::builder(file_source()).alert_threshold_s(-1.0),
-            ServeOptions::builder(file_source()).window_s(0.0),
-            ServeOptions::builder(ModelSource::Artifact(PathBuf::from("store"))).window_s(10.0),
-            ServeOptions::builder(ModelSource::Artifact(PathBuf::from("store"))).watch(true),
             ServeOptions::builder(ModelSource::BootTrain {
                 history: PathBuf::from("h.csv"),
                 method: "rep_tree".to_string(),
             })
-            .watch(true),
+            .window_s(0.0),
+            ServeOptions::builder(ModelSource::Artifact(PathBuf::from("store"))).window_s(10.0),
+            ServeOptions::builder(file_source()).window_s(10.0),
             ServeOptions::builder(ModelSource::BootTrain {
                 history: PathBuf::from("h.csv"),
                 method: "gradient_boost".to_string(),
@@ -366,16 +344,6 @@ mod tests {
         assert!(err.to_string().contains("reactors"), "{err}");
         let one = ServeOptions::builder(file_source()).reactors(1).build();
         assert_eq!(one.unwrap().reactors, Some(1));
-    }
-
-    #[test]
-    fn watch_is_valid_only_for_file_sources() {
-        let ok = ServeOptions::builder(file_source()).watch(true).build();
-        assert!(ok.is_ok());
-        let store = ServeOptions::builder(ModelSource::Artifact(PathBuf::from("s")))
-            .watch(true)
-            .build();
-        assert_eq!(store.unwrap_err().kind(), "invalid_config");
     }
 
     #[test]

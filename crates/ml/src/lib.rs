@@ -17,39 +17,36 @@
 //! framework can fit, time and compare them uniformly; [`validate`]
 //! produces the paper's metric set (MAE, RAE, Max-AE, S-MAE, training and
 //! validation time — §III-D) for each model, fanning independent fits out
-//! over crossbeam scoped threads.
+//! over crossbeam scoped threads. A fitted model persists as a
+//! [`SavedModel`], whose binary payload codec ([`persist_bin`]) is the
+//! model half of the checksummed `f2pm-registry` artifact.
 
 // Indexed loops in the numeric kernels intentionally mirror the textbook
 // algorithm statements (i/j/k over matrix entries).
 #![allow(clippy::needless_range_loop)]
 
-pub mod baseline;
 pub(crate) mod batch;
 pub mod error;
-pub mod forest;
 pub mod kernel;
 pub mod lasso;
 pub mod linreg;
 pub mod lssvm;
 pub mod m5p;
 pub mod metrics;
-pub mod persist;
 pub mod persist_bin;
 pub mod regressor;
 pub mod reptree;
 pub mod svr;
 pub mod validate;
 
-pub use baseline::{CapacityOverRate, MeanPredictor};
 pub use error::MlError;
-pub use forest::{BaggedRepTree, ForestParams};
 pub use kernel::Kernel;
 pub use lasso::LassoRegressor;
 pub use linreg::LinearRegression;
 pub use lssvm::LsSvmRegressor;
 pub use m5p::{M5Params, M5Prime};
 pub use metrics::{Metrics, SMaeThreshold};
-pub use persist::SavedModel;
+pub use persist_bin::SavedModel;
 pub use regressor::{Model, Regressor};
 pub use reptree::{RepTree, RepTreeParams};
 pub use svr::{SvrParams, SvrRegressor};

@@ -754,4 +754,25 @@ mod tests {
             "equal xs cannot split"
         );
     }
+
+    #[test]
+    fn concrete_fit_agrees_with_boxed_fit() {
+        // The concrete fit path (the one that yields a persistable
+        // `M5Model`) must predict exactly like the Regressor-trait path.
+        let n = 150;
+        let mut x = Matrix::zeros(n, 2);
+        let mut y = Vec::new();
+        for i in 0..n {
+            let a = i as f64 / n as f64 * 10.0;
+            let b = ((i * 7) % 13) as f64;
+            x.row_mut(i).copy_from_slice(&[a, b]);
+            y.push(if a <= 5.0 { 2.0 * a + b } else { 30.0 - a });
+        }
+        let reg = M5Prime::new(M5Params::default());
+        let boxed = reg.fit(&x, &y).unwrap();
+        let concrete = reg.fit_m5(&x, &y).unwrap();
+        for i in 0..x.rows() {
+            assert_eq!(boxed.predict_row(x.row(i)), concrete.predict_row(x.row(i)));
+        }
+    }
 }

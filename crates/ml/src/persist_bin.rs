@@ -1,33 +1,89 @@
-//! Binary payload codecs for [`SavedModel`] — the model-data half of the
-//! `f2pm-registry` artifact format.
+//! The persistable model set, [`SavedModel`], and its binary payload
+//! codec — the model-data half of the `f2pm-registry` artifact format,
+//! the one format every saved model travels in.
 //!
-//! Where [`crate::persist`] is the human-inspectable text format, this
-//! module is the compact wire-exact encoding the on-disk model registry
-//! frames inside its checksummed container: every f64 travels as its IEEE
-//! bit pattern (little-endian `to_bits`), so save → load → predict is
-//! bit-exact by construction, including negative zero, subnormals and
-//! infinities. The container (magic, version, metadata, CRCs) lives in
-//! `f2pm-registry`; this module only encodes and decodes the payload
-//! bytes between the length prefixes.
+//! Every f64 travels as its IEEE bit pattern (little-endian `to_bits`),
+//! so save → load → predict is bit-exact by construction, including
+//! negative zero, subnormals and infinities. The container (magic,
+//! version, metadata, CRCs) lives in `f2pm-registry`; this module only
+//! encodes and decodes the payload bytes between the length prefixes.
 //!
 //! The decoder is written to be safe on *arbitrary* bytes: every length
 //! is bounds-checked against the remaining input before any allocation,
-//! tree node indices are validated exactly like the text reader, and all
+//! tree node indices are validated against the node count, and all
 //! failures surface as `io::ErrorKind::InvalidData`/`UnexpectedEof`
 //! errors — never a panic. (In the registry the payload CRC is verified
 //! first, so a decode failure there means a format bug, not corruption —
 //! but the guarantee is unconditional.)
+//!
+//! ```
+//! use f2pm_linalg::Matrix;
+//! use f2pm_ml::{persist_bin, Model as _, SavedModel};
+//!
+//! let x = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0]]);
+//! let model = f2pm_ml::linreg::LinearModel::fit(&x, &[5.0, 7.0, 9.0]).unwrap();
+//! let saved = SavedModel::Linear(model);
+//! let mut bytes = Vec::new();
+//! persist_bin::encode_payload(&saved, &mut bytes);
+//! let loaded = persist_bin::decode_payload(persist_bin::kind_tag(&saved), &bytes).unwrap();
+//! assert!((loaded.as_model().predict_row(&[3.0]) - 11.0).abs() < 1e-9);
+//! ```
 
 use crate::batch::KernelExpansion;
 use crate::kernel::Kernel;
 use crate::linreg::LinearModel;
 use crate::lssvm::LsSvmModel;
 use crate::m5p::{M5Model, Node as M5Node};
-use crate::persist::SavedModel;
+use crate::regressor::Model;
 use crate::reptree::{Node as RepNode, RepTreeModel};
 use crate::svr::SvrModel;
 use f2pm_linalg::{ColumnStats, Matrix, Standardizer};
 use std::io;
+
+/// The savable model types.
+#[derive(Debug, Clone)]
+pub enum SavedModel {
+    /// OLS plane.
+    Linear(LinearModel),
+    /// REP-Tree.
+    RepTree(RepTreeModel),
+    /// M5P model tree.
+    M5(M5Model),
+    /// ε-SVR.
+    Svr(SvrModel),
+    /// LS-SVM.
+    LsSvm(LsSvmModel),
+}
+
+impl SavedModel {
+    /// Borrow as a prediction-capable model.
+    pub fn as_model(&self) -> &dyn Model {
+        match self {
+            SavedModel::Linear(m) => m,
+            SavedModel::RepTree(m) => m,
+            SavedModel::M5(m) => m,
+            SavedModel::Svr(m) => m,
+            SavedModel::LsSvm(m) => m,
+        }
+    }
+
+    /// Convert into a boxed model.
+    pub fn into_model(self) -> Box<dyn Model> {
+        match self {
+            SavedModel::Linear(m) => Box::new(m),
+            SavedModel::RepTree(m) => Box::new(m),
+            SavedModel::M5(m) => Box::new(m),
+            SavedModel::Svr(m) => Box::new(m),
+            SavedModel::LsSvm(m) => Box::new(m),
+        }
+    }
+
+    /// Model kind name (`"linear"`, `"rep_tree"`, ...): the
+    /// [`kind_name`] of its [`kind_tag`].
+    pub fn kind(&self) -> &'static str {
+        kind_name(kind_tag(self)).expect("every model kind has a tag")
+    }
+}
 
 /// Stable one-byte model-kind tags written into the artifact header.
 ///
@@ -53,8 +109,8 @@ pub fn kind_tag(model: &SavedModel) -> u8 {
     }
 }
 
-/// The text kind name for a tag (`"linear"`, `"rep_tree"`, ... — the same
-/// names [`SavedModel::kind`] uses), or `None` for an unknown tag.
+/// The kind name for a tag (`"linear"`, `"rep_tree"`, ...), or `None`
+/// for an unknown tag.
 pub fn kind_name(tag: u8) -> Option<&'static str> {
     Some(match tag {
         TAG_LINEAR => "linear",

@@ -30,8 +30,7 @@ pub struct ArtifactMeta {
     pub method: String,
     /// Unix seconds when the artifact was created.
     pub created_at_unix: u64,
-    /// Training-set S-MAE (seconds) at train time; `NaN` when unknown
-    /// (e.g. a model imported from the legacy text format).
+    /// Training-set S-MAE (seconds) at train time; `NaN` when unknown.
     pub train_smae: f64,
     /// Aggregation config the model was trained against — a serve
     /// instance must aggregate incoming datapoints identically.

@@ -18,8 +18,7 @@
 //! per-host `OnlinePredictor` buffer is touched.
 
 use f2pm_features::AggregationConfig;
-use f2pm_ml::persist::{self, SavedModel};
-use f2pm_ml::Model;
+use f2pm_ml::{Model, SavedModel};
 use f2pm_registry::ModelStore;
 use parking_lot::RwLock;
 use std::io;
@@ -76,12 +75,12 @@ impl ModelRegistry {
         Ok(registry)
     }
 
-    /// Create a registry serving a model file, using the full aggregated
-    /// column layout (the layout `f2pm train` fits against).
-    pub fn from_file(path: impl AsRef<Path>, agg: AggregationConfig) -> io::Result<Arc<Self>> {
-        let saved = persist::load(path)?;
-        let columns = f2pm_features::aggregate::aggregated_column_names_with(&agg);
-        Self::new(saved, columns, agg)
+    /// Load one artifact file (checksum-verified) and serve it with the
+    /// input contract its own metadata records — the single-file
+    /// counterpart of [`ModelRegistry::from_store`].
+    pub fn from_artifact(path: impl AsRef<Path>) -> io::Result<Arc<Self>> {
+        let (meta, saved) = f2pm_registry::artifact::load(path).map_err(io::Error::from)?;
+        Self::new(saved, meta.columns, meta.agg)
     }
 
     /// Cold-start from a model store: load the manifest-active artifact
@@ -110,12 +109,6 @@ impl ModelRegistry {
             kind,
         });
         Ok(generation)
-    }
-
-    /// Reload the model from a file (the hot-reload path for `f2pm serve`
-    /// watching a model file the trainer overwrites).
-    pub fn reload_from_file(&self, path: impl AsRef<Path>) -> io::Result<u64> {
-        self.install(persist::load(path)?)
     }
 
     /// The entry currently being served.
@@ -321,21 +314,31 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip_and_reload() {
+    fn artifact_file_serves_its_own_contract() {
+        use f2pm_registry::{artifact, ArtifactMeta};
         let dir = std::env::temp_dir().join(format!("f2pm_registry_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.txt");
-        let agg = AggregationConfig::default();
-        let width = f2pm_features::aggregate::aggregated_column_names_with(&agg).len();
+        let path = dir.join("model.f2pm");
+        let agg = AggregationConfig {
+            window_s: 15.0,
+            ..AggregationConfig::default()
+        };
+        let meta = ArtifactMeta::new("linear", agg, test_columns(), 1.0);
+        artifact::save(&path, &meta, &linear(7.0, vec![0.0, 0.0])).unwrap();
 
-        persist::save(&linear(7.0, vec![0.0; width]), &path).unwrap();
-        let reg = ModelRegistry::from_file(&path, agg).unwrap();
-        let handle = reg.shared_model();
-        assert_eq!(handle.predict_row(&vec![1.0; width]), 7.0);
+        let reg = ModelRegistry::from_artifact(&path).unwrap();
+        assert_eq!(reg.columns(), test_columns().as_slice());
+        assert_eq!(reg.agg(), agg);
+        assert_eq!(reg.shared_model().predict_row(&[1.0, 1.0]), 7.0);
 
-        persist::save(&linear(9.0, vec![0.0; width]), &path).unwrap();
-        assert_eq!(reg.reload_from_file(&path).unwrap(), 2);
-        assert_eq!(handle.predict_row(&vec![1.0; width]), 9.0);
+        // One flipped payload byte (the payload CRC is the last 4 bytes)
+        // fails the checksum before decoding.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() - 5;
+        bytes[at] ^= 0x01;
+        std::fs::write(&path, bytes).unwrap();
+        let err = ModelRegistry::from_artifact(&path).err().expect("corrupt");
+        assert!(err.to_string().contains("checksum"), "{err}");
 
         std::fs::remove_dir_all(&dir).ok();
     }

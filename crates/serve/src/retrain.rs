@@ -39,8 +39,7 @@
 use f2pm::{FactorPath, RetrainConfig as EngineConfig, RetrainEngine};
 use f2pm_features::aggregate::{aggregate_run, aggregated_column_names_with};
 use f2pm_features::AggregationConfig;
-use f2pm_ml::persist::SavedModel;
-use f2pm_ml::{Metrics, Model, SMaeThreshold};
+use f2pm_ml::{Metrics, Model, SMaeThreshold, SavedModel};
 use f2pm_monitor::{Datapoint, RunData};
 use f2pm_registry::{ArtifactMeta, ModelStore};
 use std::collections::HashMap;

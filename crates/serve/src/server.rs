@@ -21,8 +21,10 @@
 //!   hosts nearest failure answered from the seqlock estimate board.
 //!
 //! Model hot-reloads go through the shared [`ModelRegistry`]: calling
-//! [`ModelRegistry::install`] (or `reload_from_file`) swaps the model for
-//! every host's next prediction without dropping a single connection.
+//! [`ModelRegistry::install`] (directly, or through a
+//! [`crate::StoreWatcher`] following a model store's manifest) swaps the
+//! model for every host's next prediction without dropping a single
+//! connection.
 
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::reactor::ReactorPool;
@@ -320,7 +322,7 @@ mod tests {
     use crate::registry;
     use f2pm_features::AggregationConfig;
     use f2pm_ml::linreg::LinearModel;
-    use f2pm_ml::persist::SavedModel;
+    use f2pm_ml::SavedModel;
 
     fn test_registry() -> Arc<crate::ModelRegistry> {
         registry::ModelRegistry::new(

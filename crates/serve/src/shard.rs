@@ -651,7 +651,7 @@ mod tests {
     use super::*;
     use f2pm_features::AggregationConfig;
     use f2pm_ml::linreg::LinearModel;
-    use f2pm_ml::persist::SavedModel;
+    use f2pm_ml::SavedModel;
     use f2pm_monitor::FeatureId;
     use std::time::Duration;
 

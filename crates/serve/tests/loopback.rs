@@ -7,7 +7,7 @@
 
 use f2pm_features::AggregationConfig;
 use f2pm_ml::linreg::LinearModel;
-use f2pm_ml::persist::SavedModel;
+use f2pm_ml::SavedModel;
 use f2pm_monitor::wire::{Message, PROTOCOL_VERSION};
 use f2pm_monitor::{Datapoint, FeatureId, FeatureMonitorClient, FmcConfig};
 use f2pm_serve::{AlertPolicy, ModelRegistry, PredictionServer, ServeConfig, ServeHandle};

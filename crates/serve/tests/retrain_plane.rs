@@ -8,7 +8,7 @@
 use f2pm_features::aggregate::aggregated_column_names_with;
 use f2pm_features::AggregationConfig;
 use f2pm_ml::linreg::LinearModel;
-use f2pm_ml::persist::SavedModel;
+use f2pm_ml::SavedModel;
 use f2pm_monitor::wire::{Message, PROTOCOL_VERSION};
 use f2pm_monitor::{Datapoint, FeatureId};
 use f2pm_registry::{ArtifactMeta, ModelStore};

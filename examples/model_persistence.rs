@@ -3,26 +3,29 @@
 //! near the monitored guest).
 //!
 //! 1. collect a campaign and archive it as CSV;
-//! 2. train a REP-Tree, persist it to a text file;
-//! 3. "elsewhere": load the model and the archive, replay the datapoint
-//!    stream through an online predictor, and compare the live estimates
-//!    against ground truth.
+//! 2. train a REP-Tree, save it as a checksummed F2PM artifact that also
+//!    records the aggregation config and input columns it was trained on;
+//! 3. "elsewhere": load (and checksum-verify) the artifact and the
+//!    archive, aggregate the archived run the way the artifact says, and
+//!    compare the estimates against ground truth.
 //!
 //! ```text
 //! cargo run --release --example model_persistence
 //! ```
 
 use f2pm_repro::f2pm::F2pmConfig;
+use f2pm_repro::f2pm_features::aggregate::aggregated_column_names_with;
 use f2pm_repro::f2pm_features::{aggregate_history, Dataset};
-use f2pm_repro::f2pm_ml::{persist, RepTree, RepTreeParams, SavedModel};
+use f2pm_repro::f2pm_ml::{Metrics, RepTree, RepTreeParams, SMaeThreshold, SavedModel};
 use f2pm_repro::f2pm_monitor::{load_csv, save_csv, DataHistory};
+use f2pm_repro::f2pm_registry::{artifact, ArtifactMeta};
 use f2pm_repro::f2pm_sim::Campaign;
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("f2pm_persist_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let history_path = dir.join("history.csv");
-    let model_path = dir.join("rep_tree.model");
+    let model_path = dir.join("rep_tree.f2pm");
 
     // --- Training side -------------------------------------------------
     let cfg = F2pmConfig::quick();
@@ -31,7 +34,8 @@ fn main() {
     let history = DataHistory::from_campaign(&runs);
     save_csv(&history, &history_path).expect("archive history");
 
-    let points = aggregate_history(&history, &cfg.aggregation);
+    let agg = cfg.aggregation;
+    let points = aggregate_history(&history, &agg);
     let ds = Dataset::from_points(&points);
     let tree = RepTree::new(RepTreeParams::default())
         .fit_tree(&ds.x, &ds.y)
@@ -41,22 +45,32 @@ fn main() {
         tree.leaf_count(),
         ds.len()
     );
-    persist::save(&SavedModel::RepTree(tree), &model_path).expect("persist model");
+    let saved = SavedModel::RepTree(tree);
+    let fitted = saved.as_model().predict_batch(&ds.x).expect("score");
+    let smae = Metrics::compute(&fitted, &ds.y, SMaeThreshold::paper_default()).smae;
+    let meta = ArtifactMeta::new("rep_tree", agg, aggregated_column_names_with(&agg), smae);
+    artifact::save(&model_path, &meta, &saved).expect("save artifact");
     println!(
-        "[train side] model saved to {} ({} bytes)",
+        "[train side] artifact saved to {} ({} bytes)",
         model_path.display(),
         std::fs::metadata(&model_path).unwrap().len()
     );
 
     // --- Prediction side (a different process in real deployments) -----
-    let loaded = persist::load(&model_path).expect("load model");
-    println!("\n[predict side] loaded a `{}` model", loaded.kind());
+    let (meta, loaded) = artifact::load(&model_path).expect("load artifact");
+    println!(
+        "\n[predict side] loaded a checksum-verified `{}` model ({} inputs, {} s windows, \
+         training S-MAE {:.1} s)",
+        loaded.kind(),
+        meta.columns.len(),
+        meta.agg.window_s,
+        meta.train_smae
+    );
     let archive = load_csv(&history_path).expect("load archive");
     let run = archive.runs().into_iter().next().expect("first run");
     let fail_t = run.fail_time.expect("failing run");
 
-    let agg = cfg.aggregation;
-    let points = f2pm_repro::f2pm_features::aggregate_run(&run, &agg);
+    let points = f2pm_repro::f2pm_features::aggregate_run(&run, &meta.agg);
     println!(
         "[predict side] replaying {} windows of the archived run (fails at {:.0} s):\n",
         points.len(),
@@ -69,7 +83,7 @@ fn main() {
     let model = loaded.as_model();
     let show = points.len().min(10);
     for p in points.iter().take(show) {
-        let est = model.predict_row(&p.inputs()).max(0.0);
+        let est = model.predict_row(&p.inputs_with(&meta.agg)).max(0.0);
         let actual = p.rttf.unwrap();
         println!(
             "{:>10.1} {:>16.1} {:>14.1} {:>10.1}",
@@ -84,5 +98,5 @@ fn main() {
     }
 
     std::fs::remove_dir_all(&dir).ok();
-    println!("\nthe saved model file is plain text — open it in an editor to inspect the tree.");
+    println!("\nlist and verify artifacts in a model store with `f2pm models DIR list|verify`.");
 }

@@ -12,6 +12,8 @@
 //! - [`f2pm_monitor`] — datapoints, data history, FMC/FMS monitoring
 //! - [`f2pm_features`] — aggregation, slopes, RTTF labeling, lasso selection
 //! - [`f2pm_ml`] — the six regressors and validation metrics
+//! - [`f2pm_registry`] — checksummed model artifacts, the model store and
+//!   the columnar history container
 //! - [`f2pm_serve`] — sharded online RTTF prediction service
 //! - [`f2pm`] — the framework workflow tying everything together
 
@@ -20,5 +22,6 @@ pub use f2pm_features;
 pub use f2pm_linalg;
 pub use f2pm_ml;
 pub use f2pm_monitor;
+pub use f2pm_registry;
 pub use f2pm_serve;
 pub use f2pm_sim;

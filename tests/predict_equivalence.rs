@@ -5,13 +5,14 @@
 //! are asserted with exact equality, not a tolerance. Linear-kernel SVM
 //! models score through primal weights derived when the model is built,
 //! so they must also score identically however they were built: fitted,
-//! reloaded from either model format, or assembled with `from_parts`.
+//! reloaded through the binary model codec, or assembled with
+//! `from_parts`.
 
 use f2pm_repro::f2pm_linalg::{Matrix, Standardizer};
 use f2pm_repro::f2pm_ml::lssvm::LsSvmModel;
 use f2pm_repro::f2pm_ml::{
-    persist, persist_bin, Kernel, LassoRegressor, LinearRegression, LsSvmRegressor, M5Params,
-    M5Prime, Model, Regressor, RepTree, RepTreeParams, SavedModel, SvrParams, SvrRegressor,
+    persist_bin, Kernel, LassoRegressor, LinearRegression, LsSvmRegressor, M5Params, M5Prime,
+    Model, Regressor, RepTree, RepTreeParams, SavedModel, SvrParams, SvrRegressor,
 };
 
 /// Deterministic design matrix with a mildly nonlinear target.
@@ -173,15 +174,11 @@ fn linear_kernel_models_score_identically_across_construction_paths() {
         persist_bin::encode_payload(&saved, &mut bytes);
         let binary = persist_bin::decode_payload(persist_bin::kind_tag(&saved), &bytes)
             .expect("binary decode");
-        let text = persist::from_str(&persist::to_string(&saved)).expect("text parse");
-
-        for (path, reloaded) in [("binary", binary), ("text", text)] {
-            let label = format!("{name} {path} round trip");
-            assert_eq!(
-                scores(reloaded.as_model(), &queries, &label),
-                fresh,
-                "{label}: scores differ from the fitted model"
-            );
-        }
+        let label = format!("{name} binary round trip");
+        assert_eq!(
+            scores(binary.as_model(), &queries, &label),
+            fresh,
+            "{label}: scores differ from the fitted model"
+        );
     }
 }
