@@ -1092,25 +1092,24 @@ pub fn retrain_bench(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared helper so tests can synthesize a tiny valid history file.
-#[allow(dead_code)]
-pub fn write_tiny_history(path: &std::path::Path) {
-    let mut h = DataHistory::new();
-    for i in 0..40 {
-        let mut d = Datapoint {
-            t_gen: i as f64 * 1.5,
-            values: [1.0; 14],
-        };
-        d.values[6] = i as f64 * 10.0; // swap_used rises
-        h.push_datapoint(d);
-    }
-    h.push_fail(65.0);
-    save_csv(&h, path).unwrap();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Synthesize a tiny valid history file.
+    fn write_tiny_history(path: &std::path::Path) {
+        let mut h = DataHistory::new();
+        for i in 0..40 {
+            let mut d = Datapoint {
+                t_gen: i as f64 * 1.5,
+                values: [1.0; 14],
+            };
+            d.values[6] = i as f64 * 10.0; // swap_used rises
+            h.push_datapoint(d);
+        }
+        h.push_fail(65.0);
+        save_csv(&h, path).unwrap();
+    }
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()

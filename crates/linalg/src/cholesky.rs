@@ -1,8 +1,10 @@
 //! Cholesky factorization of symmetric positive-definite matrices.
 //!
-//! Used by the OLS normal-equation path, ridge systems, and the LS-SVM
-//! kernel solve (`f2pm-ml`). The factorization stores the lower triangle `L`
-//! with `A = L Lᵀ` and solves by forward/back substitution.
+//! The one factorization behind every least-squares fit: [`crate::ols`]
+//! (linear regression and M5P node models, on both its full-rank and its
+//! ridge path), the linear LS-SVM's primal normal equations and the kernel
+//! LS-SVM solve (`f2pm-ml`). The factorization stores the lower triangle
+//! `L` with `A = L Lᵀ` and solves by forward/back substitution.
 //!
 //! Two factorization kernels share the entry point: the textbook scalar
 //! column sweep ([`Cholesky::factor_scalar`], the reference) and a blocked

@@ -19,11 +19,6 @@ pub enum LinalgError {
         /// Index of the failing pivot.
         pivot: usize,
     },
-    /// The matrix is rank deficient (zero diagonal in R during QR solve).
-    RankDeficient {
-        /// Index of the (near-)zero diagonal entry.
-        column: usize,
-    },
     /// An iterative solver failed to converge within its iteration budget.
     DidNotConverge {
         /// Iterations performed before giving up.
@@ -58,9 +53,6 @@ impl fmt::Display for LinalgError {
             ),
             LinalgError::NotPositiveDefinite { pivot } => {
                 write!(f, "matrix is not positive definite (pivot {pivot})")
-            }
-            LinalgError::RankDeficient { column } => {
-                write!(f, "matrix is rank deficient at column {column}")
             }
             LinalgError::DidNotConverge {
                 iterations,
@@ -107,9 +99,6 @@ mod tests {
         assert!(LinalgError::NotPositiveDefinite { pivot: 3 }
             .to_string()
             .contains("pivot 3"));
-        assert!(LinalgError::RankDeficient { column: 2 }
-            .to_string()
-            .contains("column 2"));
         assert!(LinalgError::DidNotConverge {
             iterations: 10,
             residual: 0.5
@@ -130,6 +119,6 @@ mod tests {
     #[test]
     fn error_is_std_error() {
         fn takes_err(_: &dyn std::error::Error) {}
-        takes_err(&LinalgError::RankDeficient { column: 0 });
+        takes_err(&LinalgError::NotPositiveDefinite { pivot: 0 });
     }
 }

@@ -4,8 +4,9 @@
 //!
 //! The F2PM pipeline hand-rolls all of its regressors (OLS, lasso coordinate
 //! descent, LS-SVM kernel solves, SVR), so it needs a small but solid dense
-//! linear-algebra kernel: a row-major [`Matrix`], Cholesky and Householder-QR
-//! factorizations, triangular solves, a conjugate-gradient solver (the
+//! linear-algebra kernel: a row-major [`Matrix`], the Cholesky factorization
+//! and its triangular solves, least squares with an intercept over a subset
+//! of rows ([`ols`], on the same Cholesky), a conjugate-gradient solver (the
 //! baseline the solver benchmarks compare the factorization against), and
 //! column statistics / standardization used by the feature pipeline.
 //!
@@ -17,14 +18,16 @@
 //! ## Quick example
 //!
 //! ```
-//! use f2pm_linalg::{Matrix, lstsq};
+//! use f2pm_linalg::{ols, Matrix};
 //!
-//! // Fit y = 2x + 1 exactly.
-//! let x = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]]);
+//! // Fit y = 2x + 1 exactly, then again over rows 0 and 2 only.
+//! let x = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0]]);
 //! let y = [1.0, 3.0, 5.0];
-//! let beta = lstsq(&x, &y).unwrap();
-//! assert!((beta[0] - 1.0).abs() < 1e-10);
-//! assert!((beta[1] - 2.0).abs() < 1e-10);
+//! for rows in [&[0, 1, 2][..], &[0, 2]] {
+//!     let (intercept, slopes) = ols(&x, &y, rows).unwrap();
+//!     assert!((intercept - 1.0).abs() < 1e-10);
+//!     assert!((slopes[0] - 2.0).abs() < 1e-10);
+//! }
 //! ```
 
 // Indexed loops in the numeric kernels intentionally mirror the textbook
@@ -36,7 +39,7 @@ mod cholesky;
 mod error;
 mod gemm;
 mod matrix;
-mod qr;
+mod ols;
 mod stats;
 mod threads;
 mod update;
@@ -50,7 +53,7 @@ pub use gemm::{
     syrk_rows_upper_scratch, worker_count, GEMM_BLOCK_COLS, GEMM_BLOCK_K, PARALLEL_MIN_ELEMS,
 };
 pub use matrix::Matrix;
-pub use qr::{lstsq, residual_norm, QrFactorization};
+pub use ols::ols;
 pub use stats::{mean, variance, ColumnStats, Standardizer};
 pub use threads::pool_threads;
 pub use update::DOWNDATE_GUARD;

@@ -338,11 +338,6 @@ impl Matrix {
         }
         out
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        crate::norm2(&self.data)
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {

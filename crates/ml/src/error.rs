@@ -79,9 +79,9 @@ mod tests {
 
     #[test]
     fn from_linalg_preserves_source() {
-        let inner = f2pm_linalg::LinalgError::RankDeficient { column: 1 };
+        let inner = f2pm_linalg::LinalgError::NotPositiveDefinite { pivot: 1 };
         let e: MlError = inner.clone().into();
-        assert!(e.to_string().contains("rank deficient"));
+        assert!(e.to_string().contains("not positive definite"));
         let src = std::error::Error::source(&e).expect("has source");
         assert_eq!(src.to_string(), inner.to_string());
     }

@@ -6,7 +6,7 @@
 //!
 //! | Paper method              | Module       | Algorithm                              |
 //! |---------------------------|--------------|----------------------------------------|
-//! | Linear Regression         | [`linreg`]   | OLS via Householder QR                 |
+//! | Linear Regression         | [`linreg`]   | OLS on the Cholesky factor of the centered normal equations |
 //! | M5P                       | [`m5p`]      | model tree: SDR splits, linear leaf models, pruning, smoothing (Wang & Witten) |
 //! | REP-Tree                  | [`reptree`]  | variance-reduction tree + reduced-error pruning with backfitting |
 //! | Lasso as a Predictor      | [`lasso`]    | coordinate descent (shared with the selection phase) |

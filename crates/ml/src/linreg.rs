@@ -3,10 +3,11 @@
 use crate::regressor::{check_chunk, check_training_data, Model, Regressor};
 use crate::MlError;
 use f2pm_features::{ColumnSlice, FeatureChunk};
-use f2pm_linalg::{lstsq, Matrix};
+use f2pm_linalg::{ols, Matrix};
 
-/// OLS with intercept, solved by Householder QR (with a ridge fallback for
-/// collinear designs, see [`f2pm_linalg::lstsq`]).
+/// OLS with intercept, solved on the Cholesky factor of the centered
+/// normal equations (with a ridge path for collinear designs, see
+/// [`f2pm_linalg::ols`]).
 #[derive(Debug, Clone, Default)]
 pub struct LinearRegression;
 
@@ -80,14 +81,20 @@ pub struct LinearModel {
 }
 
 impl LinearModel {
-    /// Fit directly (also used by the tree learners for leaf models).
+    /// Fit directly on every row of `x`.
     pub fn fit(x: &Matrix, y: &[f64]) -> Result<LinearModel, MlError> {
         check_training_data(x, y)?;
-        let design = x.with_intercept();
-        let beta = lstsq(&design, y)?;
+        let rows: Vec<usize> = (0..x.rows()).collect();
+        Self::fit_rows(x, y, &rows)
+    }
+
+    /// Fit on the listed rows of already-checked training data, without
+    /// copying them (M5P node models).
+    pub(crate) fn fit_rows(x: &Matrix, y: &[f64], rows: &[usize]) -> Result<LinearModel, MlError> {
+        let (intercept, coefficients) = ols(x, y, rows)?;
         Ok(LinearModel {
-            intercept: beta[0],
-            coefficients: beta[1..].to_vec(),
+            intercept,
+            coefficients,
         })
     }
 
@@ -275,8 +282,8 @@ mod tests {
 
     #[test]
     fn collinear_design_still_fits() {
-        // Two identical columns: QR reports rank deficiency, the ridge
-        // fallback still produces a small-residual fit.
+        // Two identical columns: the correlation factor's second pivot is
+        // zero, and the ridge path still produces a small-residual fit.
         let x = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0], &[4.0, 4.0]]);
         let y = [2.0, 4.0, 6.0, 8.0];
         let model = LinearModel::fit(&x, &y).unwrap();

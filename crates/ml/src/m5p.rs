@@ -267,9 +267,7 @@ impl<'a> Builder<'a> {
             let mean = idx.iter().map(|&i| self.y[i]).sum::<f64>() / idx.len().max(1) as f64;
             return Ok(LinearModel::constant(mean, p));
         }
-        let xs = self.x.select_rows(idx);
-        let ys: Vec<f64> = idx.iter().map(|&i| self.y[i]).collect();
-        LinearModel::fit(&xs, &ys)
+        LinearModel::fit_rows(self.x, self.y, idx)
     }
 }
 

@@ -6,7 +6,7 @@
 //!
 //! The actual implementation lives in the member crates:
 //!
-//! - [`f2pm_linalg`] — dense linear algebra (Cholesky, QR, CG, stats)
+//! - [`f2pm_linalg`] — dense linear algebra (Cholesky, least squares, CG, stats)
 //! - [`f2pm_sim`] — discrete-event testbed simulator (VM resources, TPC-W
 //!   workload, anomaly injectors, failure conditions)
 //! - [`f2pm_monitor`] — datapoints, data history, FMC/FMS monitoring
