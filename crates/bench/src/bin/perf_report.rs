@@ -62,6 +62,39 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
+/// Seconds each side of an interleaved comparison runs for at least.
+const PAIR_BUDGET_S: f64 = 0.5;
+
+/// Time `a` and `b` in interleaved pairs, alternating which goes first,
+/// until there are at least five pairs and each side has spent
+/// [`PAIR_BUDGET_S`]. Returns both sides' times, pair by pair, after one
+/// untimed warm-up call of each.
+fn interleaved_pairs<A, B>(
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (Vec<f64>, Vec<f64>) {
+    std::hint::black_box(a());
+    std::hint::black_box(b());
+    let (mut ta, mut tb) = (Vec::new(), Vec::new());
+    while ta.len() < 5 || ta.iter().sum::<f64>().min(tb.iter().sum()) < PAIR_BUDGET_S {
+        let t = Instant::now();
+        if ta.len() % 2 == 0 {
+            std::hint::black_box(a());
+            let mid = Instant::now();
+            std::hint::black_box(b());
+            ta.push((mid - t).as_secs_f64());
+            tb.push(mid.elapsed().as_secs_f64());
+        } else {
+            std::hint::black_box(b());
+            let mid = Instant::now();
+            std::hint::black_box(a());
+            tb.push((mid - t).as_secs_f64());
+            ta.push(mid.elapsed().as_secs_f64());
+        }
+    }
+    (ta, tb)
+}
+
 /// Median of `v` (sorted in place).
 fn median(v: &mut [f64]) -> f64 {
     v.sort_by(f64::total_cmp);
@@ -487,29 +520,9 @@ fn main() {
         // shrinking config resolves to the plain sweep and the ratio is
         // gated in CI as a pure activation-threshold regression check.
         // A fit is 1-30 ms, where one scheduler hiccup swings a min-of-5
-        // by 10%: run interleaved pairs (alternating which side goes
-        // first) until each side has spent SVR_BUDGET_S, and report the
-        // median of the per-pair ratios.
-        const SVR_BUDGET_S: f64 = 0.5;
-        let time = |shrinking: bool| {
-            let t = Instant::now();
-            std::hint::black_box(fit(shrinking));
-            t.elapsed().as_secs_f64()
-        };
-        time(false); // warm-up, both sides
-        time(true);
-        let (mut plain, mut shrunk) = (Vec::new(), Vec::new());
-        while plain.len() < 5 || plain.iter().sum::<f64>().min(shrunk.iter().sum()) < SVR_BUDGET_S {
-            let shrunk_first = plain.len() % 2 == 1;
-            let (first, second) = (time(shrunk_first), time(!shrunk_first));
-            let (p, s) = if shrunk_first {
-                (second, first)
-            } else {
-                (first, second)
-            };
-            plain.push(p);
-            shrunk.push(s);
-        }
+        // by 10%: time interleaved pairs and report the median of the
+        // per-pair ratios.
+        let (mut plain, mut shrunk) = interleaved_pairs(|| fit(false), || fit(true));
         let mut ratios: Vec<f64> = plain.iter().zip(&shrunk).map(|(p, s)| p / s).collect();
         let (pairs, speedup) = (ratios.len(), median(&mut ratios));
         let (plain, shrunk) = (median(&mut plain), median(&mut shrunk));
@@ -544,42 +557,36 @@ fn main() {
                 .expect("ls-svm fit"),
         ),
     ];
-    // More reps than the other sections: the batch-vs-per-row ratio is
-    // gated in CI at 1.05x, so the two timings need to be stable against
-    // scheduler noise even in --smoke.
-    let predict_reps = reps.max(5);
     for (idx, (name, model)) in models.iter().enumerate() {
-        // Interleave the two sides within each rep (same trick as the
-        // columnar section): a CPU-steal burst then lands on both
-        // timings instead of inflating whichever block it hit.
-        let per_row_pass = || -> Vec<f64> {
-            (0..query.rows())
-                .map(|i| model.predict_row(query.row(i)))
-                .collect()
-        };
-        let batch_pass = || model.predict_batch(&query).expect("width");
-        std::hint::black_box(per_row_pass());
-        std::hint::black_box(batch_pass());
-        let (mut per_row, mut batch) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..predict_reps {
-            let t = Instant::now();
-            std::hint::black_box(per_row_pass());
-            per_row = per_row.min(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            std::hint::black_box(batch_pass());
-            batch = batch.min(t.elapsed().as_secs_f64());
-        }
-        eprintln!("  {name}: per-row {per_row:.4}s, batch {batch:.4}s");
+        // The batch-vs-per-row ratio is gated at 1.05x, so it comes from
+        // interleaved pairs, as the SVR section's does: a CPU-steal burst
+        // then lands on both sides of a pair instead of on one side's
+        // minimum.
+        let (mut per_row, mut batch) = interleaved_pairs(
+            || -> Vec<f64> {
+                (0..query.rows())
+                    .map(|i| model.predict_row(query.row(i)))
+                    .collect()
+            },
+            || model.predict_batch(&query).expect("width"),
+        );
+        let mut ratios: Vec<f64> = batch.iter().zip(&per_row).map(|(b, r)| b / r).collect();
+        let (pairs, ratio) = (ratios.len(), median(&mut ratios));
+        let (per_row, batch) = (median(&mut per_row), median(&mut batch));
+        eprintln!(
+            "  {name}: per-row {per_row:.4}s, batch {batch:.4}s ({ratio:.3}x over {pairs} pairs)"
+        );
         if smoke {
             // The predict_2000 regression gate: batch scoring must never
             // lose to the per-row loop beyond noise. 1.05x plus a 250µs
-            // absolute allowance: a --smoke pass is under a millisecond,
-            // where scheduler jitter alone exceeds 5% — the regression
-            // this guards against cost whole milliseconds.
+            // absolute allowance on the median per-row time: a --smoke
+            // pass is under a millisecond, where scheduler jitter alone
+            // exceeds 5% — the regression this guards against cost whole
+            // milliseconds.
             assert!(
-                batch <= per_row * 1.05 + 250e-6,
-                "{name}: predict_batch ({batch:.6}s) slower than 1.05x the \
-                 per-row loop ({per_row:.6}s)"
+                ratio * per_row <= per_row * 1.05 + 250e-6,
+                "{name}: predict_batch at {ratio:.3}x the per-row loop \
+                 ({per_row:.6}s) over {pairs} pairs, above 1.05x + 250us"
             );
         }
         let _ = writeln!(json, "    \"{name}_per_row_s\": {per_row:.6},");

@@ -31,6 +31,19 @@ const RIDGE: f64 = 1e-8;
 /// # Panics
 /// Panics if a row index is out of bounds.
 pub fn ols(x: &Matrix, y: &[f64], rows: &[usize]) -> Result<(f64, Vec<f64>)> {
+    fit(x, y, rows, normal_equations)
+}
+
+/// How a fit forms `(Σ v vᵀ, Σ v·t)`; see [`normal_equations`].
+type NormalEquations =
+    fn(&[usize], usize, &mut dyn FnMut(usize, &mut [f64]) -> f64) -> (Matrix, Vec<f64>);
+
+fn fit(
+    x: &Matrix,
+    y: &[f64],
+    rows: &[usize],
+    normal_equations: NormalEquations,
+) -> Result<(f64, Vec<f64>)> {
     if y.len() != x.rows() {
         return Err(LinalgError::DimensionMismatch {
             op: "ols",
@@ -38,11 +51,11 @@ pub fn ols(x: &Matrix, y: &[f64], rows: &[usize]) -> Result<(f64, Vec<f64>)> {
             rhs: (y.len(), 1),
         });
     }
-    if let Some(fit) = centered_fit(x, y, rows) {
+    if let Some(fit) = centered_fit(x, y, rows, normal_equations) {
         return Ok(fit);
     }
     let p = x.cols();
-    let (gram, xty) = normal_equations(rows, p + 1, |i, v| {
+    let (gram, xty) = normal_equations(rows, p + 1, &mut |i, v| {
         v[0] = 1.0;
         v[1..].copy_from_slice(x.row(i));
         y[i]
@@ -54,7 +67,12 @@ pub fn ols(x: &Matrix, y: &[f64], rows: &[usize]) -> Result<(f64, Vec<f64>)> {
 }
 
 /// The full-rank fit, or `None` when the design fails either rank test.
-fn centered_fit(x: &Matrix, y: &[f64], rows: &[usize]) -> Option<(f64, Vec<f64>)> {
+fn centered_fit(
+    x: &Matrix,
+    y: &[f64],
+    rows: &[usize],
+    normal_equations: NormalEquations,
+) -> Option<(f64, Vec<f64>)> {
     let p = x.cols();
     if rows.len() <= p {
         return None;
@@ -72,7 +90,7 @@ fn centered_fit(x: &Matrix, y: &[f64], rows: &[usize]) -> Option<(f64, Vec<f64>)
     }
     mean.iter_mut().for_each(|s| *s /= m);
     ybar /= m;
-    let (mut corr, xty) = normal_equations(rows, p, |i, v| {
+    let (mut corr, xty) = normal_equations(rows, p, &mut |i, v| {
         for ((vj, xj), mj) in v.iter_mut().zip(x.row(i)).zip(&mean) {
             *vj = xj - mj;
         }
@@ -100,25 +118,75 @@ fn centered_fit(x: &Matrix, y: &[f64], rows: &[usize]) -> Option<(f64, Vec<f64>)
     Some((ybar - dot(&coefficients, &mean), coefficients))
 }
 
+/// Rows gathered into one block of [`normal_equations`].
+const BLOCK_ROWS: usize = 64;
+
+/// Edge of the register tile of [`normal_equations`]: one
+/// `TILE × TILE` block of the Gram stays in registers across a row block.
+const TILE: usize = 8;
+
 /// `(Σ v vᵀ, Σ v·t)` over `rows`, where `row(i, v)` fills `v` for row `i`
 /// and returns its target `t`. Each entry sums its rows in the order
 /// given; only the lower triangle, the half [`Cholesky`] reads, is formed.
+///
+/// The rows are gathered [`BLOCK_ROWS`] at a time into a zero-padded
+/// block, and each lower `TILE × TILE` tile of the Gram takes the whole
+/// block as a run of outer products in registers. Every entry still adds
+/// its products one row at a time in row order, so the sums are the ones
+/// a row-at-a-time update forms, bit for bit.
 fn normal_equations(
     rows: &[usize],
     n: usize,
-    mut row: impl FnMut(usize, &mut [f64]) -> f64,
+    row: &mut dyn FnMut(usize, &mut [f64]) -> f64,
 ) -> (Matrix, Vec<f64>) {
-    let mut gram = Matrix::zeros(n, n);
+    let w = n.div_ceil(TILE) * TILE;
+    let mut padded = vec![0.0; w * w];
     let mut rhs = vec![0.0; n];
-    let mut v = vec![0.0; n];
-    for &i in rows {
-        let t = row(i, &mut v);
-        for j in 0..n {
-            axpy(v[j], &v[..=j], &mut gram.row_mut(j)[..=j]);
+    let mut block = vec![0.0; BLOCK_ROWS * w];
+    let mut targets = [0.0; BLOCK_ROWS];
+    for chunk in rows.chunks(BLOCK_ROWS) {
+        for ((v, t), &i) in block.chunks_exact_mut(w).zip(&mut targets).zip(chunk) {
+            *t = row(i, &mut v[..n]);
         }
-        axpy(t, &v, &mut rhs);
+        let block = &block[..chunk.len() * w];
+        for j0 in (0..w).step_by(TILE) {
+            for k0 in (0..=j0).step_by(TILE) {
+                tile_update(&mut padded, w, j0, k0, block);
+            }
+        }
+        for (v, &t) in block.chunks_exact(w).zip(&targets) {
+            axpy(t, &v[..n], &mut rhs);
+        }
+    }
+    let mut gram = Matrix::zeros(n, n);
+    for j in 0..n {
+        gram.row_mut(j)[..=j].copy_from_slice(&padded[j * w..j * w + j + 1]);
     }
     (gram, rhs)
+}
+
+/// Add `Σ_v v[j0 + a] · v[k0 + b]` over the block's rows `v` (width `w`)
+/// to the tile of `gram` at `(j0, k0)`, one row after another.
+#[inline]
+fn tile_update(gram: &mut [f64], w: usize, j0: usize, k0: usize, block: &[f64]) {
+    let mut acc = [[0.0; TILE]; TILE];
+    for (a, out) in acc.iter_mut().enumerate() {
+        out.copy_from_slice(&gram[(j0 + a) * w + k0..][..TILE]);
+    }
+    for v in block.chunks_exact(w) {
+        let (vj, vk) = (&v[j0..j0 + TILE], &v[k0..k0 + TILE]);
+        // An indexed inner loop over a slice: LLVM keeps each `acc` row
+        // in one vector register. Iterating a fixed-size array here makes
+        // it vectorize across rows instead, through memory.
+        for (row, &a) in acc.iter_mut().zip(vj) {
+            for c in 0..TILE {
+                row[c] += a * vk[c];
+            }
+        }
+    }
+    for (a, out) in acc.iter().enumerate() {
+        gram[(j0 + a) * w + k0..][..TILE].copy_from_slice(out);
+    }
 }
 
 #[cfg(test)]
@@ -222,7 +290,7 @@ mod tests {
         // Columns {0, 2} are full rank; all three take the ridge path.
         for cols in [&[0, 2][..], &[0, 1, 2]] {
             let (xc, copy_c) = (x.select_columns(cols), copy.select_columns(cols));
-            let full_rank = centered_fit(&xc, &y, &idx).is_some();
+            let full_rank = centered_fit(&xc, &y, &idx, normal_equations).is_some();
             assert_eq!(full_rank, cols.len() == 2, "columns {cols:?}");
             let (b0, b) = ols(&xc, &y, &idx).unwrap();
             let (c0, c) = ols(&copy_c, &ys, &all_rows(&copy_c)).unwrap();
@@ -245,6 +313,99 @@ mod tests {
         let (b0, b) = ols(&x, &y, &all_rows(&x)).unwrap();
         let bits: Vec<u64> = std::iter::once(b0).chain(b).map(f64::to_bits).collect();
         assert_eq!(bits, GOLDEN);
+    }
+
+    /// The row-at-a-time update the blocked kernel replaced: each row
+    /// adds its outer product to the lower triangle, one short axpy per
+    /// Gram row.
+    fn row_at_a_time(
+        rows: &[usize],
+        n: usize,
+        row: &mut dyn FnMut(usize, &mut [f64]) -> f64,
+    ) -> (Matrix, Vec<f64>) {
+        let mut gram = Matrix::zeros(n, n);
+        let mut rhs = vec![0.0; n];
+        let mut v = vec![0.0; n];
+        for &i in rows {
+            let t = row(i, &mut v);
+            for j in 0..n {
+                axpy(v[j], &v[..=j], &mut gram.row_mut(j)[..=j]);
+            }
+            axpy(t, &v, &mut rhs);
+        }
+        (gram, rhs)
+    }
+
+    fn bits(b0: f64, b: &[f64]) -> Vec<u64> {
+        std::iter::once(b0)
+            .chain(b.iter().copied())
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn blocked_normal_equations_keep_the_row_at_a_time_bits() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut noise = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        let mut branches = [0_usize; 2];
+        // Widths 1..=40 cover partial tiles and more than four of them.
+        for p in 1..=40_usize {
+            // Row counts off the block edge, and one with no more rows
+            // than columns (the ridge branch).
+            for m in [
+                p.div_ceil(2),
+                BLOCK_ROWS - 1,
+                BLOCK_ROWS + 1,
+                2 * BLOCK_ROWS + 3,
+            ] {
+                for complementary in [false, true] {
+                    let mut x = Matrix::zeros(m, p);
+                    let mut y = vec![0.0; m];
+                    for i in 0..m {
+                        for j in 0..p {
+                            x[(i, j)] = 100.0 * noise() + 10.0 * j as f64;
+                        }
+                        if complementary && p > 1 {
+                            // Swap used and swap free: the ridge branch.
+                            x[(i, 1)] = 2048.0 - x[(i, 0)];
+                        }
+                        y[i] = 500.0 + 50.0 * noise() + x[(i, 0)];
+                    }
+                    // A scrambled index list with one row repeated.
+                    let mut rows: Vec<usize> = (0..m).map(|k| (7 * k + 3) % m).collect();
+                    rows.push(rows[0]);
+                    let full_rank = centered_fit(&x, &y, &rows, normal_equations).is_some();
+                    assert_eq!(
+                        full_rank,
+                        centered_fit(&x, &y, &rows, row_at_a_time).is_some(),
+                        "p {p}, m {m}"
+                    );
+                    branches[usize::from(full_rank)] += 1;
+                    let (b0, b) = ols(&x, &y, &rows).unwrap();
+                    let (r0, r) = fit(&x, &y, &rows, row_at_a_time).unwrap();
+                    assert_eq!(bits(b0, &b), bits(r0, &r), "p {p}, m {m}, {complementary}");
+                    let gram = |ne: NormalEquations| {
+                        ne(&rows, p + 1, &mut |i, v| {
+                            v[0] = 1.0;
+                            v[1..].copy_from_slice(x.row(i));
+                            y[i]
+                        })
+                    };
+                    let ((g, t), (gr, tr)) = (gram(normal_equations), gram(row_at_a_time));
+                    assert_eq!(bits(0.0, g.as_slice()), bits(0.0, gr.as_slice()));
+                    assert_eq!(bits(0.0, &t), bits(0.0, &tr));
+                }
+            }
+        }
+        assert!(
+            branches.iter().all(|&b| b > 40),
+            "branches taken {branches:?}"
+        );
     }
 
     proptest! {

@@ -8,7 +8,7 @@
 //! |---------------------------|--------------|----------------------------------------|
 //! | Linear Regression         | [`linreg`]   | OLS on the Cholesky factor of the centered normal equations |
 //! | M5P                       | [`m5p`]      | model tree: SDR splits, linear leaf models, pruning, smoothing (Wang & Witten) |
-//! | REP-Tree                  | [`reptree`]  | variance-reduction tree + reduced-error pruning with backfitting |
+//! | REP-Tree                  | [`reptree`]  | variance-reduction tree + reduced-error pruning with backfitting (split search shared with M5P) |
 //! | Lasso as a Predictor      | [`lasso`]    | coordinate descent (shared with the selection phase) |
 //! | SVM (SMOreg-style ε-SVR)  | [`svr`]      | dual coordinate descent, linear/RBF kernels (linear: primal gradient, no Gram) |
 //! | Least-Square SVM          | [`lssvm`]    | Suykens kernel system via Cholesky (linear: (d+1)² primal normal equations) |
@@ -36,6 +36,7 @@ pub mod metrics;
 pub mod persist_bin;
 pub mod regressor;
 pub mod reptree;
+pub(crate) mod split;
 pub mod svr;
 pub mod validate;
 

@@ -18,8 +18,10 @@
 
 use crate::linreg::LinearModel;
 use crate::regressor::{check_training_data, Model, Regressor};
+use crate::split::{sd, SplitKernel};
 use crate::MlError;
 use f2pm_linalg::Matrix;
+use std::ops::Range;
 
 /// M5P hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -34,10 +36,10 @@ pub struct M5Params {
     pub max_depth: usize,
     /// Whether to run the pruning stage.
     pub prune: bool,
-    /// Sort each feature once at the root and filter the orderings down
-    /// the tree (order-preserving), instead of re-sorting at every node.
-    /// Produces bit-identical trees; exists so equivalence tests can pin
-    /// the fast path to the re-sorting reference.
+    /// Sort each feature once at the root into a column that every split
+    /// partitions in place (order-preserving), instead of re-sorting at
+    /// every node. Produces bit-identical trees; exists so equivalence
+    /// tests can pin the fast path to the re-sorting reference.
     pub presort: bool,
 }
 
@@ -161,17 +163,16 @@ impl M5Prime {
     /// counts, depth — and persistence).
     pub fn fit_m5(&self, x: &Matrix, y: &[f64]) -> Result<M5Model, MlError> {
         check_training_data(x, y)?;
-        let idx: Vec<usize> = (0..x.rows()).collect();
-        let global_sd = sd(y, &idx);
+        let mut kernel = SplitKernel::new(x, y, (0..x.rows()).collect(), self.params.presort);
+        let root = kernel.root();
         let mut builder = Builder {
             x,
             y,
             params: &self.params,
-            global_sd,
+            global_sd: sd(y, kernel.rows(root.clone())),
             nodes: Vec::new(),
         };
-        let pre = self.params.presort.then(|| Presorted::root(x, &idx));
-        let root = builder.grow(idx, pre, 0)?;
+        let root = builder.grow(&mut kernel, root, 0)?;
         let mut nodes = builder.nodes;
         if self.params.prune {
             prune(&mut nodes, root, x, y);
@@ -203,60 +204,52 @@ struct Builder<'a> {
     nodes: Vec<Node>,
 }
 
-impl<'a> Builder<'a> {
+impl Builder<'_> {
     fn grow(
         &mut self,
-        idx: Vec<usize>,
-        pre: Option<Presorted>,
+        kernel: &mut SplitKernel,
+        node: Range<usize>,
         depth: usize,
     ) -> Result<usize, MlError> {
-        let n = idx.len();
-        let subset_sd = sd(self.y, &idx);
-        let stop = n < self.params.min_instances.max(2)
-            || depth >= self.params.max_depth
-            || subset_sd < self.params.sd_fraction * self.global_sd;
-
-        let model = self.fit_node_model(&idx)?;
-        if stop {
+        let rows = kernel.rows(node.clone());
+        let n = rows.len();
+        let stop = !self.splittable(rows, depth);
+        let model = self.fit_node_model(rows)?;
+        let split = if stop {
+            None
+        } else {
+            kernel.best_split(node.clone(), self.params.min_instances / 2)
+        };
+        let Some((feature, threshold)) = split else {
             self.nodes.push(Node::Leaf { model, n });
             return Ok(self.nodes.len() - 1);
-        }
-
-        let min_side = self.params.min_instances / 2;
-        let found = match &pre {
-            Some(p) => best_split_presorted(self.x, self.y, &idx, p, min_side),
-            None => best_split(self.x, self.y, &idx, min_side),
         };
-        match found {
-            None => {
-                self.nodes.push(Node::Leaf { model, n });
-                Ok(self.nodes.len() - 1)
-            }
-            Some((feature, threshold)) => {
-                let (li, ri): (Vec<usize>, Vec<usize>) = idx
-                    .iter()
-                    .partition(|&&i| self.x[(i, feature)] <= threshold);
-                debug_assert!(!li.is_empty() && !ri.is_empty());
-                let (lp, rp) = match pre {
-                    Some(p) => {
-                        let (lp, rp) = p.split_by_membership(self.x.rows(), &li);
-                        (Some(lp), Some(rp))
-                    }
-                    None => (None, None),
-                };
-                let left = self.grow(li, lp, depth + 1)?;
-                let right = self.grow(ri, rp, depth + 1)?;
-                self.nodes.push(Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                    model,
-                    n,
-                });
-                Ok(self.nodes.len() - 1)
-            }
-        }
+        let mid = kernel.partition(node.clone(), (feature, threshold), |l, r| {
+            self.splittable(l, depth + 1) || self.splittable(r, depth + 1)
+        });
+        // The right child is empty only when the midpoint threshold of
+        // two adjacent floats rounds up to the upper value.
+        debug_assert!(node.start < mid);
+        let left = self.grow(kernel, node.start..mid, depth + 1)?;
+        let right = self.grow(kernel, mid..node.end, depth + 1)?;
+        self.nodes.push(Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+            model,
+            n,
+        });
+        Ok(self.nodes.len() - 1)
+    }
+
+    /// Whether a node of these rows at this depth searches for a split:
+    /// enough instances, depth to spare, and a deviation that is not
+    /// already a small fraction of the global one.
+    fn splittable(&self, rows: &[usize], depth: usize) -> bool {
+        rows.len() >= self.params.min_instances.max(2)
+            && depth < self.params.max_depth
+            && sd(self.y, rows) >= self.params.sd_fraction * self.global_sd
     }
 
     /// Fit the node's linear plane; fall back to a constant when the
@@ -269,189 +262,6 @@ impl<'a> Builder<'a> {
         }
         LinearModel::fit_rows(self.x, self.y, idx)
     }
-}
-
-/// Standard deviation of `y` over a subset.
-fn sd(y: &[f64], idx: &[usize]) -> f64 {
-    if idx.is_empty() {
-        return 0.0;
-    }
-    let n = idx.len() as f64;
-    let mean = idx.iter().map(|&i| y[i]).sum::<f64>() / n;
-    let var = idx
-        .iter()
-        .map(|&i| (y[i] - mean) * (y[i] - mean))
-        .sum::<f64>()
-        / n;
-    var.sqrt()
-}
-
-/// Per-feature index orderings: sorted once at the root (`O(p · n log n)`)
-/// and *filtered* down the tree, so split finding at every descendant node
-/// is a linear scan instead of a fresh sort.
-///
-/// Equivalence discipline: the root sort is stable (ties keep the node
-/// subset's relative order) and [`Presorted::split_by_membership`] filters
-/// without reordering, so each node sees its candidates in exactly the
-/// order the per-node re-sorting reference would produce — same tie
-/// breaking, same prefix-sum float accumulation, bit-identical trees.
-pub(crate) struct Presorted {
-    /// One entry per feature: the subset's indices sorted by that feature.
-    by_feature: Vec<Vec<usize>>,
-}
-
-impl Presorted {
-    /// Sort the subset once per feature (stable, mirrors the reference
-    /// comparator including its NaN-is-equal fallback).
-    pub(crate) fn root(x: &Matrix, idx: &[usize]) -> Self {
-        let by_feature = (0..x.cols())
-            .map(|feature| {
-                let mut ord = idx.to_vec();
-                ord.sort_by(|&a, &b| {
-                    x[(a, feature)]
-                        .partial_cmp(&x[(b, feature)])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                ord
-            })
-            .collect();
-        Presorted { by_feature }
-    }
-
-    /// Partition every ordering into (left, right) children given the left
-    /// child's row set, preserving relative order on both sides.
-    pub(crate) fn split_by_membership(
-        &self,
-        total_rows: usize,
-        left_rows: &[usize],
-    ) -> (Presorted, Presorted) {
-        let mut is_left = vec![false; total_rows];
-        for &i in left_rows {
-            is_left[i] = true;
-        }
-        let mut l = Vec::with_capacity(self.by_feature.len());
-        let mut r = Vec::with_capacity(self.by_feature.len());
-        for ord in &self.by_feature {
-            let (li, ri): (Vec<usize>, Vec<usize>) = ord.iter().partition(|&&i| is_left[i]);
-            l.push(li);
-            r.push(ri);
-        }
-        (Presorted { by_feature: l }, Presorted { by_feature: r })
-    }
-}
-
-/// Find the SDR-maximizing `(feature, threshold)` split, or `None` when no
-/// split leaves both sides with at least `min_side` instances.
-///
-/// Reference path: re-sorts the subset per feature at every node. The
-/// production path is [`best_split_presorted`]; this stays as the pinned
-/// oracle for the equivalence tests.
-fn best_split(x: &Matrix, y: &[f64], idx: &[usize], min_side: usize) -> Option<(usize, f64)> {
-    let min_side = min_side.max(1);
-    let sd_all = sd(y, idx);
-    if sd_all == 0.0 {
-        return None;
-    }
-
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sdr)
-    let mut order: Vec<usize> = Vec::with_capacity(idx.len());
-
-    for feature in 0..x.cols() {
-        // Re-seed from the node's own order before each stable sort so the
-        // tie order is always "node order", independent of which features
-        // were scanned before — the invariant the presorted path relies on.
-        order.clear();
-        order.extend_from_slice(idx);
-        order.sort_by(|&a, &b| {
-            x[(a, feature)]
-                .partial_cmp(&x[(b, feature)])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        scan_feature_cuts(x, y, &order, feature, min_side, sd_all, &mut best);
-    }
-    best.map(|(f, t, _)| (f, t))
-}
-
-/// Split search over presorted orderings — no per-node sort, one linear
-/// scan per feature with the same incremental prefix-sum statistics.
-pub(crate) fn best_split_presorted(
-    x: &Matrix,
-    y: &[f64],
-    idx: &[usize],
-    pre: &Presorted,
-    min_side: usize,
-) -> Option<(usize, f64)> {
-    let min_side = min_side.max(1);
-    // `sd_all` accumulated over `idx` (not a sorted order) to match the
-    // reference bit-for-bit; it only offsets every SDR equally, but the
-    // zero-variance early-out must agree too.
-    let sd_all = sd(y, idx);
-    if sd_all == 0.0 {
-        return None;
-    }
-    let mut best: Option<(usize, f64, f64)> = None;
-    for (feature, order) in pre.by_feature.iter().enumerate() {
-        debug_assert_eq!(order.len(), idx.len());
-        scan_feature_cuts(x, y, order, feature, min_side, sd_all, &mut best);
-    }
-    best.map(|(f, t, _)| (f, t))
-}
-
-/// Scan one feature's sorted candidate cuts with incremental variance
-/// statistics (prefix sums → O(1) sd at each cut), updating `best`.
-fn scan_feature_cuts(
-    x: &Matrix,
-    y: &[f64],
-    order: &[usize],
-    feature: usize,
-    min_side: usize,
-    sd_all: f64,
-    best: &mut Option<(usize, f64, f64)>,
-) {
-    let n = order.len();
-    let mut sum = 0.0;
-    let mut sum2 = 0.0;
-    let total: f64 = order.iter().map(|&i| y[i]).sum();
-    let total2: f64 = order.iter().map(|&i| y[i] * y[i]).sum();
-    for cut in 0..n - 1 {
-        let yi = y[order[cut]];
-        sum += yi;
-        sum2 += yi * yi;
-        let nl = cut + 1;
-        let nr = n - nl;
-        if nl < min_side || nr < min_side {
-            continue;
-        }
-        let xv = x[(order[cut], feature)];
-        let xn = x[(order[cut + 1], feature)];
-        if xv == xn {
-            continue; // cannot split between equal values
-        }
-        let sd_l = sd_from_sums(sum, sum2, nl);
-        let sd_r = sd_from_sums(total - sum, total2 - sum2, nr);
-        let sdr = sd_all - (nl as f64 / n as f64) * sd_l - (nr as f64 / n as f64) * sd_r;
-        if best.is_none_or(|(_, _, b)| sdr > b) {
-            *best = Some((feature, 0.5 * (xv + xn), sdr));
-        }
-    }
-}
-
-/// Crate-internal wrapper so REP-Tree can share the SDR split search (both
-/// trees use variance-reduction splits; only the leaf models differ).
-pub(crate) fn best_split_public(
-    x: &Matrix,
-    y: &[f64],
-    idx: &[usize],
-    min_side: usize,
-) -> Option<(usize, f64)> {
-    best_split(x, y, idx, min_side)
-}
-
-#[inline]
-fn sd_from_sums(sum: f64, sum2: f64, n: usize) -> f64 {
-    let nf = n as f64;
-    let var = (sum2 / nf - (sum / nf) * (sum / nf)).max(0.0);
-    var.sqrt()
 }
 
 /// Quinlan's complexity-corrected mean absolute error of a linear model on
@@ -660,25 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn best_split_finds_a_step_boundary() {
-        // A step function has a unique variance-optimal cut: the step. (The
-        // continuous tent of `piecewise` does not — SDR legitimately picks
-        // off-knee cuts there.)
-        let n = 100;
-        let mut x = Matrix::zeros(n, 2);
-        let mut y = Vec::new();
-        for i in 0..n {
-            let a = i as f64 / n as f64 * 10.0;
-            x.row_mut(i).copy_from_slice(&[a, ((i * 7) % 13) as f64]);
-            y.push(if a <= 5.0 { 0.0 } else { 100.0 });
-        }
-        let idx: Vec<usize> = (0..n).collect();
-        let (feature, threshold) = best_split(&x, &y, &idx, 2).expect("split exists");
-        assert_eq!(feature, 0);
-        assert!((threshold - 5.0).abs() < 0.2, "threshold {threshold}");
-    }
-
-    #[test]
     fn presort_produces_bit_identical_trees() {
         // The presorted path must reproduce the re-sorting reference
         // exactly: same structure, same thresholds, same predictions (==,
@@ -715,42 +506,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn presorted_split_matches_resort_split_with_ties() {
-        // Duplicated feature values exercise the tie-order discipline.
-        let n = 120;
-        let mut x = Matrix::zeros(n, 3);
-        let mut y = Vec::new();
-        for i in 0..n {
-            let a = ((i / 4) % 10) as f64; // heavy ties
-            let b = (i % 7) as f64;
-            let c = (i as f64 * 0.13).sin();
-            x.row_mut(i).copy_from_slice(&[a, b, c]);
-            y.push(a * 3.0 + b - c * 2.0);
-        }
-        // A scrambled subset, as an inner node would see it.
-        let idx: Vec<usize> = (0..n).filter(|i| i % 3 != 1).map(|i| (i * 7) % n).collect();
-        let pre = Presorted::root(&x, &idx);
-        for min_side in [1, 2, 8] {
-            assert_eq!(
-                best_split_presorted(&x, &y, &idx, &pre, min_side),
-                best_split(&x, &y, &idx, min_side),
-                "min_side {min_side}"
-            );
-        }
-    }
-
-    #[test]
-    fn best_split_none_when_no_variation() {
-        let x = Matrix::from_rows(&[&[1.0], &[1.0], &[1.0], &[1.0]]);
-        let y = [1.0, 2.0, 3.0, 4.0];
-        let idx: Vec<usize> = (0..4).collect();
-        assert!(
-            best_split(&x, &y, &idx, 1).is_none(),
-            "equal xs cannot split"
-        );
     }
 
     #[test]

@@ -3,19 +3,21 @@
 //!
 //! The learner splits the training data into a *grow* set and a *prune*
 //! set. The tree is grown on the grow set with variance-reduction splits
-//! and constant (mean) leaves — sorting each numeric attribute only once
-//! per node, as the paper notes. Pruning then walks the tree bottom-up and
+//! and constant (mean) leaves — sorting each numeric attribute only once,
+//! at the root, as the paper notes. Pruning then walks the tree bottom-up and
 //! collapses any subtree whose prune-set error is no better than a single
 //! leaf's; finally, *backfitting* re-estimates the surviving leaf means
 //! with the grow and prune data combined, recovering the observations the
 //! held-out set withheld.
 
 use crate::regressor::{check_training_data, Model, Regressor};
+use crate::split::SplitKernel;
 use crate::MlError;
 use f2pm_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::ops::Range;
 
 /// REP-Tree hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -30,8 +32,8 @@ pub struct RepTreeParams {
     pub prune: bool,
     /// Shuffle seed for the grow/prune split.
     pub seed: u64,
-    /// Presort each feature once at the root of the grow set and filter
-    /// the orderings down the tree (see `M5Params::presort`); bit-identical
+    /// Presort each feature once at the root of the grow set and partition
+    /// the columns down the tree (see `M5Params::presort`); bit-identical
     /// to the per-node re-sort, kept switchable for equivalence tests.
     pub presort: bool,
 }
@@ -148,11 +150,9 @@ impl RepTree {
         let (prune_idx, grow_idx) = idx.split_at(prune_n);
 
         let mut nodes = Vec::new();
-        let pre = self
-            .params
-            .presort
-            .then(|| crate::m5p::Presorted::root(x, grow_idx));
-        let root = grow(x, y, grow_idx.to_vec(), pre, 0, &self.params, &mut nodes);
+        let mut kernel = SplitKernel::new(x, y, grow_idx.to_vec(), self.params.presort);
+        let root = kernel.root();
+        let root = grow(&mut kernel, y, root, 0, &self.params, &mut nodes);
 
         let mut model = RepTreeModel {
             nodes,
@@ -186,51 +186,40 @@ fn mean_of(y: &[f64], idx: &[usize]) -> f64 {
 }
 
 fn grow(
-    x: &Matrix,
+    kernel: &mut SplitKernel,
     y: &[f64],
-    idx: Vec<usize>,
-    pre: Option<crate::m5p::Presorted>,
+    node: Range<usize>,
     depth: usize,
     params: &RepTreeParams,
     nodes: &mut Vec<Node>,
 ) -> usize {
-    let mean = mean_of(y, &idx);
-    if idx.len() < params.min_instances.max(2) || depth >= params.max_depth {
+    let splittable = |rows: &[usize], depth: usize| {
+        rows.len() >= params.min_instances.max(2) && depth < params.max_depth
+    };
+    let rows = kernel.rows(node.clone());
+    let mean = mean_of(y, rows);
+    let split = if splittable(rows, depth) {
+        kernel.best_split(node.clone(), params.min_instances / 2)
+    } else {
+        None
+    };
+    let Some((feature, threshold)) = split else {
         nodes.push(Node::Leaf { value: mean });
         return nodes.len() - 1;
-    }
-    let min_side = params.min_instances / 2;
-    let found = match &pre {
-        Some(p) => crate::m5p::best_split_presorted(x, y, &idx, p, min_side),
-        None => crate::m5p::best_split_public(x, y, &idx, min_side),
     };
-    match found {
-        None => {
-            nodes.push(Node::Leaf { value: mean });
-            nodes.len() - 1
-        }
-        Some((feature, threshold)) => {
-            let (li, ri): (Vec<usize>, Vec<usize>) =
-                idx.iter().partition(|&&i| x[(i, feature)] <= threshold);
-            let (lp, rp) = match pre {
-                Some(p) => {
-                    let (lp, rp) = p.split_by_membership(x.rows(), &li);
-                    (Some(lp), Some(rp))
-                }
-                None => (None, None),
-            };
-            let left = grow(x, y, li, lp, depth + 1, params, nodes);
-            let right = grow(x, y, ri, rp, depth + 1, params, nodes);
-            nodes.push(Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-                mean,
-            });
-            nodes.len() - 1
-        }
-    }
+    let mid = kernel.partition(node.clone(), (feature, threshold), |l, r| {
+        splittable(l, depth + 1) || splittable(r, depth + 1)
+    });
+    let left = grow(kernel, y, node.start..mid, depth + 1, params, nodes);
+    let right = grow(kernel, y, mid..node.end, depth + 1, params, nodes);
+    nodes.push(Node::Split {
+        feature,
+        threshold,
+        left,
+        right,
+        mean,
+    });
+    nodes.len() - 1
 }
 
 /// Reduced-error pruning: collapse any subtree whose prune-set SSE is not
