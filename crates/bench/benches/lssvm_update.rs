@@ -1,9 +1,8 @@
-//! Criterion bench for the rank-k Cholesky maintenance kernels behind
-//! the warm-start retraining engine (DESIGN.md §15): one sliding-window
+//! Criterion bench for the Cholesky maintenance kernels behind the
+//! warm-start retraining engine (DESIGN.md §15): one sliding-window
 //! shift on the LS-SVM block `A = K + I/γ` — retire the k oldest rows,
 //! border k (or k − 1) newest in — against the cold refactorization of
-//! the shifted matrix, plus the individual `update_rank_k`/`downdate_rank_k`
-//! Gram-side kernels.
+//! the shifted matrix, plus the two-RHS dual-refresh solve.
 //!
 //! Run with `cargo bench -p f2pm-bench --bench lssvm_update`.
 
@@ -89,35 +88,6 @@ fn bench_window_shift(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("solve_2rhs", n), &stale, |b, f| {
             b.iter(|| f.solve_multi(&rhs).expect("solve"))
         });
-
-        // The p-side Gram kernels the ridge factor uses (p + 1 = 31
-        // augmented columns, rank-k batches).
-        let z = sample(n, 31, 1.3);
-        let mut gram = Matrix::zeros(31, 31);
-        for i in 0..31 {
-            for j in 0..31 {
-                let mut s = 0.0;
-                for r in 0..n {
-                    s += z[(r, i)] * z[(r, j)];
-                }
-                gram[(i, j)] = s;
-            }
-            gram[(i, i)] += 1e-6;
-        }
-        let gram_factor = Cholesky::factor(&gram).expect("spd");
-        let w = sample(k, 31, 2.7);
-        group.bench_with_input(
-            BenchmarkId::new("gram_up_downdate", n),
-            &gram_factor,
-            |b, f| {
-                b.iter(|| {
-                    let mut f = f.clone();
-                    f.update_rank_k(&w).expect("update");
-                    f.downdate_rank_k(&w).expect("downdate");
-                    f
-                })
-            },
-        );
     }
     group.finish();
 }

@@ -61,6 +61,6 @@ pub use predictor::{predict_many, OnlinePredictor};
 pub use query::{run_query, Cohort, CohortStats, QueryFilter, QueryReport};
 pub use rejuvenation::{ProactiveRejuvenator, RejuvenationOutcome, RejuvenationPolicy};
 pub use report::{F2pmReport, VariantReport};
-pub use retrain::{FactorPath, RetrainConfig, RetrainEngine, RetrainOutcome, RidgeModel};
+pub use retrain::{FactorPath, RetrainConfig, RetrainEngine, RetrainOutcome};
 pub use serve_options::{ModelSource, ServeOptions, ServeOptionsBuilder};
 pub use workflow::{run_workflow, run_workflow_on_history};

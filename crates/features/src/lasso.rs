@@ -360,139 +360,6 @@ impl LassoProblem {
     }
 }
 
-/// Incrementally-maintained lasso sufficient statistics for a sliding
-/// window.
-///
-/// [`LassoProblem::new`] is `O(n·p²)` — cheap once, but a sliding-window
-/// retrain would pay it on every shift even though only a few rows
-/// changed. `LassoStats` keeps the *uncentered* moments (`XᵀX`, `Xᵀy`,
-/// `Σx`, `Σy`, `n`), which are plain sums over rows and therefore support
-/// exact rank-k `add_rows`/`remove_rows`; the centered statistics a
-/// [`LassoProblem`] needs are derived on demand in `O(p²)`:
-///
-/// ```text
-///   Gc = XᵀX − n·x̄x̄ᵀ        (Xᵀy)c = Xᵀy − n·x̄·ȳ
-/// ```
-///
-/// Removal is a subtraction of previously-added terms, so the maintained
-/// moments differ from freshly-computed ones only by floating-point
-/// accumulation order (the equivalence tests pin the resulting solutions
-/// at 1e-6, the same tolerance as the active-set/reference pair).
-#[derive(Debug, Clone)]
-pub struct LassoStats {
-    /// Uncentered `XᵀX`, `p × p` (kept full-symmetric).
-    xtx: Matrix,
-    /// Uncentered `Xᵀy`, length `p`.
-    xty: Vec<f64>,
-    /// Column sums `Σx`, length `p`.
-    sum_x: Vec<f64>,
-    /// Target sum `Σy`.
-    sum_y: f64,
-    /// Rows currently accumulated.
-    n: usize,
-}
-
-impl LassoStats {
-    /// Empty statistics over `p` columns.
-    pub fn new(p: usize) -> Self {
-        LassoStats {
-            xtx: Matrix::zeros(p, p),
-            xty: vec![0.0; p],
-            sum_x: vec![0.0; p],
-            sum_y: 0.0,
-            n: 0,
-        }
-    }
-
-    /// Statistics of an initial window.
-    pub fn from_data(x: &Matrix, y: &[f64]) -> Self {
-        let mut s = Self::new(x.cols());
-        s.add_rows(x, y);
-        s
-    }
-
-    /// Number of accumulated rows.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Number of input columns.
-    pub fn width(&self) -> usize {
-        self.xty.len()
-    }
-
-    /// Fold `k` new rows into the moments (`O(k·p²)`).
-    pub fn add_rows(&mut self, x: &Matrix, y: &[f64]) {
-        self.accumulate(x, y, 1.0);
-    }
-
-    /// Subtract `k` previously-added rows from the moments (`O(k·p²)`).
-    /// The caller must pass the same values it added — the moments are
-    /// sums, so this is the exact inverse up to float reassociation.
-    pub fn remove_rows(&mut self, x: &Matrix, y: &[f64]) {
-        assert!(x.rows() <= self.n, "removing more rows than accumulated");
-        self.accumulate(x, y, -1.0);
-    }
-
-    fn accumulate(&mut self, x: &Matrix, y: &[f64], sign: f64) {
-        let p = self.width();
-        assert_eq!(x.cols(), p, "column width mismatch");
-        assert_eq!(x.rows(), y.len(), "x/y row mismatch");
-        for (i, &yi) in y.iter().enumerate() {
-            let row = x.row(i);
-            for a in 0..p {
-                let va = sign * row[a];
-                let dst = self.xtx.row_mut(a);
-                for (d, &vb) in dst.iter_mut().zip(row) {
-                    *d += va * vb;
-                }
-                self.xty[a] += va * yi;
-                self.sum_x[a] += va;
-            }
-            self.sum_y += sign * yi;
-        }
-        self.n = if sign > 0.0 {
-            self.n + x.rows()
-        } else {
-            self.n - x.rows()
-        };
-    }
-
-    /// Derive the centered [`LassoProblem`] for the current window
-    /// (`O(p²)`, independent of the window's row count).
-    ///
-    /// # Panics
-    /// Panics when no rows are accumulated.
-    pub fn to_problem(&self) -> LassoProblem {
-        assert!(self.n > 0, "empty window");
-        let p = self.width();
-        let nf = self.n as f64;
-        let x_mean: Vec<f64> = self.sum_x.iter().map(|s| s / nf).collect();
-        let y_mean = self.sum_y / nf;
-        let mut gram = self.xtx.clone();
-        for a in 0..p {
-            let row = gram.row_mut(a);
-            let ma = x_mean[a];
-            for (g, &mb) in row.iter_mut().zip(&x_mean) {
-                *g -= nf * ma * mb;
-            }
-        }
-        let xty: Vec<f64> = self
-            .xty
-            .iter()
-            .zip(&x_mean)
-            .map(|(s, m)| s - nf * m * y_mean)
-            .collect();
-        LassoProblem {
-            gram,
-            xty,
-            x_mean,
-            y_mean,
-            n: self.n,
-        }
-    }
-}
-
 #[inline]
 fn soft_threshold(z: f64, lambda: f64) -> f64 {
     if z > lambda {
@@ -608,77 +475,6 @@ mod tests {
             warm.sweeps,
             cold.sweeps
         );
-    }
-
-    #[test]
-    fn stats_match_cold_problem_after_adds() {
-        let (x, y) = toy_problem(120);
-        let stats = LassoStats::from_data(&x, &y);
-        assert_eq!(stats.n(), 120);
-        let inc = stats.to_problem();
-        let cold = LassoProblem::new(&x, &y);
-        for a in 0..3 {
-            assert!((inc.y_mean - cold.y_mean).abs() < 1e-9);
-            assert!((inc.x_mean[a] - cold.x_mean[a]).abs() < 1e-9);
-            assert!((inc.xty[a] - cold.xty[a]).abs() < 1e-6, "xty[{a}]");
-            for b in 0..3 {
-                assert!(
-                    (inc.gram[(a, b)] - cold.gram[(a, b)]).abs() < 1e-6,
-                    "gram[{a},{b}]: {} vs {}",
-                    inc.gram[(a, b)],
-                    cold.gram[(a, b)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stats_sliding_window_matches_cold_and_warm_start_is_cheaper() {
-        // Window of rows [shift, shift+w): maintain stats incrementally by
-        // removing the leading rows and appending the trailing ones, then
-        // check the solved model matches a cold window build to 1e-6 and
-        // that warm-starting from the previous window's beta costs no more
-        // sweeps than solving cold.
-        let (x, y) = toy_problem(300);
-        let w = 200;
-        let sub = |lo: usize, hi: usize| {
-            let mut xs = Matrix::zeros(hi - lo, 3);
-            for i in lo..hi {
-                xs.row_mut(i - lo).copy_from_slice(x.row(i));
-            }
-            (xs, y[lo..hi].to_vec())
-        };
-        let (x0, y0) = sub(0, w);
-        let mut stats = LassoStats::from_data(&x0, &y0);
-        let cfg = LassoSolverConfig::default();
-        let lambda = 0.05;
-        let mut prev = stats.to_problem().solve(lambda, None, &cfg);
-        for shift in 1..=5 {
-            let (xr, yr) = sub(shift - 1, shift);
-            stats.remove_rows(&xr, &yr);
-            let (xa, ya) = sub(w + shift - 1, w + shift);
-            stats.add_rows(&xa, &ya);
-            assert_eq!(stats.n(), w);
-
-            let (xw, yw) = sub(shift, w + shift);
-            let cold_prob = LassoProblem::new(&xw, &yw);
-            let cold = cold_prob.solve(lambda, None, &cfg);
-            let warm = stats.to_problem().solve(lambda, Some(&prev.beta), &cfg);
-            assert_same_solution(&warm, &cold, 1e-6, &format!("shift {shift}"));
-            assert!(
-                warm.sweeps <= cold.sweeps,
-                "shift {shift}: warm {} sweeps, cold {}",
-                warm.sweeps,
-                cold.sweeps
-            );
-            prev = warm;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "empty window")]
-    fn stats_to_problem_panics_on_empty_window() {
-        LassoStats::new(3).to_problem();
     }
 
     fn assert_same_solution(a: &LassoSolution, b: &LassoSolution, tol: f64, what: &str) {

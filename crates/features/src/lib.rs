@@ -31,7 +31,7 @@ pub use column_store::{
     FeatureChunk, ZoneMap, COL_HOST_ID, COL_RTTF, COL_RUN_ID, COL_T, DEFAULT_CHUNK_ROWS,
 };
 pub use dataset::{Dataset, KFold};
-pub use lasso::{LassoProblem, LassoSolution, LassoSolverConfig, LassoStats};
+pub use lasso::{LassoProblem, LassoSolution, LassoSolverConfig};
 pub use select::{lasso_path, paper_lambda_grid, LassoPathPoint, SelectionReport};
 pub use select_data::{robust_outlier_filter, RunTaggedDataset};
 pub use sliding::{CachedRun, SlidingAggregator, WindowShift};

@@ -239,11 +239,6 @@ impl Cholesky {
         }
         Ok(out)
     }
-
-    /// log-determinant of `A` (numerically stable via the factor diagonal).
-    pub fn log_det(&self) -> f64 {
-        (0..self.order()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 fn check_square_finite(a: &Matrix) -> Result<()> {
@@ -347,12 +342,6 @@ mod tests {
                 assert!((prod[(i, j)] - expect).abs() < 1e-10);
             }
         }
-    }
-
-    #[test]
-    fn log_det_of_identity_is_zero() {
-        let ch = Cholesky::factor(&Matrix::identity(4)).unwrap();
-        assert!(ch.log_det().abs() < 1e-12);
     }
 
     #[test]

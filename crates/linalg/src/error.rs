@@ -31,16 +31,6 @@ pub enum LinalgError {
         /// Description of the offending operand.
         what: &'static str,
     },
-    /// A factor update/downdate would lose too much precision to be
-    /// trustworthy (e.g. a hyperbolic downdate whose rotation parameter
-    /// approaches 1). The factor is left untouched; the caller should
-    /// refactorize from scratch instead.
-    IllConditioned {
-        /// Description of the operation that was refused.
-        op: &'static str,
-        /// Pivot index at which the conditioning guard tripped.
-        pivot: usize,
-    },
 }
 
 impl fmt::Display for LinalgError {
@@ -64,12 +54,6 @@ impl fmt::Display for LinalgError {
             ),
             LinalgError::NonFinite { what } => {
                 write!(f, "non-finite values in {what}")
-            }
-            LinalgError::IllConditioned { op, pivot } => {
-                write!(
-                    f,
-                    "{op} is ill-conditioned at pivot {pivot}; refactorize instead"
-                )
             }
         }
     }
@@ -108,12 +92,6 @@ mod tests {
         assert!(LinalgError::NonFinite { what: "rhs" }
             .to_string()
             .contains("rhs"));
-        assert!(LinalgError::IllConditioned {
-            op: "cholesky downdate",
-            pivot: 7
-        }
-        .to_string()
-        .contains("pivot 7"));
     }
 
     #[test]

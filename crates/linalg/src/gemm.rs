@@ -1,37 +1,20 @@
-//! Blocked, parallel dense multiply kernels.
+//! Parallel row-Gram kernels.
 //!
-//! The F2PM hot paths — kernel Gram matrices for the SVR/LS-SVM solvers and
-//! batched model scoring — reduce to three primitives:
+//! The kernel Gram matrices of the SVR/LS-SVM solvers reduce to one
+//! primitive: [`syrk_rows`] / [`syrk_rows_upper`], the symmetric rank-k
+//! update `G = X·Xᵀ` over *rows* (a `rows × rows` Gram, the
+//! transpose-free counterpart of [`Matrix::gram`]'s `AᵀA`). It falls back
+//! to straight serial loops below a size threshold and fans out over
+//! `std::thread::scope` above it, handing each worker a disjoint band of
+//! output rows (no synchronization, no unsafe).
 //!
-//! * [`matmul_blocked`]: cache-blocked general matrix multiply,
-//! * [`syrk_rows`] / [`syrk_rows_upper`]: the symmetric rank-k update
-//!   `G = X·Xᵀ` over *rows* (a `rows × rows` Gram, the transpose-free
-//!   counterpart of [`Matrix::gram`]'s `AᵀA`),
-//! * [`row_norms_sq`]: per-row squared norms (the RBF distance trick).
-//!
-//! All three fall back to straight serial loops below a size threshold and
-//! fan out over `std::thread::scope` above it, handing each worker a
-//! disjoint band of output rows (no synchronization, no unsafe).
-//!
-//! The inner loops are axpy-shaped (`y += a·x` over contiguous slices)
-//! rather than dot-shaped: a reduction-free unit-stride loop is the form
-//! LLVM vectorizes best without float reassociation. Every kernel sums
-//! over the shared dimension in plain ascending order (`k = 0, 1, …`), so
-//! a naive three-loop reference with a sequential inner sum reproduces
-//! the blocked *and* parallel results **bit-for-bit** — the property
-//! tests below assert exact equality, not closeness.
+//! Every kernel sums over the shared dimension in plain ascending order
+//! (`k = 0, 1, …`), so a naive three-loop reference with a sequential
+//! inner sum reproduces the serial *and* parallel results
+//! **bit-for-bit** — the property tests below assert exact equality, not
+//! closeness.
 
-use crate::{axpy, LinalgError, Matrix, Result};
-
-/// Column-panel width of the blocked kernels: the inner loops touch only a
-/// `GEMM_BLOCK_COLS`-wide strip of the operand and output rows, keeping
-/// the working set inside L1/L2 (256 doubles = 2 KiB per row).
-pub const GEMM_BLOCK_COLS: usize = 256;
-
-/// Depth of the k-blocking in the blocked GEMM: a block of
-/// `GEMM_BLOCK_K` rows of `B` (each `GEMM_BLOCK_COLS` wide) is reused
-/// across every row of the output band before moving on.
-pub const GEMM_BLOCK_K: usize = 64;
+use crate::Matrix;
 
 /// Minimum number of output elements before any of the kernels spawns
 /// worker threads. Below this the spawn/join overhead (~10 µs/thread)
@@ -47,65 +30,6 @@ pub fn worker_count(rows: usize, elems: usize) -> usize {
         return 1;
     }
     crate::pool_threads().min(rows).max(1)
-}
-
-/// Cache-blocked matrix product `A B`, parallel over output row bands.
-///
-/// Identical results to [`Matrix::matmul`] (the blocking preserves the
-/// k-ascending accumulation order of the naive ikj loop), but with the
-/// `B` panel reuse and thread fan-out that pay off on large shapes.
-pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    if a.cols() != b.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "matmul_blocked",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let (m, _) = a.shape();
-    let n = b.cols();
-    if m == 0 || n == 0 {
-        return Ok(Matrix::zeros(m, n));
-    }
-    let mut out = Matrix::zeros(m, n);
-    let data = out.as_mut_slice();
-    let workers = worker_count(m, m * n);
-    if workers <= 1 {
-        matmul_band(a, b, 0, data);
-    } else {
-        let band = m.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (t, chunk) in data.chunks_mut(band * n).enumerate() {
-                scope.spawn(move || matmul_band(a, b, t * band, chunk));
-            }
-        });
-    }
-    Ok(out)
-}
-
-/// Blocked multiply of one output row band. `out` holds rows
-/// `first_row ..` of `C`, row-major with `b.cols()` columns.
-fn matmul_band(a: &Matrix, b: &Matrix, first_row: usize, out: &mut [f64]) {
-    let n = b.cols();
-    let k = a.cols();
-    let rows = out.len() / n.max(1);
-    for kk in (0..k).step_by(GEMM_BLOCK_K) {
-        let kend = (kk + GEMM_BLOCK_K).min(k);
-        for jj in (0..n).step_by(GEMM_BLOCK_COLS) {
-            let jend = (jj + GEMM_BLOCK_COLS).min(n);
-            for local in 0..rows {
-                let arow = a.row(first_row + local);
-                let crow = &mut out[local * n + jj..local * n + jend];
-                for kx in kk..kend {
-                    let aik = arow[kx];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    axpy(aik, &b.row(kx)[jj..jend], crow);
-                }
-            }
-        }
-    }
 }
 
 /// Row Gram matrix `G = X·Xᵀ` (symmetric, `rows × rows`), computing only
@@ -180,7 +104,7 @@ fn dot_col_seq(a: &[f64], xt: &Matrix, j: usize) -> f64 {
 /// (columns left of the tile rows' diagonals) and tile tails fall back
 /// to the scalar column dot, which accumulates in the same order.
 fn syrk_band(x: &Matrix, xt: &Matrix, first_row: usize, band: &mut [f64]) {
-    // Narrower panels than the GEMM: the tile loop streams `p` rows of
+    // The tile loop streams `p` rows of
     // `xt` at once, and `p x SYRK_BLOCK_COLS` doubles must stay L1-resident
     // alongside the tile rows of `x` and the output slices.
     const SYRK_BLOCK_COLS: usize = 128;
@@ -264,14 +188,6 @@ pub fn mirror_upper(g: &mut Matrix) {
     }
 }
 
-/// Squared Euclidean norm of every row, accumulated in ascending index
-/// order (matching the [`syrk_rows`] diagonal bit-for-bit).
-pub fn row_norms_sq(x: &Matrix) -> Vec<f64> {
-    (0..x.rows())
-        .map(|i| x.row(i).iter().fold(0.0, |s, v| s + v * v))
-        .collect()
-}
-
 /// Run `f(first_row, band)` over row bands of a square `n × n` buffer,
 /// fanning out over `workers` scoped threads. Band boundaries equalize
 /// *upper-triangle* area (row `i` carries `n − i` entries), so triangular
@@ -346,48 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matmul_exact_on_known_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let c = matmul_blocked(&a, &b).unwrap();
-        assert_eq!(c, Matrix::from_rows(&[&[2.0, 1.0], &[4.0, 3.0]]));
-    }
-
-    #[test]
-    fn blocked_matmul_dimension_check() {
-        let a = Matrix::zeros(2, 3);
-        assert!(matches!(
-            matmul_blocked(&a, &Matrix::zeros(2, 3)),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn blocked_matmul_spans_block_boundaries_exactly() {
-        // Shapes straddling every blocking constant, including a k larger
-        // than GEMM_BLOCK_K and an n larger than GEMM_BLOCK_COLS.
-        for (m, k, n) in [(3, 70, 300), (65, 65, 65), (1, 1, 1), (5, 260, 9)] {
-            let a = deterministic(m, k, 0.1);
-            let b = deterministic(k, n, 0.7);
-            let fast = matmul_blocked(&a, &b).unwrap();
-            let slow = a.matmul(&b).unwrap();
-            assert_eq!(fast, slow, "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn parallel_matmul_matches_serial_bitwise() {
-        // Big enough to cross PARALLEL_MIN_ELEMS and engage the threaded
-        // band path.
-        let a = deterministic(300, 40, 0.3);
-        let b = deterministic(40, 300, 1.1);
-        const { assert!(300 * 300 >= PARALLEL_MIN_ELEMS) };
-        let fast = matmul_blocked(&a, &b).unwrap();
-        let slow = a.matmul(&b).unwrap();
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
     fn syrk_matches_naive_bitwise_across_sizes() {
         for n in [1, 2, 31, 32, 33, 97, 260] {
             let x = deterministic(n, 7, 0.5);
@@ -411,16 +285,6 @@ mod tests {
                 assert_eq!(g[(i, j)], 0.0);
             }
             assert!(g[(i, i)] > 0.0 || x.row(i).iter().all(|v| *v == 0.0));
-        }
-    }
-
-    #[test]
-    fn row_norms_match_gram_diagonal_bitwise() {
-        let x = deterministic(20, 6, 0.4);
-        let g = syrk_rows(&x);
-        let sq = row_norms_sq(&x);
-        for i in 0..20 {
-            assert_eq!(sq[i], g[(i, i)]);
         }
     }
 
@@ -453,21 +317,6 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_blocked_matmul_matches_naive(
-            vals in proptest::collection::vec(-50.0_f64..50.0, 60),
-            rows in 1usize..6,
-        ) {
-            let cols = 60 / (rows * 2) * 2; // keep rows*cols <= 60
-            let take = rows * cols;
-            prop_assume!(take > 0);
-            let a = Matrix::from_vec(rows, cols, vals[..take].to_vec());
-            let b = a.transpose();
-            let fast = matmul_blocked(&a, &b).unwrap();
-            let slow = a.matmul(&b).unwrap();
-            prop_assert_eq!(fast, slow);
-        }
-
-        #[test]
         fn prop_syrk_matches_naive(
             vals in proptest::collection::vec(-10.0_f64..10.0, 48),
             cols in 1usize..8,
@@ -475,18 +324,6 @@ mod tests {
             let rows = 48 / cols;
             let a = Matrix::from_vec(rows, cols, vals[..rows * cols].to_vec());
             prop_assert_eq!(syrk_rows(&a), naive_syrk(&a));
-        }
-
-        #[test]
-        fn prop_row_norms_match_diagonal(
-            vals in proptest::collection::vec(-10.0_f64..10.0, 36),
-        ) {
-            let a = Matrix::from_vec(6, 6, vals);
-            let g = syrk_rows(&a);
-            let sq = row_norms_sq(&a);
-            for i in 0..6 {
-                prop_assert_eq!(sq[i], g[(i, i)]);
-            }
         }
     }
 }

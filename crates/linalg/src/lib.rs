@@ -49,15 +49,14 @@ pub use cg::{conjugate_gradient, CgOptions, CgOutcome};
 pub use cholesky::{Cholesky, CHOL_BLOCK, CHOL_BLOCKED_MIN};
 pub use error::LinalgError;
 pub use gemm::{
-    matmul_blocked, mirror_upper, on_triangle_bands, row_norms_sq, syrk_rows, syrk_rows_upper,
-    syrk_rows_upper_scratch, worker_count, GEMM_BLOCK_COLS, GEMM_BLOCK_K, PARALLEL_MIN_ELEMS,
+    mirror_upper, on_triangle_bands, syrk_rows, syrk_rows_upper, syrk_rows_upper_scratch,
+    worker_count, PARALLEL_MIN_ELEMS,
 };
 pub use matrix::Matrix;
 pub use ols::ols;
-pub use stats::{mean, variance, ColumnStats, Standardizer};
+pub use stats::{ColumnStats, Standardizer};
 pub use threads::pool_threads;
-pub use update::DOWNDATE_GUARD;
-pub use vector::{axpy, axpy2, dot, norm2, norm_inf, scale, sub};
+pub use vector::{axpy, axpy2, dot, norm2};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, LinalgError>;

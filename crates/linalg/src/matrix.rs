@@ -246,10 +246,6 @@ impl Matrix {
     }
 
     /// Matrix-matrix product `A B`.
-    ///
-    /// Large products (≥ [`crate::PARALLEL_MIN_ELEMS`] output elements)
-    /// delegate to the cache-blocked, parallel [`crate::matmul_blocked`],
-    /// which produces bit-identical results.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(LinalgError::DimensionMismatch {
@@ -257,9 +253,6 @@ impl Matrix {
                 lhs: self.shape(),
                 rhs: other.shape(),
             });
-        }
-        if self.rows * other.cols >= crate::PARALLEL_MIN_ELEMS {
-            return crate::matmul_blocked(self, other);
         }
         let mut out = Matrix::zeros(self.rows, other.cols);
         // ikj loop order: the inner loop streams over contiguous rows of

@@ -134,24 +134,6 @@ impl Standardizer {
     }
 }
 
-/// Mean of a slice (0.0 for empty input).
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
-/// Population variance of a slice (0.0 for empty input).
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,14 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_variance_helpers() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(variance(&[2.0, 4.0]), 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "width mismatch")]
     fn width_mismatch_panics() {
         let st = Standardizer::fit(&Matrix::zeros(2, 2));
@@ -225,11 +199,9 @@ mod tests {
         ) {
             let m = Matrix::from_vec(10, 3, vals);
             let st = Standardizer::fit(&m);
-            let z = st.transform(&m);
+            let zs = ColumnStats::compute(&st.transform(&m));
             for j in 0..3 {
-                let col = z.col(j);
-                let mu = mean(&col);
-                let var = variance(&col);
+                let (mu, var) = (zs.mean[j], zs.std[j] * zs.std[j]);
                 prop_assert!(mu.abs() < 1e-9);
                 // Either the column was constant (var 0) or it is now unit.
                 prop_assert!(var < 1e-9 || (var - 1.0).abs() < 1e-6);

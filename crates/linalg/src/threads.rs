@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-/// Effective thread-pool width used by the parallel kernels (GEMM bands,
+/// Effective thread-pool width used by the parallel kernels (Gram bands,
 /// kernel-model predict batches, the model-generation grid, columnar
 /// chunk scans).
 ///

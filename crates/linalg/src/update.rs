@@ -1,4 +1,4 @@
-//! Rank-k maintenance of Cholesky factors.
+//! Sliding-window maintenance of Cholesky factors.
 //!
 //! A sliding-window retrain retires the `r` leading rows/columns of the
 //! factored matrix and borders it by `k` incoming ones. One kernel,
@@ -30,16 +30,6 @@
 //! order as the textbook row-by-row recombination; only the summation
 //! order inside a reflection's projection differs.
 //!
-//! [`Cholesky::update_rank_k`] (add `WᵀW`) runs the same sweep with no
-//! border, and shares its unconditional stability.
-//! [`Cholesky::downdate_rank_k`] (subtract `WᵀW`) uses hyperbolic
-//! rotations instead — only *conditionally* stable: as a rotation
-//! parameter `|s| = |vⱼ|/lⱼⱼ` approaches 1 the transformation amplifies
-//! rounding error without bound. A guard refuses the downdate
-//! ([`LinalgError::IllConditioned`]) before any garbage is produced — the
-//! factor is only committed after every pivot clears the guard — and the
-//! caller refactorizes instead.
-//!
 //! The multi-RHS solve ([`Cholesky::solve_multi`]) keeps the right-hand
 //! sides interleaved row-major (`n × k`, one row per unknown) so both
 //! substitution sweeps run contiguous length-`k` axpys — this is the
@@ -48,14 +38,6 @@
 //! refactoring the Gram matrix.
 
 use crate::{Cholesky, LinalgError, Matrix, Result};
-
-/// Guard threshold for the hyperbolic downdate: pivot `j` is refused when
-/// `lⱼⱼ² − vⱼ² ≤ DOWNDATE_GUARD · lⱼⱼ²`, i.e. when the downdate would
-/// shrink the pivot by more than ~4 decimal digits. Beyond that the
-/// hyperbolic rotation amplifies rounding by ≥ 10⁴ and a refactorization
-/// (cheap for the `p × p` Gram systems this path serves) is both safer
-/// and barely slower.
-pub const DOWNDATE_GUARD: f64 = 1e-8;
 
 /// Kept rows per sweep block: one 512-bit vector of `f64` lanes.
 const LANES: usize = 8;
@@ -97,97 +79,25 @@ impl Cholesky {
         if r == 0 && k == 0 {
             return Ok(());
         }
-        self.sweep(r, None, b, c)
+        self.sweep(r, b, c)
     }
 
-    /// Rank-k update: replace the factor of `A` with the factor of
-    /// `A + WᵀW`, where `w` is `k × n` (one added data row per matrix
-    /// row, matching the Gram-matrix convention `G += Σ xxᵀ`).
-    ///
-    /// Unconditionally stable — the same Householder sweep as
-    /// [`Cholesky::shift_window`], run in the factor's own buffer (left
-    /// unusable on error). Cost `O(n²k)`.
-    pub fn update_rank_k(&mut self, w: &Matrix) -> Result<()> {
-        let n = self.order();
-        if w.cols() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky update_rank_k",
-                lhs: (n, n),
-                rhs: w.shape(),
-            });
-        }
-        if !w.is_finite() {
-            return Err(LinalgError::NonFinite {
-                what: "cholesky update rows",
-            });
-        }
-        if w.rows() == 0 {
-            return Ok(());
-        }
-        let no_border = Matrix::zeros(0, 0);
-        self.sweep(w.rows(), Some(w), &Matrix::zeros(n, 0), &no_border)
-    }
-
-    /// Rank-k downdate: replace the factor of `A` with the factor of
-    /// `A − WᵀW`, where `w` is `k × n` (one retired data row per matrix
-    /// row).
-    ///
-    /// Implemented as `k` sequential hyperbolic rank-1 downdates. This is
-    /// the one *conditionally* stable factor operation: when a rotation
-    /// parameter approaches 1 — the downdated matrix is nearly singular at
-    /// that pivot — rounding error is amplified without bound. The guard
-    /// ([`DOWNDATE_GUARD`]) returns [`LinalgError::IllConditioned`]
-    /// *before* committing anything: on error the stored factor is
-    /// bit-for-bit untouched and the caller should refactorize from the
-    /// explicitly-maintained matrix instead.
-    pub fn downdate_rank_k(&mut self, w: &Matrix) -> Result<()> {
-        let n = self.order();
-        if w.cols() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky downdate_rank_k",
-                lhs: (n, n),
-                rhs: w.shape(),
-            });
-        }
-        if !w.is_finite() {
-            return Err(LinalgError::NonFinite {
-                what: "cholesky downdate rows",
-            });
-        }
-        if w.rows() == 0 {
-            return Ok(());
-        }
-        // Work on a copy so a guard trip at any pivot of any of the k
-        // rank-1 passes leaves the stored factor untouched.
-        let mut l = self.l.clone();
-        let mut v = vec![0.0; n];
-        for r in 0..w.rows() {
-            v.copy_from_slice(w.row(r));
-            downdate_rank1(&mut l, &mut v)?;
-        }
-        self.l = l;
-        Ok(())
-    }
-
-    /// The one row sweep behind [`Cholesky::shift_window`] (`w` = `None`:
-    /// retire the `r` leading rows, then border by `b`, `c`) and
-    /// [`Cholesky::update_rank_k`] (`w` = the `r × n` update rows: the
-    /// coupling of kept row `i` is column `i` of `w`, and nothing is
-    /// retired or bordered).
-    fn sweep(&mut self, r: usize, w: Option<&Matrix>, b: &Matrix, c: &Matrix) -> Result<()> {
+    /// The one row sweep behind [`Cholesky::shift_window`]: retire the
+    /// `r` leading rows, then border by `b`, `c`.
+    fn sweep(&mut self, r: usize, b: &Matrix, c: &Matrix) -> Result<()> {
         let n = self.order();
         let k = c.rows();
-        let m = if w.is_some() { n } else { n - r };
+        let m = n - r;
         // In place, destination row i overwrites source row i — the source
-        // of kept row i − r, or of row i itself for an update, which the
-        // sweep has already loaded — and its entries past the diagonal
-        // are already zero, so only lower triangles are written.
+        // of kept row i − r, which the sweep has already loaded — and its
+        // entries past the diagonal are already zero, so only lower
+        // triangles are written.
         let mut fresh = (m + k != n).then(|| Matrix::zeros(m + k, m + k));
         let mut sweep = Sweep::new(m, r, k);
         let mut i0 = 0;
         while i0 < m {
             let rows = LANES.min(m - i0);
-            sweep.load(&self.l, w, i0, rows);
+            sweep.load(&self.l, i0, rows);
             sweep.fold(i0, rows)?;
             sweep.solve_border(b, i0, rows);
             sweep.store(fresh.as_mut().unwrap_or(&mut self.l), i0, rows);
@@ -357,7 +267,7 @@ impl Cholesky {
 }
 
 /// Working state of one [`Cholesky::sweep`] over `m` kept rows, `r`
-/// retired (or update) columns and `k` border rows.
+/// retired columns and `k` border rows.
 struct Sweep {
     m: usize,
     r: usize,
@@ -399,30 +309,25 @@ impl Sweep {
 
     /// Slide kept rows `i0..i0 + rows` into the block, transposed. Kept
     /// row `i` is source row `r + i` with its coupling in that row's first
-    /// `r` columns — or, for an update, source row `i` with its coupling
-    /// in column `i` of `w`. Unused lanes of a short last block are zeroed.
-    fn load(&mut self, l: &Matrix, w: Option<&Matrix>, i0: usize, rows: usize) {
+    /// `r` columns. Unused lanes of a short last block are zeroed.
+    fn load(&mut self, l: &Matrix, i0: usize, rows: usize) {
         let r = self.r;
-        let off = if w.is_some() { 0 } else { r };
         let last = i0 + rows - 1;
         // Column by column, so each block column is written as one whole
         // cache line while the source rows stream in step. Unused lanes
         // repeat the last row until they are zeroed below.
         let src: [&[f64]; LANES] =
-            std::array::from_fn(|lane| &l.row(off + last.min(i0 + lane))[..off + i0]);
+            std::array::from_fn(|lane| &l.row(r + last.min(i0 + lane))[..r + i0]);
         for (c, cw) in self.coupling[..r].iter_mut().enumerate() {
-            *cw = match w {
-                None => std::array::from_fn(|lane| src[lane][c]),
-                Some(w) => std::array::from_fn(|lane| w[(c, last.min(i0 + lane))]),
-            };
+            *cw = std::array::from_fn(|lane| src[lane][c]);
         }
         for (q, col) in self.cols[..i0].iter_mut().enumerate() {
-            *col = std::array::from_fn(|lane| src[lane][off + q]);
+            *col = std::array::from_fn(|lane| src[lane][r + q]);
         }
         for (q, col) in self.cols[i0..i0 + LANES].iter_mut().enumerate() {
             *col = std::array::from_fn(|lane| {
                 if q <= lane && lane < rows {
-                    l[(off + i0 + lane, off + i0 + q)]
+                    l[(r + i0 + lane, r + i0 + q)]
                 } else {
                     0.0
                 }
@@ -600,35 +505,6 @@ fn reflect(col: &mut Lanes, coupling: &mut [Lanes], u: &[f64], v0: f64, tau: f64
     }
 }
 
-/// One hyperbolic rank-1 downdate `L Lᵀ − v vᵀ`, consuming `v` as
-/// workspace. Errors with [`LinalgError::IllConditioned`] when any pivot
-/// would shrink below [`DOWNDATE_GUARD`] of its square — `l` may be
-/// partially modified on error, so callers stage on a copy.
-fn downdate_rank1(l: &mut Matrix, v: &mut [f64]) -> Result<()> {
-    let n = l.rows();
-    for j in 0..n {
-        let ljj = l[(j, j)];
-        let vj = v[j];
-        let d2 = ljj * ljj - vj * vj;
-        if d2 <= DOWNDATE_GUARD * ljj * ljj || !d2.is_finite() {
-            return Err(LinalgError::IllConditioned {
-                op: "cholesky downdate",
-                pivot: j,
-            });
-        }
-        let djj = d2.sqrt();
-        let s = vj / ljj;
-        let c_inv = ljj / djj; // 1/√(1−s²)
-        l[(j, j)] = djj;
-        for i in j + 1..n {
-            let lij = l[(i, j)];
-            l[(i, j)] = (lij - s * v[i]) * c_inv;
-            v[i] = (v[i] - s * lij) * c_inv;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -797,65 +673,6 @@ mod tests {
     }
 
     #[test]
-    fn update_rank_k_matches_cold_factor() {
-        for (n, k) in [(5, 1), (30, 4), (64, 9)] {
-            let a = spd(n, 7, n as f64);
-            let w = random_matrix(k, n, 17);
-            let mut updated = a.clone();
-            let wtw = crate::syrk_rows(&w.transpose());
-            for i in 0..n {
-                for j in 0..n {
-                    updated[(i, j)] += wtw[(i, j)];
-                }
-            }
-            let mut warm = Cholesky::factor(&a).unwrap();
-            warm.update_rank_k(&w).unwrap();
-            let cold = Cholesky::factor_scalar(&updated).unwrap();
-            let diff = factor_diff(&warm, &cold);
-            assert!(diff < 1e-10, "n={n} k={k}: {diff:e}");
-        }
-    }
-
-    #[test]
-    fn downdate_reverses_update() {
-        for (n, k) in [(4, 1), (24, 5), (48, 3)] {
-            let a = spd(n, 41, n as f64);
-            let w = random_matrix(k, n, 43);
-            let cold = Cholesky::factor_scalar(&a).unwrap();
-            let mut warm = cold.clone();
-            warm.update_rank_k(&w).unwrap();
-            warm.downdate_rank_k(&w).unwrap();
-            let diff = factor_diff(&warm, &cold);
-            assert!(diff < 1e-9, "n={n} k={k}: {diff:e}");
-        }
-    }
-
-    #[test]
-    fn downdate_guard_refuses_near_singular_and_keeps_factor() {
-        // A = WᵀW + δI with tiny δ: downdating by W leaves ≈ δI, which
-        // drives the hyperbolic rotation parameter to 1. The guard must
-        // refuse and the stored factor must be bit-for-bit untouched.
-        let n = 12;
-        let w = random_matrix(3, n, 97);
-        let mut a = crate::syrk_rows(&w.transpose());
-        for i in 0..n {
-            a[(i, i)] += 1e-12;
-        }
-        let mut ch = Cholesky::factor(&a).unwrap();
-        let before = ch.l().clone();
-        match ch.downdate_rank_k(&w) {
-            Err(LinalgError::IllConditioned { op, .. }) => {
-                assert_eq!(op, "cholesky downdate");
-            }
-            other => panic!("expected IllConditioned, got {other:?}"),
-        }
-        assert_eq!(ch.l().as_slice(), before.as_slice());
-        // And the solve still works off the untouched factor.
-        let x = ch.solve(&vec![1.0; n]).unwrap();
-        assert!(x.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
     fn solve_multi_matches_per_column_solve() {
         let n = 20;
         let k = 5;
@@ -950,63 +767,6 @@ mod tests {
             let cold = Cholesky::factor(&block(&a, (lo, hi), (lo, hi))).unwrap();
             let diff = factor_diff(&warm, &cold);
             prop_assert!(diff < 1e-8, "window [{lo},{hi}): {diff:e}");
-        }
-
-        /// Adversarial near-singular downdates: whatever the guard decides,
-        /// it must never return garbage — either `Ok` with a factor close
-        /// to the cold factor of the downdated matrix, or `IllConditioned`
-        /// with the original factor untouched.
-        #[test]
-        fn prop_downdate_guard_never_returns_garbage(
-            seed in 0u64..500,
-            n in 3usize..16,
-            k in 1usize..4,
-            // log10 of the residual ridge left after downdating: spans
-            // comfortably-conditioned through hopeless.
-            log_delta in -14.0f64..2.0,
-        ) {
-            let w = random_matrix(k, n, seed.wrapping_add(1));
-            let delta = 10f64.powf(log_delta);
-            // A = WᵀW + B + δI where B is a mild SPD base scaled by δ:
-            // downdating W leaves δ·(B/δ·δ + I)… i.e. conditioning of the
-            // result is controlled by how small δ is relative to ‖WᵀW‖.
-            let mut a = crate::syrk_rows(&w.transpose());
-            let base = spd(n, seed.wrapping_add(2), 1.0);
-            for i in 0..n {
-                for j in 0..n {
-                    a[(i, j)] += delta * base[(i, j)];
-                }
-            }
-            let mut ch = Cholesky::factor(&a).unwrap();
-            let before = ch.l().clone();
-            match ch.downdate_rank_k(&w) {
-                Ok(()) => {
-                    // Result must reconstruct A − WᵀW to a tolerance that
-                    // scales with the guard's worst allowed amplification.
-                    let mut target = a.clone();
-                    let wtw = crate::syrk_rows(&w.transpose());
-                    for i in 0..n {
-                        for j in 0..n {
-                            target[(i, j)] -= wtw[(i, j)];
-                        }
-                    }
-                    let rec = ch.l().matmul(&ch.l().transpose()).unwrap();
-                    let scale = (0..n).map(|i| a[(i, i)]).fold(1.0f64, f64::max);
-                    for i in 0..n {
-                        for j in 0..n {
-                            let err = (rec[(i, j)] - target[(i, j)]).abs() / scale;
-                            prop_assert!(err < 1e-7, "({i},{j}): {err:e}");
-                        }
-                    }
-                    for i in 0..n {
-                        prop_assert!(ch.l()[(i, i)] > 0.0, "diag {i} not positive");
-                    }
-                }
-                Err(LinalgError::IllConditioned { .. }) => {
-                    prop_assert_eq!(ch.l().as_slice(), before.as_slice());
-                }
-                Err(other) => prop_assert!(false, "unexpected error {:?}", other),
-            }
         }
     }
 }

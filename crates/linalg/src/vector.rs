@@ -37,12 +37,6 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Infinity norm (maximum absolute value); 0 for an empty slice.
-#[inline]
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-}
-
 /// `y += alpha * x`, the classic BLAS axpy.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
@@ -82,21 +76,6 @@ pub fn axpy2(a0: f64, x0: &[f64], a1: f64, x1: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `a *= alpha` in place.
-#[inline]
-pub fn scale(alpha: f64, a: &mut [f64]) {
-    for x in a {
-        *x *= alpha;
-    }
-}
-
-/// Element-wise `a - b` into a fresh vector.
-#[inline]
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len(), "sub: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,28 +107,10 @@ mod tests {
     }
 
     #[test]
-    fn norm_inf_picks_max_abs() {
-        assert_eq!(norm_inf(&[1.0, -7.5, 3.0]), 7.5);
-        assert_eq!(norm_inf(&[]), 0.0);
-    }
-
-    #[test]
     fn axpy_accumulates() {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[3.0, 4.0], &mut y);
         assert_eq!(y, vec![7.0, 9.0]);
-    }
-
-    #[test]
-    fn scale_in_place() {
-        let mut a = vec![1.0, -2.0];
-        scale(-3.0, &mut a);
-        assert_eq!(a, vec![-3.0, 6.0]);
-    }
-
-    #[test]
-    fn sub_elementwise() {
-        assert_eq!(sub(&[5.0, 1.0], &[2.0, 3.0]), vec![3.0, -2.0]);
     }
 
     proptest! {
@@ -176,20 +137,18 @@ mod tests {
         ) {
             let n = norm2(&a);
             prop_assert!(n >= 0.0);
-            let mut b = a.clone();
-            scale(alpha, &mut b);
+            let b: Vec<f64> = a.iter().map(|x| alpha * x).collect();
             prop_assert!((norm2(&b) - alpha.abs() * n).abs() <= 1e-8 * (1.0 + n));
         }
 
         #[test]
-        fn axpy_then_sub_roundtrip(
+        fn axpy_into_zero_copies(
             x in proptest::collection::vec(-1e3_f64..1e3, 0..32),
         ) {
-            // y = 0 + 1*x, then x - y == 0
+            // y = 0 + 1*x reproduces x exactly.
             let mut y = vec![0.0; x.len()];
             axpy(1.0, &x, &mut y);
-            let d = sub(&x, &y);
-            prop_assert!(norm_inf(&d) == 0.0);
+            prop_assert_eq!(y, x);
         }
     }
 }

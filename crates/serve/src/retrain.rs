@@ -32,7 +32,9 @@
 //!   — retrains or publishes that errored (the worker keeps going);
 //! - `f2pm_retrain_tap_dropped_total` — events the lossy tap shed;
 //! - `f2pm_retrain_runs_skipped_total` — runs discarded as unusable
-//!   (overflowed assembly buffer or no labeled points);
+//!   (overflowed assembly buffer, no datapoints, or a non-finite value
+//!   or `Fail` time — one such run would fail every retrain for as long
+//!   as it stayed in the window);
 //! - `f2pm_retrain_published_generation` — the last store generation this
 //!   worker published.
 
@@ -101,7 +103,7 @@ impl RetrainTap {
 /// Configuration of a [`RetrainWorker`].
 #[derive(Debug, Clone)]
 pub struct RetrainerConfig {
-    /// The warm engine's configuration (window length, kernel, λs). Its
+    /// The warm engine's configuration (window length, kernel, γ). Its
     /// aggregation MUST match what the serving registry aggregates with —
     /// the published artifact records it, and a mismatched publish would
     /// swap the server onto a model speaking different columns.
@@ -222,7 +224,11 @@ fn worker_loop(
                 let Some(run) = pending.remove(&host) else {
                     continue;
                 };
-                if run.overflowed || run.points.is_empty() {
+                if run.overflowed
+                    || run.points.is_empty()
+                    || !t.is_finite()
+                    || !run.points.iter().all(Datapoint::is_finite)
+                {
                     metrics.runs_skipped.inc();
                     continue;
                 }
@@ -263,7 +269,7 @@ fn retrain_and_publish(
     if outcome.lssvm_path == FactorPath::Warm {
         metrics.warm.inc();
     }
-    if outcome.lssvm_path == FactorPath::Fallback || outcome.ridge_path == FactorPath::Fallback {
+    if outcome.lssvm_path == FactorPath::Fallback {
         metrics.fallback.inc();
     }
     let meta = ArtifactMeta::new(
@@ -421,6 +427,41 @@ mod tests {
 
         drop(tap);
         worker.join();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupt_runs_are_skipped_and_counted() {
+        let (dir, store) = temp_store("corrupt");
+        let skipped = f2pm_obs::global().counter("f2pm_retrain_runs_skipped_total");
+        let before = skipped.get();
+        let mut cfg = RetrainerConfig::new(engine_cfg(2));
+        cfg.min_window_runs = 1;
+        let (tap, worker) = RetrainWorker::start(cfg, ModelStore::open(&dir).unwrap());
+
+        // A NaN datapoint, then a non-finite Fail time: both skipped, so
+        // neither publishes nor stays in the window to fail the retrains
+        // after it.
+        let mut t = 0.0;
+        while t < 200.0 {
+            let mut d = dp(t, 20);
+            if t == 100.0 {
+                d.values[3] = f64::NAN;
+            }
+            tap.offer_datapoint(1, d);
+            tap.offer_datapoint(2, dp(t, 21));
+            t += 5.0;
+        }
+        tap.offer_fail(1, 205.0);
+        tap.offer_fail(2, f64::INFINITY);
+        // A clean run alone then meets `min_window_runs` and publishes
+        // the first generation.
+        stream_run(&tap, 3, 22);
+
+        drop(tap);
+        worker.join();
+        assert!(skipped.get() - before >= 2, "both corrupt runs counted");
+        assert_eq!(store.active_generation().unwrap(), Some(1));
         std::fs::remove_dir_all(&dir).ok();
     }
 
