@@ -343,42 +343,6 @@ fn run_client(
     report
 }
 
-/// A scrape connection: handshake once, then `MetricsRequest` →
-/// `MetricsText` on demand.
-struct Scraper {
-    stream: TcpStream,
-}
-
-impl Scraper {
-    fn connect(addr: SocketAddr) -> Scraper {
-        let mut stream = TcpStream::connect(addr).expect("scraper connect");
-        stream.set_nodelay(true).ok();
-        Message::Hello {
-            version: PROTOCOL_VERSION,
-            host_id: u32::MAX, // outside the client host range
-        }
-        .write_to(&mut stream)
-        .expect("scraper hello");
-        Scraper { stream }
-    }
-
-    fn scrape(&mut self) -> String {
-        Message::MetricsRequest
-            .write_to(&mut self.stream)
-            .expect("scrape request");
-        loop {
-            match Message::read_from(&mut self.stream)
-                .expect("scrape reply")
-                .expect("open")
-            {
-                Message::MetricsText { text } => return text,
-                Message::Alert { .. } | Message::RttfEstimate { .. } => {}
-                other => panic!("unexpected scrape reply {other:?}"),
-            }
-        }
-    }
-}
-
 /// First exposition sample starting with `prefix` (include the trailing
 /// space for unlabeled samples).
 fn metric_sample(text: &str, prefix: &str) -> Option<f64> {
@@ -507,7 +471,9 @@ fn run_once(args: &Args, shards: usize) -> RunResult {
             reload_generation.store(g, Ordering::SeqCst);
             // Mid-run scrape, while the fleet is still streaming: the
             // exposition must already carry the fresh generation.
-            let mid_text = Scraper::connect(addr).scrape();
+            let mid_text = InstanceClient::connect(&addr.to_string())
+                .and_then(|mut c| c.scrape())
+                .expect("mid-run scrape");
             (g, mid_text)
         })
     };
@@ -542,14 +508,14 @@ fn run_once(args: &Args, shards: usize) -> RunResult {
                 .zip(metric_sample(text, "f2pm_serve_estimate_latency_us_count "))
                 .is_some_and(|(total, hist)| total == hist)
     };
-    let mut scraper = Scraper::connect(addr);
-    let mut final_text = scraper.scrape();
+    let mut scraper = InstanceClient::connect(&addr.to_string()).expect("scraper connect");
+    let mut final_text = scraper.scrape().expect("scrape reply");
     for _ in 0..1000 {
         if settled(&final_text) {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(5));
-        final_text = scraper.scrape();
+        final_text = scraper.scrape().expect("scrape reply");
     }
     let scraped_datapoints =
         metric_sample(&final_text, "f2pm_serve_datapoints_total ").unwrap_or(-1.0) as i64;
@@ -890,14 +856,14 @@ fn spawn_fleet(
 
 /// Poll the scrape until `pred` holds (or the budget runs out); returns
 /// the last exposition text.
-fn scrape_until(scraper: &mut Scraper, tries: usize, pred: impl Fn(&str) -> bool) -> String {
-    let mut text = scraper.scrape();
+fn scrape_until(scraper: &mut InstanceClient, tries: usize, pred: impl Fn(&str) -> bool) -> String {
+    let mut text = scraper.scrape().expect("scrape reply");
     for _ in 0..tries {
         if pred(&text) {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(5));
-        text = scraper.scrape();
+        text = scraper.scrape().expect("scrape reply");
     }
     text
 }
@@ -963,7 +929,7 @@ fn run_connections(args: &Args) -> ConnResult {
     if connected != n as u64 {
         failures.push(format!("fleet connected {connected}/{n}"));
     }
-    let mut scraper = Scraper::connect(addr);
+    let mut scraper = InstanceClient::connect(&addr.to_string()).expect("scraper connect");
     let live_text = scrape_until(&mut scraper, 4000, |t| {
         metric_sample(t, "f2pm_serve_connections ").unwrap_or(0.0) as u64 > connected
     });

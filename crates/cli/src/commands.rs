@@ -6,10 +6,9 @@ use f2pm_ml::{
     evaluate_all, LsSvmRegressor, M5Params, M5Prime, Metrics, RepTree, RepTreeParams,
     SMaeThreshold, SavedModel, SvrParams, SvrRegressor,
 };
-use f2pm_monitor::wire::{Message, PROTOCOL_VERSION};
-use f2pm_monitor::{load_csv, save_csv, Collector, DataHistory, Datapoint, ProcCollector};
+use f2pm_monitor::{load_csv, save_csv, Collector, DataHistory, ProcCollector};
 use f2pm_registry::{artifact, ArtifactMeta, ModelStore};
-use f2pm_serve::{ModelRegistry, PredictionServer, ServeConfig, StoreWatcher};
+use f2pm_serve::{InstanceClient, ModelRegistry, PredictionServer, ServeConfig, StoreWatcher};
 use f2pm_sim::Campaign;
 use std::collections::HashMap;
 
@@ -37,7 +36,6 @@ USAGE:
                 [--window SECS] [--host ID] [--chunk-rows N]
   f2pm query    --store store.f2pc --model model.f2pm [--run ID] [--host ID]
                 [--t-min SECS] [--t-max SECS] [--cohort run|host]
-  f2pm retrain-bench [--runs N] [--rows-per-run N] [--reps N]
 
 METHODS (train): linear, rep_tree, m5p, svm, ls_svm
 
@@ -74,10 +72,7 @@ gauges stay attributable behind an `instance` label. `export-columnar`
 converts a history CSV into the checksummed columnar store format and
 `query` re-scores it against a model artifact — zone maps prune chunks the
 filter cannot match, and errors stream into per-run (or per-host) MAE /
-S-MAE cohorts without ever materializing the history as rows.
-`retrain-bench` measures the warm-start retraining engine's steady-state
-1-run window shift against a cold rebuild on this machine (the loop
-behind `serve --retrain`) and verifies warm/cold model equivalence.";
+S-MAE cohorts without ever materializing the history as rows.";
 
 /// Parse `--key value` pairs and bare `--flag`s, rejecting any key the
 /// subcommand does not list in `accepted`.
@@ -133,7 +128,7 @@ fn require(flags: &HashMap<String, String>, key: &str) -> Result<String, String>
 fn aggregation_from(flags: &HashMap<String, String>) -> Result<AggregationConfig, String> {
     let mut agg = AggregationConfig::default();
     if let Some(w) = get_parsed::<f64>(flags, "window")? {
-        if w <= 0.0 {
+        if !(w.is_finite() && w > 0.0) {
             return Err("--window must be positive".to_string());
         }
         agg.window_s = w;
@@ -202,6 +197,9 @@ pub fn monitor(args: &[String]) -> Result<(), String> {
     println!("wrote {} datapoints to {out}", history.datapoint_count());
     Ok(())
 }
+
+/// The `--method` names [`fit_saved_model`] trains.
+const TRAIN_METHODS: [&str; 5] = ["linear", "rep_tree", "m5p", "svm", "ls_svm"];
 
 /// Fit `method` as a persistable [`SavedModel`], stamping the training
 /// time into the global metrics registry as a `train:<method>` span (the
@@ -512,26 +510,68 @@ const SERVE_FLAGS: &[&str] = &[
     "retrain",
 ];
 
-/// Map the `f2pm serve` flag surface onto the typed, validated
-/// [`f2pm::ServeOptions`] builder. The three-way model choice becomes a
-/// [`f2pm::ModelSource`], and every invalid combination surfaces as the
-/// builder's one `invalid_config` error kind instead of ad-hoc checks.
-fn serve_options_from(flags: &HashMap<String, String>) -> Result<f2pm::ServeOptions, String> {
-    use f2pm::ModelSource;
+/// Where `f2pm serve` gets its model: exactly one of `--models-dir`,
+/// `--model` and `--history`. Each variant carries only the flags that
+/// apply to it.
+#[derive(Debug, Clone, PartialEq)]
+enum ServeSource {
+    /// `--models-dir`: cold-start from the store's manifest-active
+    /// artifact and hot-reload as the manifest advances; `--retrain RUNS`
+    /// publishes warm-retrained models back into the same store.
+    Store {
+        dir: String,
+        retrain_runs: Option<usize>,
+    },
+    /// `--model`: serve one checksummed artifact file as is.
+    File(String),
+    /// `--history`: boot-train `--method` in-process, aggregating with
+    /// `--window`.
+    BootTrain {
+        history: String,
+        method: String,
+        agg: AggregationConfig,
+    },
+}
+
+/// A parsed `f2pm serve` command line.
+struct ServeArgs {
+    addr: String,
+    source: ServeSource,
+    cfg: ServeConfig,
+    seconds: Option<u64>,
+}
+
+/// Parse the `f2pm serve` flags and check them: the CLI's own model-source
+/// rules here, the server knobs through [`ServeConfig::validate`]. Nothing
+/// is loaded or trained yet, so bad flags fail fast.
+fn serve_args_from(flags: &HashMap<String, String>) -> Result<ServeArgs, String> {
+    let retrain_runs: Option<usize> = get_parsed(flags, "retrain")?;
     let source = match (
         flags.get("models-dir"),
         flags.get("model"),
         flags.get("history"),
     ) {
-        (Some(dir), None, None) => ModelSource::Artifact(dir.into()),
-        (None, Some(path), None) => ModelSource::File(path.into()),
-        (None, None, Some(hist)) => ModelSource::BootTrain {
-            history: hist.into(),
-            method: flags
+        (Some(dir), None, None) => ServeSource::Store {
+            dir: dir.clone(),
+            retrain_runs,
+        },
+        (None, Some(path), None) => ServeSource::File(path.clone()),
+        (None, None, Some(history)) => {
+            let method = flags
                 .get("method")
                 .cloned()
-                .unwrap_or_else(|| "rep_tree".to_string()),
-        },
+                .unwrap_or_else(|| "rep_tree".to_string());
+            if !TRAIN_METHODS.contains(&method.as_str()) {
+                return Err(format!(
+                    "unknown training method {method:?} (expected one of {TRAIN_METHODS:?})"
+                ));
+            }
+            ServeSource::BootTrain {
+                history: history.clone(),
+                method,
+                agg: aggregation_from(flags)?,
+            }
+        }
         (None, None, None) => {
             return Err("serve needs --model, --history or --models-dir".to_string())
         }
@@ -542,54 +582,69 @@ fn serve_options_from(flags: &HashMap<String, String>) -> Result<f2pm::ServeOpti
             )
         }
     };
-    if flags.contains_key("method") && !matches!(source, ModelSource::BootTrain { .. }) {
+    let boot_train = matches!(source, ServeSource::BootTrain { .. });
+    if flags.contains_key("window") && !boot_train {
+        return Err("--window conflicts with an artifact: the artifact records \
+                    its own aggregation config"
+            .to_string());
+    }
+    if flags.contains_key("method") && !boot_train {
         return Err("--method only applies to --history boot-training".to_string());
     }
-    let mut b = f2pm::ServeOptions::builder(source);
-    if let Some(a) = flags.get("addr") {
-        b = b.addr(a.clone());
+    if retrain_runs.is_some() && !matches!(source, ServeSource::Store { .. }) {
+        return Err(
+            "--retrain needs an artifact store (--models-dir) to publish refreshed models into"
+                .to_string(),
+        );
     }
-    if let Some(n) = get_parsed::<usize>(flags, "shards")? {
-        b = b.shards(n);
+    if retrain_runs == Some(0) {
+        return Err("--retrain must hold at least one run".to_string());
     }
-    if let Some(r) = get_parsed::<usize>(flags, "reactors")? {
-        b = b.reactors(r);
+    let addr = flags
+        .get("addr")
+        .cloned()
+        .unwrap_or_else(|| "127.0.0.1:7878".to_string());
+    if addr.is_empty() {
+        return Err("--addr must not be empty".to_string());
     }
-    if let Some(c) = get_parsed::<usize>(flags, "queue")? {
-        b = b.queue_cap(c);
+    let mut cfg = ServeConfig::default();
+    if let Some(n) = get_parsed(flags, "shards")? {
+        cfg.shards = n;
     }
-    if let Some(t) = get_parsed::<f64>(flags, "threshold")? {
-        b = b.alert_threshold_s(t);
+    if let Some(n) = get_parsed(flags, "reactors")? {
+        cfg.reactors = n;
     }
-    if let Some(h) = get_parsed::<usize>(flags, "hits")? {
-        b = b.alert_hits(h);
+    if let Some(n) = get_parsed(flags, "queue")? {
+        cfg.queue_cap = n;
     }
-    if let Some(w) = get_parsed::<f64>(flags, "window")? {
-        b = b.window_s(w);
+    if let Some(t) = get_parsed(flags, "threshold")? {
+        cfg.policy.rttf_threshold_s = t;
     }
-    if let Some(s) = get_parsed::<u64>(flags, "seconds")? {
-        b = b.seconds(s);
+    if let Some(k) = get_parsed(flags, "hits")? {
+        cfg.policy.consecutive_hits = k;
     }
-    if let Some(id) = get_parsed::<u32>(flags, "instance-id")? {
-        b = b.instance_id(id);
+    if let Some(id) = get_parsed(flags, "instance-id")? {
+        cfg.instance_id = id;
     }
-    if let Some(runs) = get_parsed::<usize>(flags, "retrain")? {
-        b = b.retrain_window_runs(runs);
-    }
-    b.build().map_err(|e| e.to_string())
+    cfg.validate()
+        .map_err(|e| format!("invalid serve config: {e}"))?;
+    Ok(ServeArgs {
+        addr,
+        source,
+        cfg,
+        seconds: get_parsed(flags, "seconds")?,
+    })
 }
 
-/// Resolve a validated [`f2pm::ModelSource`] into a live model registry,
-/// returning it with a human-readable description and (for artifact
-/// stores) the manifest watcher.
+/// Resolve a [`ServeSource`] into a live model registry, returning it
+/// with a human-readable description and (for artifact stores) the
+/// manifest watcher.
 fn resolve_model_source(
-    opts: &f2pm::ServeOptions,
+    source: &ServeSource,
 ) -> Result<(std::sync::Arc<ModelRegistry>, String, Option<StoreWatcher>), String> {
-    use f2pm::ModelSource;
-    match &opts.source {
-        ModelSource::Artifact(dir) => {
-            let dir = dir.display().to_string();
-            let store = ModelStore::open(&dir).map_err(|e| format!("opening store {dir}: {e}"))?;
+    match source {
+        ServeSource::Store { dir, .. } => {
+            let store = ModelStore::open(dir).map_err(|e| format!("opening store {dir}: {e}"))?;
             let registry = ModelRegistry::from_store(&store)
                 .map_err(|e| format!("cold-starting from {dir}: {e}"))?;
             let generation = store
@@ -603,25 +658,23 @@ fn resolve_model_source(
             let watcher = StoreWatcher::new(store, registry.clone(), generation);
             Ok((registry, source, Some(watcher)))
         }
-        ModelSource::File(path) => {
-            let path = path.display().to_string();
+        ServeSource::File(path) => {
             let registry =
-                ModelRegistry::from_artifact(&path).map_err(|e| format!("loading {path}: {e}"))?;
+                ModelRegistry::from_artifact(path).map_err(|e| format!("loading {path}: {e}"))?;
             let kind = registry.current().kind;
             Ok((registry, format!("{kind} artifact from {path}"), None))
         }
-        ModelSource::BootTrain { history, method } => {
-            let mut agg = AggregationConfig::default();
-            if let Some(w) = opts.window_s {
-                agg.window_s = w;
-            }
+        ServeSource::BootTrain {
+            history: hist,
+            method,
+            agg,
+        } => {
             // Boot-train in-process: the aggregate/train spans land in the
             // global metrics registry, so scrapes of this server expose
             // the training-stage timings.
-            let hist = history.display().to_string();
-            let history = load_csv(&hist).map_err(|e| format!("reading {hist}: {e}"))?;
+            let history = load_csv(hist).map_err(|e| format!("reading {hist}: {e}"))?;
             let span = f2pm_obs::span!("aggregate");
-            let points = aggregate_history(&history, &agg);
+            let points = aggregate_history(&history, agg);
             let ds = Dataset::from_points(&points);
             span.stop();
             if ds.is_empty() {
@@ -632,8 +685,8 @@ fn resolve_model_source(
                 "boot-trained {method} on {} aggregated datapoints from {hist}",
                 ds.len()
             );
-            let columns = f2pm_features::aggregate::aggregated_column_names_with(&agg);
-            let registry = ModelRegistry::new(saved, columns, agg)
+            let columns = f2pm_features::aggregate::aggregated_column_names_with(agg);
+            let registry = ModelRegistry::new(saved, columns, *agg)
                 .map_err(|e| format!("installing boot-trained model: {e}"))?;
             Ok((
                 registry,
@@ -647,29 +700,33 @@ fn resolve_model_source(
 /// `f2pm serve`: the sharded online RTTF prediction service.
 pub fn serve(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args, SERVE_FLAGS)?;
-    let opts = serve_options_from(&flags)?;
-    let cfg = ServeConfig::from_options(&opts);
-    let (registry, source, mut store_watcher) = resolve_model_source(&opts)?;
-    let seconds = opts.seconds;
+    let ServeArgs {
+        addr,
+        source,
+        cfg,
+        seconds,
+    } = serve_args_from(&flags)?;
+    let (registry, description, mut store_watcher) = resolve_model_source(&source)?;
 
-    // Continuous retraining (artifact stores only, enforced by the
-    // options builder): a background worker fed by a lossy tap off the
-    // shard workers publishes refreshed LS-SVMs into the same store the
-    // manifest poll below hot-reloads from.
+    // Continuous retraining (artifact stores only): a background worker
+    // fed by a lossy tap off the shard workers publishes refreshed
+    // LS-SVMs into the same store the manifest poll below hot-reloads
+    // from.
     let mut retrain_worker = None;
     let mut tap = None;
-    if let Some(window_runs) = opts.retrain_window_runs {
-        let f2pm::ModelSource::Artifact(dir) = &opts.source else {
-            unreachable!("validated by ServeOptionsBuilder");
-        };
+    if let ServeSource::Store {
+        dir,
+        retrain_runs: Some(window_runs),
+    } = &source
+    {
         let engine = f2pm::RetrainConfig {
             // The artifact's own aggregation, so the published columns
             // match what this server (and its peers) aggregate with.
             aggregation: registry.agg(),
-            ..f2pm::RetrainConfig::new(window_runs)
+            ..f2pm::RetrainConfig::new(*window_runs)
         };
         let store = ModelStore::open(dir)
-            .map_err(|e| format!("opening store {} for retraining: {e}", dir.display()))?;
+            .map_err(|e| format!("opening store {dir} for retraining: {e}"))?;
         let (t, w) =
             f2pm_serve::RetrainWorker::start(f2pm_serve::RetrainerConfig::new(engine), store);
         tap = Some(t);
@@ -677,10 +734,10 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         eprintln!("continuous retraining over the last {window_runs} failing runs");
     }
 
-    let server = PredictionServer::start_with_tap(&*opts.addr, cfg, registry, tap)
-        .map_err(|e| format!("binding {}: {e}", opts.addr))?;
+    let server = PredictionServer::start_with_tap(&*addr, cfg, registry, tap)
+        .map_err(|e| format!("binding {addr}: {e}"))?;
     println!(
-        "serving {source} on {} (instance {}, {} shards, {} reactors, alert ≤ {:.0} s × {})",
+        "serving {description} on {} (instance {}, {} shards, {} reactors, alert ≤ {:.0} s × {})",
         server.addr(),
         cfg.instance_id,
         cfg.shards,
@@ -811,38 +868,6 @@ pub fn models(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Send one `MetricsRequest` on an already-handshaken stream and return
-/// the exposition text, skipping any pushed frames in between.
-fn scrape_once(stream: &mut std::net::TcpStream) -> Result<String, String> {
-    Message::MetricsRequest
-        .write_to(stream)
-        .map_err(|e| format!("sending scrape request: {e}"))?;
-    loop {
-        match Message::read_from(stream).map_err(|e| format!("reading scrape reply: {e}"))? {
-            Some(Message::MetricsText { text }) => return Ok(text),
-            Some(Message::Alert { .. }) | Some(Message::RttfEstimate { .. }) => {}
-            Some(other) => return Err(format!("unexpected scrape reply {other:?}")),
-            None => return Err("server closed the connection".to_string()),
-        }
-    }
-}
-
-/// Connect to a serve instance and shake hands. Resolution happens on
-/// every call, so a `--watch` reconnect picks up DNS changes too.
-fn connect_serve(addr: &str) -> Result<std::net::TcpStream, String> {
-    let mut stream = std::net::TcpStream::connect(addr)
-        .map_err(|e| format!("connecting {addr}: {e} (is `f2pm serve` running?)"))?;
-    stream.set_nodelay(true).ok();
-    // host_id 0 is fine: a stats client never streams datapoints.
-    Message::Hello {
-        version: PROTOCOL_VERSION,
-        host_id: 0,
-    }
-    .write_to(&mut stream)
-    .map_err(|e| format!("handshake with {addr}: {e}"))?;
-    Ok(stream)
-}
-
 /// `f2pm stats`: scrape a running serve instance's metrics exposition.
 /// With `--watch`, a lost connection re-resolves and reconnects instead
 /// of exiting — serve restarts (deploys, rollbacks) don't kill the watch.
@@ -860,11 +885,17 @@ pub fn stats(args: &[String]) -> Result<(), String> {
     let count: Option<u64> = get_parsed(&flags, "count")?;
     let mut remaining = count.unwrap_or(if watch { u64::MAX } else { 1 });
 
+    // Resolution happens on every connect, so a reconnect picks up DNS
+    // changes too.
+    let connect = || {
+        InstanceClient::connect(&addr)
+            .map_err(|e| format!("connecting {addr}: {e} (is `f2pm serve` running?)"))
+    };
     // The first connect still fails fast: a wrong --addr should not spin.
-    let mut stream = connect_serve(&addr)?;
+    let mut client = connect()?;
     let mut need_sep = false;
     while remaining > 0 {
-        match scrape_once(&mut stream) {
+        match client.scrape().map_err(|e| format!("scraping {addr}: {e}")) {
             Ok(text) => {
                 if need_sep {
                     println!();
@@ -878,9 +909,9 @@ pub fn stats(args: &[String]) -> Result<(), String> {
             }
             Err(e) if watch => {
                 eprintln!("scrape failed ({e}); reconnecting to {addr}...");
-                stream = loop {
+                client = loop {
                     std::thread::sleep(std::time::Duration::from_secs_f64(interval));
-                    match connect_serve(&addr) {
+                    match connect() {
                         Ok(s) => break s,
                         Err(e) => eprintln!("reconnect failed ({e}), retrying..."),
                     }
@@ -988,113 +1019,10 @@ pub fn fleet(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `f2pm retrain-bench`: measure the warm-start retraining engine's
-/// steady-state window shift against the cold-rebuild oracle
-/// (DESIGN.md §15) on this machine, and verify model equivalence.
-pub fn retrain_bench(args: &[String]) -> Result<(), String> {
-    use f2pm::{FactorPath, RetrainConfig, RetrainEngine};
-    use f2pm_features::aggregate_run;
-    use f2pm_ml::Model;
-    use f2pm_monitor::RunData;
-    use std::time::Instant;
-
-    let flags = parse_flags(args, &["runs", "rows-per-run", "reps"])?;
-    let window_runs: usize = get_parsed(&flags, "runs")?.unwrap_or(250);
-    let rows_per_run: usize = get_parsed(&flags, "rows-per-run")?.unwrap_or(8);
-    let reps: usize = get_parsed(&flags, "reps")?.unwrap_or(5);
-    if window_runs < 2 || rows_per_run == 0 || reps == 0 {
-        return Err("--runs must be >= 2, --rows-per-run and --reps >= 1".to_string());
-    }
-
-    let agg = AggregationConfig::default();
-    // Same synthetic run family the tracked benchmark uses: two raw
-    // datapoints per aggregation window, per-run phase decorrelation.
-    let make_run = |seed: usize| -> RunData {
-        let span = rows_per_run as f64 * agg.window_s;
-        let datapoints = (0..rows_per_run * 2)
-            .map(|k| {
-                let t = k as f64 * (agg.window_s / 2.0) + 1.0;
-                let mut values = [0.0f64; 14];
-                for (j, v) in values.iter_mut().enumerate() {
-                    *v = 1.0
-                        + 0.01 * t * (1.0 + j as f64 * 0.1)
-                        + (seed as f64 * 0.37 + j as f64).sin();
-                }
-                Datapoint { t_gen: t, values }
-            })
-            .collect();
-        RunData {
-            datapoints,
-            fail_time: Some(span + agg.window_s / 2.0),
-        }
-    };
-
-    let cfg = RetrainConfig {
-        aggregation: agg,
-        ..RetrainConfig::new(window_runs)
-    };
-    let mut base = RetrainEngine::new(cfg);
-    for seed in 0..window_runs {
-        base.push_run(&make_run(seed));
-    }
-    eprintln!(
-        "retrain-bench: {window_runs}-run window ({} rows), 1-run shift, {reps} reps...",
-        base.window_rows() + rows_per_run
-    );
-    let t = Instant::now();
-    base.retrain().map_err(|e| e.to_string())?;
-    let initial_cold_s = t.elapsed().as_secs_f64();
-
-    // One run leaves, one enters: the steady-state shift every
-    // continuous-retraining tick pays.
-    base.push_run(&make_run(window_runs));
-    let mut warm_s = f64::INFINITY;
-    let mut cold_s = f64::INFINITY;
-    let mut outcomes = None;
-    for _ in 0..reps {
-        let mut engine = base.clone();
-        let t = Instant::now();
-        let warm = engine.retrain().map_err(|e| e.to_string())?;
-        warm_s = warm_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        let cold = base.retrain_cold().map_err(|e| e.to_string())?;
-        cold_s = cold_s.min(t.elapsed().as_secs_f64());
-        if warm.lssvm_path != FactorPath::Warm {
-            return Err("shift fell off the warm factor path".to_string());
-        }
-        outcomes = Some((warm, cold));
-    }
-    let (warm, cold) = outcomes.expect("reps >= 1");
-
-    let probe = aggregate_run(&make_run(window_runs), &agg);
-    let max_pred_delta = probe
-        .iter()
-        .filter(|p| p.rttf.is_some())
-        .map(|p| {
-            let row = p.inputs_with(&agg);
-            (warm.model.predict_row(&row) - cold.model.predict_row(&row)).abs()
-        })
-        .fold(0.0, f64::max);
-
-    println!("initial cold build: {initial_cold_s:.4} s");
-    println!(
-        "steady-state shift ({} rows out, {} in):",
-        warm.retired_rows, warm.appended_rows
-    );
-    println!("  cold rebuild: {cold_s:.4} s");
-    println!("  warm shift:   {warm_s:.4} s  ({:.2}x)", cold_s / warm_s);
-    println!("  max warm/cold prediction delta: {max_pred_delta:.2e}");
-    if max_pred_delta >= 1e-6 {
-        return Err(format!(
-            "warm/cold prediction divergence {max_pred_delta:e} exceeds 1e-6"
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use f2pm_monitor::Datapoint;
 
     /// Synthesize a tiny valid history file.
     fn write_tiny_history(path: &std::path::Path) {
@@ -1349,13 +1277,6 @@ mod tests {
         ]))
         .unwrap();
 
-        // Bad flags are rejected up front.
-        assert!(serve(&s(&["--addr", "127.0.0.1:0"])).is_err()); // no --model
-        assert!(serve(&s(&["--model", model_s, "--shards", "0"])).is_err());
-        assert!(serve(&s(&["--model", model_s, "--reactors", "0"])).is_err());
-        // The artifact records its aggregation: no window override.
-        let err = serve(&s(&["--model", model_s, "--window", "30"])).unwrap_err();
-        assert!(err.contains("window conflicts"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1372,15 +1293,9 @@ mod tests {
 
         // The printing command end-to-end...
         stats(&s(&["--addr", &addr, "--count", "2", "--interval", "0.05"])).unwrap();
-        // ...and the scrape helper, so the content is assertable.
-        let mut stream = std::net::TcpStream::connect(&*addr).unwrap();
-        Message::Hello {
-            version: PROTOCOL_VERSION,
-            host_id: 0,
-        }
-        .write_to(&mut stream)
-        .unwrap();
-        let text = scrape_once(&mut stream).unwrap();
+        // ...and the client it scrapes through, so the content is
+        // assertable.
+        let text = InstanceClient::connect(&addr).unwrap().scrape().unwrap();
         assert!(text.contains("f2pm_serve_model_generation 1\n"), "{text}");
         assert!(text.contains("# TYPE f2pm_serve_estimate_latency_us histogram"));
         // Connection-lifecycle counters from the reactor edge surface in
@@ -1480,8 +1395,6 @@ mod tests {
             "linear"
         ]))
         .is_err());
-        assert!(serve(&s(&["--models-dir", &store_s, "--model", "m.f2pm"])).is_err());
-        assert!(serve(&s(&["--models-dir", &store_s, "--window", "30"])).is_err());
         let empty = dir.join("empty_store");
         let err = serve(&s(&["--models-dir", empty.to_str().unwrap()])).unwrap_err();
         assert!(err.contains("no published generation"), "{err}");
@@ -1508,16 +1421,7 @@ mod tests {
             ]))
             .unwrap();
         });
-        let scrape = || -> Option<String> {
-            let mut stream = std::net::TcpStream::connect(&*addr).ok()?;
-            Message::Hello {
-                version: PROTOCOL_VERSION,
-                host_id: 0,
-            }
-            .write_to(&mut stream)
-            .ok()?;
-            scrape_once(&mut stream).ok()
-        };
+        let scrape = || -> Option<String> { InstanceClient::connect(&addr).ok()?.scrape().ok() };
         let wait_for = |pred: &dyn Fn(&str) -> bool| -> String {
             for _ in 0..400 {
                 if let Some(text) = scrape() {
@@ -1582,47 +1486,147 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn serve_flags_map_onto_the_options_builder() {
-        let flags = parse_flags(
-            &s(&[
-                "--model",
-                "m.f2pm",
-                "--addr",
-                "0.0.0.0:9001",
-                "--shards",
-                "8",
-                "--instance-id",
-                "7",
-                "--threshold",
-                "90",
-                "--hits",
-                "3",
-            ]),
-            SERVE_FLAGS,
-        )
-        .unwrap();
-        let opts = serve_options_from(&flags).unwrap();
-        assert_eq!(opts.source, f2pm::ModelSource::File("m.f2pm".into()));
-        assert_eq!(opts.addr, "0.0.0.0:9001");
-        assert_eq!(opts.shards, 8);
-        assert_eq!(opts.instance_id, 7);
-        assert_eq!(opts.alert_threshold_s, 90.0);
-        assert_eq!(opts.alert_hits, 3);
+    fn serve_args(args: &[&str]) -> Result<ServeArgs, String> {
+        serve_args_from(&parse_flags(&s(args), SERVE_FLAGS).unwrap())
+    }
 
-        // Invalid combinations all surface through the builder's one
-        // typed error kind.
-        let parse = |args: &[&str]| parse_flags(&s(args), SERVE_FLAGS).unwrap();
-        let bad = parse(&["--models-dir", "store", "--window", "30"]);
-        assert!(serve_options_from(&bad).unwrap_err().contains("artifact"));
-        let none = parse(&["--shards", "4"]);
-        assert!(serve_options_from(&none).is_err());
-        let both = parse(&["--model", "m.f2pm", "--history", "h.csv"]);
-        assert!(serve_options_from(&both)
-            .unwrap_err()
-            .contains("mutually exclusive"));
-        let stray = parse(&["--model", "m.f2pm", "--method", "linear"]);
-        assert!(serve_options_from(&stray).unwrap_err().contains("--method"));
+    #[test]
+    fn serve_flags_parse_straight_into_serve_config() {
+        // Defaults: the server's own, and the rejuvenation policy's alert.
+        let a = serve_args(&["--model", "m.f2pm"]).unwrap();
+        assert_eq!(a.source, ServeSource::File("m.f2pm".to_string()));
+        assert_eq!(a.addr, "127.0.0.1:7878");
+        assert_eq!(a.seconds, None);
+        let d = ServeConfig::default();
+        assert_eq!(
+            (
+                a.cfg.shards,
+                a.cfg.reactors,
+                a.cfg.queue_cap,
+                a.cfg.instance_id
+            ),
+            (d.shards, d.reactors, d.queue_cap, d.instance_id)
+        );
+        let policy = f2pm::RejuvenationPolicy::default();
+        assert_eq!(a.cfg.policy.rttf_threshold_s, policy.rttf_threshold_s);
+        assert_eq!(a.cfg.policy.consecutive_hits, policy.consecutive_hits);
+
+        // Every knob is settable.
+        let a = serve_args(&[
+            "--history",
+            "h.csv",
+            "--method",
+            "linear",
+            "--window",
+            "15",
+            "--addr",
+            "0.0.0.0:9001",
+            "--shards",
+            "8",
+            "--reactors",
+            "2",
+            "--queue",
+            "64",
+            "--instance-id",
+            "7",
+            "--threshold",
+            "90",
+            "--hits",
+            "3",
+            "--seconds",
+            "30",
+        ])
+        .unwrap();
+        let agg = AggregationConfig {
+            window_s: 15.0,
+            ..AggregationConfig::default()
+        };
+        assert_eq!(
+            a.source,
+            ServeSource::BootTrain {
+                history: "h.csv".to_string(),
+                method: "linear".to_string(),
+                agg,
+            }
+        );
+        assert_eq!(a.addr, "0.0.0.0:9001");
+        assert_eq!(
+            (
+                a.cfg.shards,
+                a.cfg.reactors,
+                a.cfg.queue_cap,
+                a.cfg.instance_id
+            ),
+            (8, 2, 64, 7)
+        );
+        assert_eq!(a.cfg.policy.rttf_threshold_s, 90.0);
+        assert_eq!(a.cfg.policy.consecutive_hits, 3);
+        assert_eq!(a.seconds, Some(30));
+
+        // A store source, with and without the retrain loop.
+        let store = |retrain_runs| ServeSource::Store {
+            dir: "models".to_string(),
+            retrain_runs,
+        };
+        let a = serve_args(&["--models-dir", "models"]).unwrap();
+        assert_eq!(a.source, store(None));
+        let a = serve_args(&["--models-dir", "models", "--retrain", "6"]).unwrap();
+        assert_eq!(a.source, store(Some(6)));
+    }
+
+    /// Every bad combination is rejected while parsing, before a model is
+    /// loaded (none of these files exists).
+    #[test]
+    fn serve_flag_rules_reject_before_loading() {
+        for (args, want) in [
+            (&["--shards", "4"][..], "serve needs"),
+            (
+                &["--model", "m.f2pm", "--history", "h.csv"],
+                "mutually exclusive",
+            ),
+            (
+                &["--models-dir", "models", "--model", "m.f2pm"],
+                "mutually exclusive",
+            ),
+            (&["--model", "m.f2pm", "--method", "linear"], "--method"),
+            (
+                &["--models-dir", "models", "--method", "linear"],
+                "--method",
+            ),
+            (&["--model", "m.f2pm", "--window", "10"], "window conflicts"),
+            (
+                &["--models-dir", "models", "--window", "10"],
+                "window conflicts",
+            ),
+            (&["--history", "h.csv", "--window", "0"], "--window"),
+            (&["--history", "h.csv", "--window", "NaN"], "--window"),
+            (
+                &["--history", "h.csv", "--method", "gradient_boost"],
+                "unknown training method",
+            ),
+            (&["--model", "m.f2pm", "--retrain", "6"], "--retrain needs"),
+            (&["--history", "h.csv", "--retrain", "6"], "--retrain needs"),
+            (
+                &["--models-dir", "models", "--retrain", "0"],
+                "at least one run",
+            ),
+            (&["--model", "m.f2pm", "--addr", ""], "--addr"),
+            (&["--model", "m.f2pm", "--shards", "0"], "shards"),
+            (&["--model", "m.f2pm", "--reactors", "0"], "reactors"),
+            (&["--model", "m.f2pm", "--queue", "0"], "queue_cap"),
+            (&["--model", "m.f2pm", "--hits", "0"], "consecutive_hits"),
+            (
+                &["--model", "m.f2pm", "--threshold", "-1"],
+                "rttf_threshold_s",
+            ),
+            (
+                &["--model", "m.f2pm", "--threshold", "NaN"],
+                "rttf_threshold_s",
+            ),
+        ] {
+            let err = serve(&s(args)).unwrap_err();
+            assert!(err.contains(want), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -55,7 +55,6 @@ fn main() -> ExitCode {
         "fleet" => commands::fleet(rest),
         "export-columnar" => commands::export_columnar(rest),
         "query" => commands::query(rest),
-        "retrain-bench" => commands::retrain_bench(rest),
         "--help" | "-h" | "help" => {
             println!("{}", commands::USAGE);
             return ExitCode::SUCCESS;

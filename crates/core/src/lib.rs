@@ -50,7 +50,6 @@ pub mod query;
 pub mod rejuvenation;
 pub mod report;
 pub mod retrain;
-pub mod serve_options;
 pub mod workflow;
 
 pub use config::F2pmConfig;
@@ -62,5 +61,4 @@ pub use query::{run_query, Cohort, CohortStats, QueryFilter, QueryReport};
 pub use rejuvenation::{ProactiveRejuvenator, RejuvenationOutcome, RejuvenationPolicy};
 pub use report::{F2pmReport, VariantReport};
 pub use retrain::{FactorPath, RetrainConfig, RetrainEngine, RetrainOutcome};
-pub use serve_options::{ModelSource, ServeOptions, ServeOptionsBuilder};
 pub use workflow::{run_workflow, run_workflow_on_history};

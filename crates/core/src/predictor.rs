@@ -125,10 +125,11 @@ impl OnlinePredictor {
         let Some(point) = points.into_iter().next_back() else {
             return false;
         };
-        // Stack scratch for the paper's 30-column layout — this runs once
-        // per closed window per host, so no per-window heap allocation.
-        let mut inputs = [0.0; 30];
-        point.write_into(&AggregationConfig::default(), &mut inputs);
+        // Stack scratch wide enough for either layout (30 columns, or 44
+        // with `include_stddev`), so the input row needs no heap buffer.
+        let mut scratch = [0.0; 44];
+        let inputs = &mut scratch[..point.input_width(&self.agg)];
+        point.write_into(&self.agg, inputs);
         rows.extend(self.column_idx.iter().map(|&j| inputs[j]));
         true
     }
@@ -405,6 +406,61 @@ mod tests {
             assert_eq!(w.to_bits(), g.to_bits(), "estimate drifted: {w} vs {g}");
         }
         assert_eq!(immediate.last_estimate(), deferred.last_estimate());
+    }
+
+    /// A model over a `_std` column (the 44-column `include_stddev`
+    /// layout) scores each closed window exactly as `predict_row` does on
+    /// the window's aggregated inputs.
+    #[test]
+    fn stddev_layout_estimates_match_predict_row() {
+        let agg = AggregationConfig {
+            window_s: 30.0,
+            min_points: 2,
+            include_stddev: true,
+        };
+        let names = vec!["swap_used".to_string(), "swap_used_std".to_string()];
+        let model = f2pm_ml::linreg::LinearModel {
+            intercept: 1000.0,
+            coefficients: vec![-1.0, -2.0],
+        };
+        let mut pred = OnlinePredictor::new(Box::new(model.clone()), &names, agg);
+        let all = f2pm_features::aggregate::aggregated_column_names_with(&agg);
+        let cols: Vec<usize> = names
+            .iter()
+            .map(|n| all.iter().position(|a| a == n).unwrap())
+            .collect();
+
+        // One point every 3 s: each 30 s window closes on its 11th point
+        // and aggregates the 10 before it.
+        let feed: Vec<Datapoint> = (0..200)
+            .map(|i| {
+                let mut d = Datapoint {
+                    t_gen: i as f64 * 3.0,
+                    values: [1.0; 14],
+                };
+                d.set(FeatureId::SwapUsed, (i as f64 * 1.7).sin().abs() * 400.0);
+                d
+            })
+            .collect();
+        let got: Vec<f64> = feed.iter().filter_map(|d| pred.push(*d)).collect();
+        let want: Vec<f64> = feed
+            .chunks(10)
+            .take(got.len())
+            .map(|window| {
+                let run = RunData {
+                    datapoints: window.to_vec(),
+                    fail_time: None,
+                };
+                let point = aggregate_run(&run, &agg).pop().unwrap();
+                let inputs = point.inputs_with(&agg);
+                let row: Vec<f64> = cols.iter().map(|&j| inputs[j]).collect();
+                model.predict_row(&row).max(0.0)
+            })
+            .collect();
+        assert!(got.len() >= 10, "only {} estimates", got.len());
+        for (w, g) in want.iter().zip(&got) {
+            assert_eq!(w.to_bits(), g.to_bits(), "estimate drifted: {w} vs {g}");
+        }
     }
 
     #[test]

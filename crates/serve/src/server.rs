@@ -49,9 +49,8 @@ pub struct ServeConfig {
     pub batch_cap: usize,
     /// When to push rejuvenation alerts.
     pub policy: AlertPolicy,
-    /// Epoll reactor threads serving the connection edge (at least 1;
-    /// [`PredictionServer::start`] rejects `0`). Defaults to the machine's
-    /// available parallelism.
+    /// Epoll reactor threads serving the connection edge. Defaults to the
+    /// machine's available parallelism.
     pub reactors: usize,
     /// Bound (bytes) on one connection's pending outbound buffer; a slow
     /// consumer exceeding it is disconnected
@@ -79,22 +78,34 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Map the validated fleet-facing [`f2pm::ServeOptions`] onto the
-    /// server tuning knobs. Model-source resolution (artifact store, model
-    /// file, boot-training) stays with the caller — the options only carry
-    /// what the server itself needs.
-    pub fn from_options(o: &f2pm::ServeOptions) -> ServeConfig {
-        ServeConfig {
-            shards: o.shards,
-            queue_cap: o.queue_cap,
-            policy: AlertPolicy {
-                rttf_threshold_s: o.alert_threshold_s,
-                consecutive_hits: o.alert_hits,
-            },
-            reactors: o.reactors.unwrap_or_else(default_reactors),
-            instance_id: o.instance_id,
-            ..ServeConfig::default()
-        }
+    /// Check every knob, naming the first bad field in an `InvalidInput`
+    /// error. [`PredictionServer::start_with_tap`] calls this before it
+    /// binds or spawns anything, so nothing behind it clamps or re-checks.
+    ///
+    /// Zero `shards`, `queue_cap`, `batch_cap`, `reactors`, `outbound_cap`
+    /// or `policy.consecutive_hits` is rejected, as is a NaN or negative
+    /// `policy.rttf_threshold_s`; `+∞` is a valid threshold (alert on
+    /// every estimate).
+    pub fn validate(&self) -> io::Result<()> {
+        let zero = [
+            ("shards", self.shards),
+            ("queue_cap", self.queue_cap),
+            ("batch_cap", self.batch_cap),
+            ("reactors", self.reactors),
+            ("outbound_cap", self.outbound_cap),
+            ("policy.consecutive_hits", self.policy.consecutive_hits),
+        ]
+        .into_iter()
+        .find(|&(_, v)| v == 0);
+        let threshold = self.policy.rttf_threshold_s;
+        let msg = if let Some((field, _)) = zero {
+            format!("{field} must be at least 1")
+        } else if threshold.is_nan() || threshold < 0.0 {
+            format!("policy.rttf_threshold_s must be non-negative, got {threshold}")
+        } else {
+            return Ok(());
+        };
+        Err(io::Error::new(io::ErrorKind::InvalidInput, msg))
     }
 }
 
@@ -119,8 +130,8 @@ pub struct PredictionServer;
 
 impl PredictionServer {
     /// Bind `addr`, spawn the shard workers and the reactors, and return a
-    /// handle controlling the server. `cfg.reactors == 0` is
-    /// `InvalidInput`.
+    /// handle controlling the server. A `cfg` that fails
+    /// [`ServeConfig::validate`] is `InvalidInput`.
     pub fn start(
         addr: impl ToSocketAddrs,
         cfg: ServeConfig,
@@ -140,17 +151,12 @@ impl PredictionServer {
         registry: Arc<ModelRegistry>,
         tap: Option<crate::retrain::RetrainTap>,
     ) -> io::Result<ServeHandle> {
-        if cfg.reactors == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "reactors must be at least 1",
-            ));
-        }
+        cfg.validate()?;
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let metrics = Arc::new(ServeMetrics::new());
-        let pool = ShardPool::start_tapped(
+        let pool = ShardPool::start(
             cfg.shards,
             cfg.queue_cap,
             cfg.batch_cap,
@@ -171,7 +177,7 @@ impl PredictionServer {
         let reactors = ReactorPool::start(
             listener,
             cfg.reactors,
-            cfg.outbound_cap.max(1),
+            cfg.outbound_cap,
             Arc::clone(&inner),
             Arc::clone(&metrics),
         )?;
@@ -340,25 +346,75 @@ mod tests {
         .unwrap()
     }
 
+    /// Every zero, NaN or negative knob is a typed `InvalidInput` naming
+    /// its field, from `validate` and from `start` alike — never a panic,
+    /// a silent clamp, or a dead server (zero reactors would accept
+    /// nothing). `+∞` alerts on every estimate and is valid.
     #[test]
-    fn default_config_is_a_valid_reactor_edge() {
-        let cfg = ServeConfig::default();
-        assert!(cfg.outbound_cap > 0);
-        assert!(cfg.reactors >= 1);
-    }
+    fn validate_rejects_each_bad_knob_by_name() {
+        let ok = ServeConfig::default();
+        let cases: [(&str, ServeConfig); 8] = [
+            ("shards", ServeConfig { shards: 0, ..ok }),
+            ("queue_cap", ServeConfig { queue_cap: 0, ..ok }),
+            ("batch_cap", ServeConfig { batch_cap: 0, ..ok }),
+            ("reactors", ServeConfig { reactors: 0, ..ok }),
+            (
+                "outbound_cap",
+                ServeConfig {
+                    outbound_cap: 0,
+                    ..ok
+                },
+            ),
+            (
+                "policy.consecutive_hits",
+                ServeConfig {
+                    policy: AlertPolicy {
+                        consecutive_hits: 0,
+                        ..ok.policy
+                    },
+                    ..ok
+                },
+            ),
+            (
+                "policy.rttf_threshold_s",
+                ServeConfig {
+                    policy: AlertPolicy {
+                        rttf_threshold_s: f64::NAN,
+                        ..ok.policy
+                    },
+                    ..ok
+                },
+            ),
+            (
+                "policy.rttf_threshold_s",
+                ServeConfig {
+                    policy: AlertPolicy {
+                        rttf_threshold_s: -1.0,
+                        ..ok.policy
+                    },
+                    ..ok
+                },
+            ),
+        ];
+        for (field, cfg) in cases {
+            let err = cfg.validate().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{field}");
+            assert!(err.to_string().contains(field), "{field}: {err}");
+            let err = match PredictionServer::start("127.0.0.1:0", cfg, test_registry()) {
+                Err(e) => e,
+                Ok(_) => panic!("a server with a bad {field} must not start"),
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{field}");
+        }
 
-    /// Zero reactors would leave nothing to accept connections: a typed
-    /// `InvalidInput`, never a panic or a silently dead server.
-    #[test]
-    fn zero_reactors_is_invalid_input() {
-        let cfg = ServeConfig {
-            reactors: 0,
-            ..ServeConfig::default()
+        ok.validate().unwrap();
+        let every_estimate = ServeConfig {
+            policy: AlertPolicy {
+                rttf_threshold_s: f64::INFINITY,
+                ..ok.policy
+            },
+            ..ok
         };
-        let err = match PredictionServer::start("127.0.0.1:0", cfg, test_registry()) {
-            Err(e) => e,
-            Ok(_) => panic!("a zero-reactor server must not start"),
-        };
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        every_estimate.validate().unwrap();
     }
 }

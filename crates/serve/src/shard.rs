@@ -178,9 +178,7 @@ pub struct EstimateBoard {
 impl EstimateBoard {
     fn new(stripes: usize) -> Self {
         EstimateBoard {
-            stripes: (0..stripes.max(1))
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+            stripes: (0..stripes).map(|_| RwLock::new(HashMap::new())).collect(),
         }
     }
 
@@ -336,25 +334,14 @@ impl ShardPool {
     /// `queue_cap` events, draining up to `batch_cap` events per wakeup
     /// (batched drains amortize one model call over every window that
     /// closed in the batch; `batch_cap = 1` degenerates to the per-event
-    /// path and is proven bit-identical by the equivalence tests).
-    pub fn start(
-        n_shards: usize,
-        queue_cap: usize,
-        batch_cap: usize,
-        registry: Arc<ModelRegistry>,
-        policy: AlertPolicy,
-        metrics: Arc<ServeMetrics>,
-    ) -> Self {
-        Self::start_tapped(
-            n_shards, queue_cap, batch_cap, registry, policy, metrics, None,
-        )
-    }
-
-    /// [`ShardPool::start`] with a continuous-retraining tap: every
-    /// `Datapoint`/`Fail` a worker processes is also offered (lossy,
-    /// never blocking) to the [`crate::retrain::RetrainWorker`] feeding
-    /// the tap.
-    pub fn start_tapped(
+    /// path and is proven bit-identical by the equivalence tests). With a
+    /// continuous-retraining `tap`, every `Datapoint`/`Fail` a worker
+    /// processes is also offered (lossy, never blocking) to the
+    /// [`crate::retrain::RetrainWorker`] feeding it.
+    ///
+    /// The sizes come from a [`crate::ServeConfig`] that passed
+    /// [`crate::ServeConfig::validate`], so every one is at least 1.
+    pub(crate) fn start(
         n_shards: usize,
         queue_cap: usize,
         batch_cap: usize,
@@ -363,13 +350,11 @@ impl ShardPool {
         metrics: Arc<ServeMetrics>,
         tap: Option<crate::retrain::RetrainTap>,
     ) -> Self {
-        let n_shards = n_shards.max(1);
-        let batch_cap = batch_cap.max(1);
         let board = Arc::new(EstimateBoard::new(n_shards * 4));
         let mut senders = Vec::with_capacity(n_shards);
         let mut workers = Vec::with_capacity(n_shards);
         for shard in 0..n_shards {
-            let (tx, rx) = crossbeam::channel::bounded(queue_cap.max(1));
+            let (tx, rx) = crossbeam::channel::bounded(queue_cap);
             senders.push(tx);
             let registry = Arc::clone(&registry);
             let board = Arc::clone(&board);
@@ -709,6 +694,7 @@ mod tests {
             test_registry(),
             AlertPolicy::default(),
             Arc::clone(&metrics),
+            None,
         );
         let board = pool.board();
         // Interleave three hosts at different swap levels; windows close
@@ -741,6 +727,7 @@ mod tests {
             test_registry(),
             AlertPolicy::default(),
             Arc::clone(&metrics),
+            None,
         );
         let board = pool.board();
         for i in 0..10 {
@@ -760,7 +747,15 @@ mod tests {
             rttf_threshold_s: 180.0,
             consecutive_hits: 2,
         };
-        let pool = ShardPool::start(1, 64, 32, test_registry(), policy, Arc::clone(&metrics));
+        let pool = ShardPool::start(
+            1,
+            64,
+            32,
+            test_registry(),
+            policy,
+            Arc::clone(&metrics),
+            None,
+        );
         // swap 450 → rttf 100 ≤ 180: every closed window is a hit. Close
         // enough windows for ≥ 2 consecutive hits.
         for i in 0..30 {
@@ -787,6 +782,7 @@ mod tests {
             test_registry(),
             AlertPolicy::default(),
             Arc::clone(&metrics),
+            None,
         );
         let n = 500u64;
         for i in 0..n {
@@ -809,6 +805,7 @@ mod tests {
             test_registry(),
             AlertPolicy::default(),
             Arc::clone(&metrics),
+            None,
         );
         for i in 0..20 {
             for host in [0u32, 1] {
