@@ -597,8 +597,10 @@ fn serve_args_from(flags: &HashMap<String, String>) -> Result<ServeArgs, String>
                 .to_string(),
         );
     }
-    if retrain_runs == Some(0) {
-        return Err("--retrain must hold at least one run".to_string());
+    if let Some(runs) = retrain_runs {
+        f2pm_serve::RetrainerConfig::new(f2pm::RetrainConfig::new(runs))
+            .validate()
+            .map_err(|e| format!("--retrain: {e}"))?;
     }
     let addr = flags
         .get("addr")
@@ -1608,7 +1610,7 @@ mod tests {
             (&["--history", "h.csv", "--retrain", "6"], "--retrain needs"),
             (
                 &["--models-dir", "models", "--retrain", "0"],
-                "at least one run",
+                "--retrain: engine.window_runs must be at least 1",
             ),
             (&["--model", "m.f2pm", "--addr", ""], "--addr"),
             (&["--model", "m.f2pm", "--shards", "0"], "shards"),

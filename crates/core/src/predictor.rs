@@ -4,13 +4,15 @@
 //! (from an FMC, a `/proc` collector, or the simulator), the predictor
 //! maintains the current aggregation window, and once a window closes it
 //! emits an RTTF estimate — exactly the deployment mode the paper's
-//! proactive-rejuvenation use case needs.
+//! proactive-rejuvenation use case needs. Windows come from the same
+//! [`WindowAggregator`] that [`f2pm_features::aggregate_run`] folds, so
+//! every closed window's model inputs equal the training rows bit for bit.
 
 use crate::F2pmError;
-use f2pm_features::{aggregate_run, AggregationConfig};
+use f2pm_features::{AggregationConfig, WindowAggregator};
 use f2pm_linalg::Matrix;
 use f2pm_ml::Model;
-use f2pm_monitor::{Datapoint, RunData};
+use f2pm_monitor::Datapoint;
 
 /// A live RTTF estimator around a trained [`Model`].
 pub struct OnlinePredictor {
@@ -18,10 +20,8 @@ pub struct OnlinePredictor {
     /// Indices of the aggregated-input columns the model consumes (the
     /// model may have been trained on a lasso-selected subset).
     column_idx: Vec<usize>,
-    agg: AggregationConfig,
-    /// Datapoints of the window currently being filled (plus one point of
-    /// look-back for the inter-generation gap).
-    buffer: Vec<Datapoint>,
+    /// The run's windows — the same aggregator training data comes from.
+    windows: WindowAggregator,
     /// Latest estimate.
     last_estimate: Option<f64>,
     /// Reusable single-row scratch for the immediate [`OnlinePredictor::push`] path.
@@ -56,8 +56,7 @@ impl OnlinePredictor {
         OnlinePredictor {
             model,
             column_idx,
-            agg,
-            buffer: Vec::new(),
+            windows: WindowAggregator::new(agg),
             last_estimate: None,
             row_scratch: Vec::new(),
         }
@@ -96,40 +95,22 @@ impl OnlinePredictor {
     }
 
     /// Deferred-scoring variant of [`OnlinePredictor::push`]: folds the
-    /// datapoint into the current window and, when the window closes,
-    /// appends the model-input row (`width()` values) to `rows` and
-    /// returns `true` — *without* evaluating the model. The caller scores
-    /// every deferred row of a batch in one [`predict_many`] call and
-    /// hands the estimate back via [`OnlinePredictor::record_estimate`].
+    /// datapoint into the current window and, when it lands past the
+    /// window's grid end and so closes it, appends the model-input row
+    /// (`width()` values) to `rows` and returns `true` — *without*
+    /// evaluating the model. The caller scores every deferred row of a
+    /// batch in one [`predict_many`] call and hands the estimate back via
+    /// [`OnlinePredictor::record_estimate`].
     pub fn push_deferred(&mut self, d: Datapoint, rows: &mut Vec<f64>) -> bool {
-        self.buffer.push(d);
-        let window_anchor = self.buffer[0].t_gen;
-        let elapsed = d.t_gen - window_anchor;
-        if elapsed < self.agg.window_s {
-            return false;
-        }
-        // Window closed: aggregate everything but the just-arrived point
-        // (which starts the next window).
-        let closing: Vec<Datapoint> = self.buffer[..self.buffer.len() - 1].to_vec();
-        let next_start = self.buffer[self.buffer.len() - 1];
-        if closing.len() < self.agg.min_points {
-            self.buffer = vec![next_start];
-            return false;
-        }
-        let run = RunData {
-            datapoints: closing,
-            fail_time: None,
-        };
-        let points = aggregate_run(&run, &self.agg);
-        self.buffer = vec![next_start];
-        let Some(point) = points.into_iter().next_back() else {
+        let Some(point) = self.windows.push(d) else {
             return false;
         };
         // Stack scratch wide enough for either layout (30 columns, or 44
         // with `include_stddev`), so the input row needs no heap buffer.
+        let agg = self.windows.config();
         let mut scratch = [0.0; 44];
-        let inputs = &mut scratch[..point.input_width(&self.agg)];
-        point.write_into(&self.agg, inputs);
+        let inputs = &mut scratch[..point.input_width(agg)];
+        point.write_into(agg, inputs);
         rows.extend(self.column_idx.iter().map(|&j| inputs[j]));
         true
     }
@@ -145,9 +126,10 @@ impl OnlinePredictor {
         self.last_estimate
     }
 
-    /// Drop buffered state (e.g. after a rejuvenation restart).
+    /// Drop the open window and start a new run, anchored at the next
+    /// datapoint (e.g. after a `Fail` or a rejuvenation restart).
     pub fn reset(&mut self) {
-        self.buffer.clear();
+        self.windows.reset();
         self.last_estimate = None;
     }
 }
@@ -191,9 +173,12 @@ pub fn predict_many(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f2pm_features::Dataset;
+    use f2pm_features::aggregate::aggregated_column_names_with;
+    use f2pm_features::{aggregate_run, Dataset};
+    use f2pm_ml::linreg::LinearModel;
     use f2pm_ml::{LinearRegression, Regressor};
-    use f2pm_monitor::FeatureId;
+    use f2pm_monitor::{FeatureId, RunData};
+    use proptest::prelude::*;
 
     /// Train a model on synthetic aggregated data where RTTF is a clean
     /// function of swap_used: rttf = 1000 − 2 × swap_used.
@@ -235,30 +220,68 @@ mod tests {
         (model, sub.names.clone())
     }
 
+    /// The offline oracle: `predict_row` over `aggregate_run` of the whole
+    /// feed taken as one run — exactly what training sees.
+    fn offline_estimates(
+        model: &dyn Model,
+        names: &[String],
+        agg: &AggregationConfig,
+        feed: &[Datapoint],
+    ) -> Vec<f64> {
+        let all = aggregated_column_names_with(agg);
+        let cols: Vec<usize> = names
+            .iter()
+            .map(|n| all.iter().position(|a| a == n).unwrap())
+            .collect();
+        let run = RunData {
+            datapoints: feed.to_vec(),
+            fail_time: None,
+        };
+        aggregate_run(&run, agg)
+            .iter()
+            .map(|point| {
+                let inputs = point.inputs_with(agg);
+                let row: Vec<f64> = cols.iter().map(|&j| inputs[j]).collect();
+                model.predict_row(&row).max(0.0)
+            })
+            .collect()
+    }
+
+    /// Online estimates equal the offline oracle's bit for bit, for every
+    /// window but the one still open when the feed ends.
+    fn assert_matches_offline(got: &[f64], want: &[f64]) {
+        assert_eq!(want.len(), got.len() + 1, "one window is still open");
+        for (w, g) in want.iter().zip(got) {
+            assert_eq!(w.to_bits(), g.to_bits(), "estimate drifted: {w} vs {g}");
+        }
+    }
+
     #[test]
     fn emits_estimates_as_windows_close() {
         let (model, names) = trained_model();
-        let mut pred = OnlinePredictor::new(
-            model,
-            &names,
-            AggregationConfig {
-                window_s: 30.0,
-                min_points: 2,
-                ..AggregationConfig::default()
-            },
-        );
-        let mut estimates = Vec::new();
-        for i in 0..100 {
-            let mut d = Datapoint {
-                t_gen: i as f64 * 3.0,
-                values: [1.0; 14],
-            };
-            d.set(FeatureId::SwapUsed, 100.0);
-            if let Some(e) = pred.push(d) {
-                estimates.push(e);
-            }
-        }
+        let agg = AggregationConfig {
+            window_s: 30.0,
+            min_points: 2,
+            ..AggregationConfig::default()
+        };
+        let want_model = trained_model().0;
+        let mut pred = OnlinePredictor::new(model, &names, agg);
+        let feed: Vec<Datapoint> = (0..100)
+            .map(|i| {
+                let mut d = Datapoint {
+                    t_gen: i as f64 * 3.0,
+                    values: [1.0; 14],
+                };
+                d.set(FeatureId::SwapUsed, 100.0);
+                d
+            })
+            .collect();
+        let estimates: Vec<f64> = feed.iter().filter_map(|d| pred.push(*d)).collect();
         assert!(estimates.len() >= 8, "only {} estimates", estimates.len());
+        assert_matches_offline(
+            &estimates,
+            &offline_estimates(want_model.as_ref(), &names, &agg, &feed),
+        );
         // rttf = 1000 − 2×100 = 800, constant swap → slope 0. The training
         // design's slope column is identically zero, so the fit goes
         // through the ridge fallback, which biases coefficients by ~0.3 %.
@@ -419,19 +442,11 @@ mod tests {
             include_stddev: true,
         };
         let names = vec!["swap_used".to_string(), "swap_used_std".to_string()];
-        let model = f2pm_ml::linreg::LinearModel {
+        let model = LinearModel {
             intercept: 1000.0,
             coefficients: vec![-1.0, -2.0],
         };
         let mut pred = OnlinePredictor::new(Box::new(model.clone()), &names, agg);
-        let all = f2pm_features::aggregate::aggregated_column_names_with(&agg);
-        let cols: Vec<usize> = names
-            .iter()
-            .map(|n| all.iter().position(|a| a == n).unwrap())
-            .collect();
-
-        // One point every 3 s: each 30 s window closes on its 11th point
-        // and aggregates the 10 before it.
         let feed: Vec<Datapoint> = (0..200)
             .map(|i| {
                 let mut d = Datapoint {
@@ -443,23 +458,110 @@ mod tests {
             })
             .collect();
         let got: Vec<f64> = feed.iter().filter_map(|d| pred.push(*d)).collect();
-        let want: Vec<f64> = feed
-            .chunks(10)
-            .take(got.len())
-            .map(|window| {
-                let run = RunData {
-                    datapoints: window.to_vec(),
-                    fail_time: None,
-                };
-                let point = aggregate_run(&run, &agg).pop().unwrap();
-                let inputs = point.inputs_with(&agg);
-                let row: Vec<f64> = cols.iter().map(|&j| inputs[j]).collect();
-                model.predict_row(&row).max(0.0)
-            })
-            .collect();
         assert!(got.len() >= 10, "only {} estimates", got.len());
-        for (w, g) in want.iter().zip(&got) {
-            assert_eq!(w.to_bits(), g.to_bits(), "estimate drifted: {w} vs {g}");
+        assert_matches_offline(&got, &offline_estimates(&model, &names, &agg, &feed));
+    }
+
+    #[test]
+    fn reset_anchors_a_new_run() {
+        let agg = AggregationConfig::default();
+        let names = aggregated_column_names_with(&agg);
+        let model = LinearModel::constant(0.0, names.len());
+        let mut pred = OnlinePredictor::new(Box::new(model), &names, agg);
+        let feed = |t0: f64, n: usize| -> Vec<Datapoint> {
+            (0..n)
+                .map(|i| Datapoint {
+                    t_gen: t0 + i as f64 * 1.3,
+                    values: [i as f64; 14],
+                })
+                .collect()
+        };
+        let mut rows = Vec::new();
+        for d in feed(0.0, 37) {
+            pred.push_deferred(d, &mut rows);
+        }
+        pred.reset();
+        rows.clear();
+        // The new life starts off the old grid; its windows sit on its own.
+        let life = feed(503.7, 60);
+        for &d in &life {
+            pred.push_deferred(d, &mut rows);
+        }
+        let run = RunData {
+            datapoints: life,
+            fail_time: None,
+        };
+        let points = aggregate_run(&run, &agg);
+        let want: Vec<f64> = points[..points.len() - 1]
+            .iter()
+            .flat_map(|p| p.inputs_with(&agg))
+            .collect();
+        assert_eq!(rows.len(), want.len());
+        assert!(rows
+            .iter()
+            .zip(&want)
+            .all(|(g, w)| g.to_bits() == w.to_bits()));
+    }
+
+    /// An irregular stream: jittered 1.5 s sampling, gaps longer than a
+    /// window, sparse stretches that leave windows under `min_points`,
+    /// and `t_gen` stepping backwards.
+    fn irregular_feed(steps: &[(f64, f64, f64)], window_s: f64) -> Vec<Datapoint> {
+        let mut t = 100.0;
+        let mut feed = Vec::with_capacity(steps.len());
+        for (i, &(kind, jitter, level)) in steps.iter().enumerate() {
+            t += if kind < 0.05 {
+                window_s * (1.0 + 3.0 * jitter)
+            } else if kind < 0.1 {
+                -3.0 * jitter
+            } else if kind < 0.2 {
+                window_s * jitter
+            } else {
+                1.5 + 0.6 * (jitter - 0.5)
+            };
+            let mut d = Datapoint {
+                t_gen: t,
+                values: [0.0; 14],
+            };
+            for (j, v) in d.values.iter_mut().enumerate() {
+                *v = level * (j + 1) as f64 + (i as f64 * 0.37 + j as f64).sin();
+            }
+            feed.push(d);
+        }
+        feed
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// For every window that closes before the stream ends, the
+        /// predictor's model-input row equals `aggregate_run`'s row bit for
+        /// bit, in both column layouts.
+        #[test]
+        fn online_rows_equal_aggregate_run_rows(
+            steps in proptest::collection::vec((0.0_f64..1.0, 0.0_f64..1.0, 0.0_f64..500.0), 1..300),
+            window_s in 2.0_f64..25.0,
+            min_points in 1usize..6,
+        ) {
+            let feed = irregular_feed(&steps, window_s);
+            for include_stddev in [false, true] {
+                let agg = AggregationConfig { window_s, min_points, include_stddev };
+                let names = aggregated_column_names_with(&agg);
+                let model = LinearModel::constant(0.0, names.len());
+                let mut pred = OnlinePredictor::new(Box::new(model), &names, agg);
+                let mut rows = Vec::new();
+                let closed = feed.iter().filter(|&&d| pred.push_deferred(d, &mut rows)).count();
+                let run = RunData { datapoints: feed.clone(), fail_time: None };
+                let offline = aggregate_run(&run, &agg);
+                // Offline also emits the window still open at the end.
+                prop_assert!(offline.len() == closed || offline.len() == closed + 1);
+                let want: Vec<u64> = offline[..closed]
+                    .iter()
+                    .flat_map(|p| p.inputs_with(&agg))
+                    .map(f64::to_bits)
+                    .collect();
+                let got: Vec<u64> = rows.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(got, want);
+            }
         }
     }
 

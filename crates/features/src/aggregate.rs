@@ -65,45 +65,111 @@ pub struct AggregatedPoint {
 ///
 /// Windows are anchored at the run's first datapoint timestamp, matching
 /// the paper's Fig. 2 ("VM started" anchors window 1). Each raw datapoint
-/// lands in exactly one window by its `Tgen`.
+/// lands in exactly one window by its `Tgen`. This is a fold over one
+/// [`WindowAggregator`] — the same code the online predictor streams
+/// through — followed by the RTTF labels of a failing run.
 pub fn aggregate_run(run: &RunData, cfg: &AggregationConfig) -> Vec<AggregatedPoint> {
-    assert!(cfg.window_s > 0.0, "window width must be positive");
-    let pts = &run.datapoints;
-    if pts.is_empty() {
-        return Vec::new();
-    }
-    let t0 = pts[0].t_gen;
-    let mut out = Vec::new();
-    let mut start_idx = 0;
-
-    while start_idx < pts.len() {
-        let w_index = ((pts[start_idx].t_gen - t0) / cfg.window_s).floor() as usize;
-        let w_start = t0 + w_index as f64 * cfg.window_s;
-        let w_end = w_start + cfg.window_s;
-        let mut end_idx = start_idx;
-        while end_idx < pts.len() && pts[end_idx].t_gen < w_end {
-            end_idx += 1;
-        }
-        let window = &pts[start_idx..end_idx];
-        // The previous raw datapoint (if any) contributes the first
-        // inter-generation gap of the window.
-        let prev = if start_idx > 0 {
-            Some(&pts[start_idx - 1])
-        } else {
-            None
-        };
-        if window.len() >= cfg.min_points {
-            out.push(aggregate_window(
-                window,
-                prev,
-                w_start,
-                w_end,
-                run.fail_time,
-            ));
-        }
-        start_idx = end_idx;
+    let mut windows = WindowAggregator::new(*cfg);
+    let mut out: Vec<_> = run
+        .datapoints
+        .iter()
+        .filter_map(|&d| windows.push(d))
+        .collect();
+    out.extend(windows.finish());
+    for p in &mut out {
+        p.rttf = run.fail_time.map(|ft| (ft - p.t_repr).max(0.0));
     }
     out
+}
+
+/// Streaming §III-B aggregation of one run, and the only code that places
+/// window boundaries: [`aggregate_run`] folds it offline and the live
+/// predictor streams through it, so a served model sees exactly the rows
+/// it was trained on. Windows sit on the run's grid `t0 + k·w` (`t0` is
+/// the run's first `Tgen`); a window closes when the first datapoint past
+/// its end arrives, and its first inter-generation gap reaches back to the
+/// last raw datapoint before it. Points carry no RTTF label. The open
+/// window lives in one reused buffer, so steady-state pushes allocate
+/// nothing.
+#[derive(Debug, Clone)]
+pub struct WindowAggregator {
+    cfg: AggregationConfig,
+    /// Run anchor: the first datapoint's `Tgen` (`None` before it).
+    t0: Option<f64>,
+    /// Grid start of the open window, `t0 + k·w`.
+    w_start: f64,
+    /// The last raw datapoint before the open window.
+    prev: Option<Datapoint>,
+    /// Raw datapoints of the open window.
+    window: Vec<Datapoint>,
+}
+
+impl WindowAggregator {
+    /// An aggregator at the start of a run.
+    ///
+    /// # Panics
+    /// Panics if `cfg.window_s` is not positive.
+    pub fn new(cfg: AggregationConfig) -> Self {
+        assert!(cfg.window_s > 0.0, "window width must be positive");
+        WindowAggregator {
+            cfg,
+            t0: None,
+            w_start: 0.0,
+            prev: None,
+            window: Vec::new(),
+        }
+    }
+
+    /// The aggregation parameters.
+    pub fn config(&self) -> &AggregationConfig {
+        &self.cfg
+    }
+
+    /// Feed the run's next raw datapoint. Returns the window it closed, if
+    /// that window held at least `min_points` datapoints.
+    pub fn push(&mut self, d: Datapoint) -> Option<AggregatedPoint> {
+        let t0 = *self.t0.get_or_insert(d.t_gen);
+        if !self.window.is_empty() && d.t_gen < self.w_start + self.cfg.window_s {
+            self.window.push(d);
+            return None;
+        }
+        // `d` opens the grid window holding it (the run's first window
+        // when nothing is open yet).
+        let closed = self.close();
+        self.prev = self.window.last().copied();
+        self.window.clear();
+        let w_index = ((d.t_gen - t0) / self.cfg.window_s).floor() as usize;
+        self.w_start = t0 + w_index as f64 * self.cfg.window_s;
+        self.window.push(d);
+        closed
+    }
+
+    /// End the run: emit the open window (if it holds at least
+    /// `min_points` datapoints) and start a new run.
+    pub fn finish(&mut self) -> Option<AggregatedPoint> {
+        let closed = self.close();
+        self.reset();
+        closed
+    }
+
+    /// Drop the open window and start a new run (the next datapoint
+    /// becomes its anchor).
+    pub fn reset(&mut self) {
+        self.t0 = None;
+        self.prev = None;
+        self.window.clear();
+    }
+
+    fn close(&self) -> Option<AggregatedPoint> {
+        (!self.window.is_empty() && self.window.len() >= self.cfg.min_points).then(|| {
+            aggregate_window(
+                &self.window,
+                self.prev.as_ref(),
+                self.w_start,
+                self.w_start + self.cfg.window_s,
+            )
+        })
+    }
 }
 
 fn aggregate_window(
@@ -111,7 +177,6 @@ fn aggregate_window(
     prev: Option<&Datapoint>,
     w_start: f64,
     w_end: f64,
-    fail_time: Option<f64>,
 ) -> AggregatedPoint {
     let n = window.len();
     let nf = n as f64;
@@ -146,25 +211,27 @@ fn aggregate_window(
     }
 
     // Inter-generation gaps: include the gap from the previous raw
-    // datapoint so a window never has zero gaps when history exists.
-    let mut gaps = Vec::with_capacity(n);
-    if let Some(p) = prev {
-        gaps.push(first.t_gen - p.t_gen);
+    // datapoint so a window never has zero gaps when history exists. One
+    // pass keeps the first and last gap and the running sum, added in gap
+    // order from -0.0 exactly as `f64: Sum` does.
+    let ends = &window[usize::from(prev.is_none())..];
+    let gaps = ends.len();
+    let (mut sum, mut first_gap, mut last_gap) = (-0.0, 0.0, 0.0);
+    for (i, (a, b)) in prev.into_iter().chain(window).zip(ends).enumerate() {
+        let gap = b.t_gen - a.t_gen;
+        if i == 0 {
+            first_gap = gap;
+        }
+        last_gap = gap;
+        sum += gap;
     }
-    for pair in window.windows(2) {
-        gaps.push(pair[1].t_gen - pair[0].t_gen);
-    }
-    let (intergen_mean, intergen_slope) = if gaps.is_empty() {
+    let (intergen_mean, intergen_slope) = if gaps == 0 {
         (0.0, 0.0)
     } else {
-        let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-        let slope = (gaps[gaps.len() - 1] - gaps[0]) / gaps.len() as f64;
-        (mean, slope)
+        (sum / gaps as f64, (last_gap - first_gap) / gaps as f64)
     };
 
     let t_repr = window.iter().map(|d| d.t_gen).sum::<f64>() / nf;
-    let rttf = fail_time.map(|ft| (ft - t_repr).max(0.0));
-
     AggregatedPoint {
         window_start: w_start,
         window_end: w_end,
@@ -175,7 +242,7 @@ fn aggregate_window(
         stddevs,
         intergen_mean,
         intergen_slope,
-        rttf,
+        rttf: None,
     }
 }
 
@@ -191,16 +258,11 @@ pub fn aggregate_history(history: &DataHistory, cfg: &AggregationConfig) -> Vec<
         .collect()
 }
 
-/// Names of the 30 aggregated input columns of the paper's layout, in the
-/// order used by [`crate::dataset::Dataset::from_points`]: the 14 feature
-/// means, the 14 feature slopes (suffix `_slope`, matching the paper's
-/// Table I naming), the inter-generation time and its slope.
-pub fn aggregated_column_names() -> Vec<String> {
-    aggregated_column_names_with(&AggregationConfig::default())
-}
-
-/// Column names for a given configuration (44 columns when
-/// `include_stddev` is set: the extra 14 carry the `_std` suffix).
+/// Names of the aggregated input columns, in the order used by
+/// [`crate::dataset::Dataset::from_points_with`]: the 14 feature means,
+/// the 14 feature slopes (suffix `_slope`, matching the paper's Table I
+/// naming), the inter-generation time and its slope — 30 columns — plus,
+/// when `include_stddev` is set, 14 standard deviations (suffix `_std`).
 pub fn aggregated_column_names_with(cfg: &AggregationConfig) -> Vec<String> {
     let mut names: Vec<String> = FEATURES.iter().map(|f| f.name().to_string()).collect();
     names.extend(FEATURES.iter().map(|f| format!("{}_slope", f.name())));
@@ -213,12 +275,6 @@ pub fn aggregated_column_names_with(cfg: &AggregationConfig) -> Vec<String> {
 }
 
 impl AggregatedPoint {
-    /// The 30 input values of the paper's layout, in
-    /// [`aggregated_column_names`] order.
-    pub fn inputs(&self) -> Vec<f64> {
-        self.inputs_with(&AggregationConfig::default())
-    }
-
     /// Input values for a given configuration, in
     /// [`aggregated_column_names_with`] order.
     pub fn inputs_with(&self, cfg: &AggregationConfig) -> Vec<f64> {
@@ -405,7 +461,7 @@ mod tests {
 
     #[test]
     fn column_names_are_30_and_unique() {
-        let names = aggregated_column_names();
+        let names = aggregated_column_names_with(&AggregationConfig::default());
         assert_eq!(names.len(), 30);
         let mut sorted = names.clone();
         sorted.sort();
@@ -425,7 +481,10 @@ mod tests {
         assert_eq!(names.len(), 44);
         assert!(names.contains(&"swap_used_std".to_string()));
         // The default layout is a prefix of the extended one.
-        assert_eq!(&names[..30], aggregated_column_names().as_slice());
+        assert_eq!(
+            &names[..30],
+            aggregated_column_names_with(&AggregationConfig::default()).as_slice()
+        );
     }
 
     #[test]
@@ -453,7 +512,7 @@ mod tests {
             a.stddevs[FeatureId::SwapUsed.index()]
         );
         // The default layout is unchanged.
-        assert_eq!(a.inputs().len(), 30);
+        assert_eq!(a.inputs_with(&AggregationConfig::default()).len(), 30);
     }
 
     #[test]
@@ -465,7 +524,10 @@ mod tests {
             include_stddev: false,
         };
         let agg = aggregate_run(&r, &cfg);
-        assert_eq!(agg[0].inputs().len(), aggregated_column_names().len());
+        assert_eq!(
+            agg[0].inputs_with(&AggregationConfig::default()).len(),
+            aggregated_column_names_with(&AggregationConfig::default()).len()
+        );
     }
 
     #[test]
@@ -487,6 +549,47 @@ mod tests {
         let agg = aggregate_history(&h, &cfg);
         assert!(!agg.is_empty());
         assert!(agg.iter().all(|a| a.rttf.is_some()));
+    }
+
+    /// Every field of a point, as bits.
+    fn point_bits(p: &AggregatedPoint) -> Vec<u64> {
+        let cfg = AggregationConfig {
+            include_stddev: true,
+            ..AggregationConfig::default()
+        };
+        let mut bits: Vec<u64> = p.inputs_with(&cfg).iter().map(|v| v.to_bits()).collect();
+        bits.extend([p.window_start, p.window_end, p.t_repr].map(f64::to_bits));
+        bits.push(p.count as u64);
+        bits
+    }
+
+    #[test]
+    fn window_aggregator_streams_aggregate_run_and_restarts_on_reset() {
+        let cfg = AggregationConfig {
+            window_s: 10.0,
+            min_points: 2,
+            include_stddev: false,
+        };
+        let first: Vec<Datapoint> = (0..30).map(|i| dp(i as f64 * 1.7, i as f64)).collect();
+        let second: Vec<Datapoint> = (0..20).map(|i| dp(100.3 + i as f64 * 2.1, 0.5)).collect();
+        let mut stream = WindowAggregator::new(cfg);
+        let mut got: Vec<AggregatedPoint> = first.iter().filter_map(|&d| stream.push(d)).collect();
+        // A reset drops the open window; the next point anchors a new run.
+        stream.reset();
+        let restarted = got.len();
+        got.extend(second.iter().filter_map(|&d| stream.push(d)));
+        got.extend(stream.finish());
+        assert!(stream.finish().is_none(), "finish leaves an empty run");
+
+        let mut want = aggregate_run(&run(first, None), &cfg);
+        want.pop(); // the window the reset dropped
+        assert_eq!(want.len(), restarted);
+        want.extend(aggregate_run(&run(second, None), &cfg));
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(point_bits(g), point_bits(w));
+            assert!(g.rttf.is_none());
+        }
     }
 
     proptest! {

@@ -6,7 +6,8 @@
 //!    fixed-width time windows (the paper's Fig. 2 scheme); per-feature
 //!    **slopes** (Eq. 1) and the **inter-generation time** derived metric
 //!    are attached; every aggregated point is labeled with its ground-truth
-//!    **RTTF** using the run's fail event.
+//!    **RTTF** using the run's fail event. One streaming
+//!    [`WindowAggregator`] computes every window, offline and online.
 //! 2. **Dataset assembly** ([`dataset`]): aggregated points become a design
 //!    matrix with 30 named input columns (14 feature means, 14 feature
 //!    slopes, the inter-generation time and its slope) plus the RTTF
@@ -25,7 +26,9 @@ pub mod select;
 pub mod select_data;
 pub mod sliding;
 
-pub use aggregate::{aggregate_history, aggregate_run, AggregatedPoint, AggregationConfig};
+pub use aggregate::{
+    aggregate_history, aggregate_run, AggregatedPoint, AggregationConfig, WindowAggregator,
+};
 pub use column_store::{
     ChunkRef, Column, ColumnData, ColumnSlice, ColumnStore, ColumnStoreBuilder, ColumnType,
     FeatureChunk, ZoneMap, COL_HOST_ID, COL_RTTF, COL_RUN_ID, COL_T, DEFAULT_CHUNK_ROWS,

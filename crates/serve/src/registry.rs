@@ -201,7 +201,9 @@ impl StoreWatcher {
     /// One poll tick. Returns `Ok(Some((store_gen, install_gen)))` when a
     /// new generation was installed, `Ok(None)` when the manifest is
     /// unchanged (or absent), and `Err` when the active artifact exists
-    /// but cannot be loaded — the previous model keeps serving.
+    /// but cannot be loaded or records another input contract (columns
+    /// or aggregation config) than the registry's — the previous model
+    /// keeps serving.
     pub fn poll(&mut self) -> io::Result<Option<(u64, u64)>> {
         let active = match self.store.active_generation() {
             Ok(Some(g)) => g,
@@ -211,7 +213,22 @@ impl StoreWatcher {
         if self.last == Some(active) {
             return Ok(None);
         }
-        let (_, saved) = self.store.load(active).map_err(io::Error::from)?;
+        let (meta, saved) = self.store.load(active).map_err(io::Error::from)?;
+        // Every per-host window in flight and every row follows the
+        // contract fixed at creation; a model speaking other columns or
+        // another aggregation would score rows it was never trained on.
+        if meta.columns != self.registry.columns {
+            return Err(invalid(format!(
+                "generation {active} changes the served columns {:?} to {:?}",
+                self.registry.columns, meta.columns
+            )));
+        }
+        if meta.agg != self.registry.agg {
+            return Err(invalid(format!(
+                "generation {active} changes the served aggregation {:?} to {:?}",
+                self.registry.agg, meta.agg
+            )));
+        }
         let install_gen = self.registry.install(saved)?;
         self.last = Some(active);
         set_store_generation_gauge(active);
@@ -397,6 +414,41 @@ mod tests {
         assert_eq!(watcher.poll().unwrap(), Some((4, 4)));
         assert_eq!(handle.predict_row(&[0.0, 0.0]), 40.0);
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A generation with the served width but other columns, or another
+    /// aggregation config, is refused by name and never installed; the
+    /// next matching publish installs.
+    #[test]
+    fn watcher_refuses_a_changed_input_contract() {
+        use f2pm_registry::ArtifactMeta;
+        let dir = std::env::temp_dir().join(format!("f2pm_store_contract_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = ModelStore::open(&dir).unwrap();
+        let meta = ArtifactMeta::new("linear", AggregationConfig::default(), test_columns(), 1.0);
+        store.publish(&meta, &linear(10.0, vec![0.0, 0.0])).unwrap();
+        let reg = ModelRegistry::from_store(&store).unwrap();
+        let handle = reg.shared_model();
+        let mut watcher =
+            StoreWatcher::new(ModelStore::open(&dir).unwrap(), Arc::clone(&reg), Some(1));
+
+        let mut swapped = meta.clone();
+        swapped.columns.reverse();
+        let mut rewindowed = meta.clone();
+        rewindowed.agg.window_s = 15.0;
+        for (bad, field) in [(swapped, "columns"), (rewindowed, "aggregation")] {
+            store.publish(&bad, &linear(20.0, vec![0.0, 0.0])).unwrap();
+            let err = watcher.poll().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(field), "{err}");
+            assert_eq!(reg.generation(), 1);
+            assert_eq!(handle.predict_row(&[0.0, 0.0]), 10.0);
+        }
+
+        store.publish(&meta, &linear(30.0, vec![0.0, 0.0])).unwrap();
+        assert_eq!(watcher.poll().unwrap(), Some((4, 2)));
+        assert_eq!(handle.predict_row(&[0.0, 0.0]), 30.0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

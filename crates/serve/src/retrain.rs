@@ -45,6 +45,7 @@ use f2pm_ml::{Metrics, Model, SMaeThreshold, SavedModel};
 use f2pm_monitor::{Datapoint, RunData};
 use f2pm_registry::{ArtifactMeta, ModelStore};
 use std::collections::HashMap;
+use std::io;
 
 /// Per-host assembly buffers beyond this many datapoints mark the run
 /// unusable (it is skipped at `Fail` instead of trained truncated). Far
@@ -118,12 +119,35 @@ pub struct RetrainerConfig {
 impl RetrainerConfig {
     /// Defaults: publish on a full window, [`DEFAULT_TAP_CAP`] tap slots.
     pub fn new(engine: EngineConfig) -> Self {
-        let min_window_runs = engine.window_runs;
         RetrainerConfig {
+            min_window_runs: engine.window_runs,
             engine,
-            min_window_runs: min_window_runs.max(1),
             queue_cap: DEFAULT_TAP_CAP,
         }
+    }
+
+    /// Check every knob, naming the first bad field in an `InvalidInput`
+    /// error: a zero `engine.window_runs`, `min_window_runs` or
+    /// `queue_cap`, or an `engine.gamma` that is not a positive number.
+    /// Nothing behind it clamps; [`RetrainWorker::start`] refuses what
+    /// this refuses.
+    pub fn validate(&self) -> io::Result<()> {
+        let zero = [
+            ("engine.window_runs", self.engine.window_runs),
+            ("min_window_runs", self.min_window_runs),
+            ("queue_cap", self.queue_cap),
+        ]
+        .into_iter()
+        .find(|&(_, v)| v == 0);
+        let gamma = self.engine.gamma;
+        let msg = if let Some((field, _)) = zero {
+            format!("{field} must be at least 1")
+        } else if gamma.is_nan() || gamma <= 0.0 {
+            format!("engine.gamma must be positive, got {gamma}")
+        } else {
+            return Ok(());
+        };
+        Err(io::Error::new(io::ErrorKind::InvalidInput, msg))
     }
 }
 
@@ -149,10 +173,13 @@ impl RetrainWorker {
     /// together with the worker handle.
     ///
     /// # Panics
-    /// Panics if the engine configuration is invalid (zero window) or the
-    /// worker thread cannot be spawned.
+    /// Panics with [`RetrainerConfig::validate`]'s message if `cfg` is
+    /// invalid, or if the worker thread cannot be spawned.
     pub fn start(cfg: RetrainerConfig, store: ModelStore) -> (RetrainTap, RetrainWorker) {
-        let (tx, rx) = crossbeam::channel::bounded(cfg.queue_cap.max(1));
+        if let Err(e) = cfg.validate() {
+            panic!("invalid retrainer config: {e}");
+        }
+        let (tx, rx) = crossbeam::channel::bounded(cfg.queue_cap);
         let tap = RetrainTap {
             tx,
             dropped: f2pm_obs::global().counter("f2pm_retrain_tap_dropped_total"),
@@ -497,5 +524,68 @@ mod tests {
             fail_time: None, // censored → no labels
         };
         assert!(run_train_smae(&model, &run, &agg()).is_nan());
+    }
+
+    /// Every zero or non-positive knob is an `InvalidInput` naming its
+    /// field; nothing is clamped.
+    #[test]
+    fn validate_rejects_each_bad_knob_by_name() {
+        let ok = RetrainerConfig::new(engine_cfg(2));
+        assert!(ok.validate().is_ok());
+        let cases = [
+            ("engine.window_runs", RetrainerConfig::new(engine_cfg(0))),
+            (
+                "min_window_runs",
+                RetrainerConfig {
+                    min_window_runs: 0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "queue_cap",
+                RetrainerConfig {
+                    queue_cap: 0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "engine.gamma",
+                RetrainerConfig {
+                    engine: EngineConfig {
+                        gamma: 0.0,
+                        ..engine_cfg(2)
+                    },
+                    ..ok.clone()
+                },
+            ),
+            (
+                "engine.gamma",
+                RetrainerConfig {
+                    engine: EngineConfig {
+                        gamma: f64::NAN,
+                        ..engine_cfg(2)
+                    },
+                    ..ok.clone()
+                },
+            ),
+        ];
+        for (field, cfg) in cases {
+            let err = cfg.validate().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(field), "{field}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "queue_cap must be at least 1")]
+    fn start_refuses_an_invalid_config() {
+        let dir = std::env::temp_dir().join(format!("f2pm_retrain_bad_{}", std::process::id()));
+        let cfg = RetrainerConfig {
+            queue_cap: 0,
+            ..RetrainerConfig::new(engine_cfg(2))
+        };
+        let store = ModelStore::open(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        RetrainWorker::start(cfg, store);
     }
 }
