@@ -22,7 +22,7 @@ echo "==> non-test Rust line count"
 # #[cfg(test)], excluding the offline dependency stubs and the standalone
 # benchmark package. Deleting code is progress; growing past the ceiling
 # fails CI until the ceiling is raised on purpose.
-NONTEST_LOC_MAX=24965
+NONTEST_LOC_MAX=25026
 python3 - "$NONTEST_LOC_MAX" <<'EOF'
 import subprocess, sys
 

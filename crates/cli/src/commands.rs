@@ -758,7 +758,9 @@ pub fn serve(args: &[String]) -> Result<(), String> {
                     "installed store generation {store_gen} → model generation {install_gen}"
                 ),
                 Ok(None) => {}
-                Err(e) => eprintln!("store reload failed (keeping current, will retry): {e}"),
+                Err(e) => eprintln!(
+                    "store reload refused (keeping current until the manifest moves): {e}"
+                ),
             }
         }
         let elapsed = started.elapsed().as_secs_f64();

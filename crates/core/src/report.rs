@@ -39,7 +39,8 @@ impl VariantReport {
 }
 
 /// Wall time spent in one pipeline stage, stamped by the `f2pm-obs` span
-/// API as the workflow runs (aggregate → lasso path → model grid).
+/// API as the workflow runs (campaign → aggregate → lasso path → model
+/// grid; a workflow over an existing history starts at aggregate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
     /// Stage name (matches the `stage` label of the

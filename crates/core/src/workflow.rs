@@ -7,7 +7,6 @@ use f2pm_features::{aggregate_run, lasso_path, robust_outlier_filter, Dataset, R
 use f2pm_ml::{evaluate_grid, GridVariant};
 use f2pm_monitor::DataHistory;
 use f2pm_sim::Campaign;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Minimum labeled aggregated datapoints (exclusive) the workflow needs to
 /// split into train/validation sets.
@@ -16,10 +15,17 @@ const MIN_DATAPOINTS: usize = 10;
 /// Run the complete workflow against the simulated testbed: monitoring
 /// campaign → aggregation → selection → model generation/validation.
 pub fn run_workflow(cfg: &F2pmConfig, seed: u64) -> Result<F2pmReport, F2pmError> {
-    let campaign = Campaign::new(cfg.campaign.clone(), seed);
-    let runs = campaign.run_all();
+    // Phase 1: the monitoring campaign, timed like the stages downstream.
+    let span = f2pm_obs::span!("campaign");
+    let runs = Campaign::new(cfg.campaign.clone(), seed).run_all();
     let history = DataHistory::from_campaign(&runs);
-    run_workflow_on_history(cfg, &history)
+    let campaign = StageTiming {
+        stage: "campaign".into(),
+        seconds: span.stop(),
+    };
+    let mut report = run_workflow_on_history(cfg, &history)?;
+    report.stage_timings.insert(0, campaign);
+    Ok(report)
 }
 
 /// Run the workflow phases downstream of monitoring on an existing data
@@ -47,7 +53,7 @@ pub fn run_workflow_on_history(
         .into_iter()
         .filter(|r| r.fail_time.is_some())
         .collect();
-    let per_run = parallel_map(&failed, |r| aggregate_run(r, &cfg.aggregation));
+    let per_run = f2pm_linalg::pool_map(&failed, |r| aggregate_run(r, &cfg.aggregation));
     let tagged = RunTaggedDataset::from_run_points_with(&per_run, &cfg.aggregation);
     let mut dataset = tagged.dataset.clone();
     let mut run_of_row = tagged.run_of_row.clone();
@@ -182,49 +188,6 @@ pub fn run_workflow_on_history(
     })
 }
 
-/// Order-preserving parallel map over independent items with a bounded
-/// worker band (used for per-run aggregation — each run aggregates on its
-/// own).
-fn parallel_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let workers = f2pm_linalg::pool_threads().min(items.len()).max(1);
-    if workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move |_| {
-                    let mut got = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        got.push((i, f(&items[i])));
-                    }
-                    got
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, u) in h.join().expect("aggregation worker panicked") {
-                out[i] = Some(u);
-            }
-        }
-    })
-    .expect("crossbeam scope");
-    out.into_iter().map(|o| o.expect("filled")).collect()
-}
-
 /// Deterministic run-aware split: the last ⌈(1 − frac)·runs⌉ runs (by run
 /// index) validate, earlier runs train — mimicking deployment, where the
 /// model faces runs collected after its training data.
@@ -295,7 +258,10 @@ mod tests {
             .iter()
             .map(|t| t.stage.as_str())
             .collect();
-        assert_eq!(stages, ["aggregate", "lasso_path", "model_grid"]);
+        assert_eq!(
+            stages,
+            ["campaign", "aggregate", "lasso_path", "model_grid"]
+        );
         for t in &report.stage_timings {
             assert!(
                 t.seconds.is_finite() && t.seconds >= 0.0,
@@ -305,10 +271,12 @@ mod tests {
             );
         }
         // The same durations landed in the process-global span histogram.
-        let snap = f2pm_obs::global()
-            .histogram_snapshot_with(f2pm_obs::STAGE_DURATION_METRIC, "stage", "model_grid")
-            .expect("span recorded");
-        assert!(snap.count >= 1);
+        for stage in ["campaign", "model_grid"] {
+            let snap = f2pm_obs::global()
+                .histogram_snapshot_with(f2pm_obs::STAGE_DURATION_METRIC, "stage", stage)
+                .expect("span recorded");
+            assert!(snap.count >= 1, "{stage}");
+        }
     }
 
     #[test]

@@ -1,10 +1,14 @@
-//! Effective worker-pool sizing shared by every fan-out in the workspace.
+//! Effective worker-pool sizing shared by every fan-out in the workspace,
+//! and the order-preserving pool map most of them use.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Effective thread-pool width used by the parallel kernels (Gram bands,
-/// kernel-model predict batches, the model-generation grid, columnar
-/// chunk scans).
+/// kernel-model predict batches, per-run aggregation, the
+/// model-generation grid, columnar chunk scans) and by the simulated
+/// campaign's runs-to-failure (`f2pm_sim::Campaign::run_all`, which reads
+/// `F2PM_THREADS` the same way without depending on this crate).
 ///
 /// Defaults to the machine's available parallelism. The `F2PM_THREADS`
 /// environment variable overrides it — useful for pinning bench runs to
@@ -27,6 +31,61 @@ pub fn pool_threads() -> usize {
     })
 }
 
+/// `items.iter().map(f).collect()`, with the items fanned out over
+/// `min(pool_threads(), items.len())` workers.
+///
+/// Workers pull item indices from one atomic counter, so heavyweight
+/// items of uneven cost balance themselves, and every result is put back
+/// at its item's index: the output order is the input order. The calling
+/// thread is one of the workers (only `workers − 1` threads are spawned)
+/// and no thread outlives the call. A panic in `f` propagates out of the
+/// call with its original payload.
+pub fn pool_map<T, U, F>(items: &[T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    pool_map_on(items, pool_threads(), f)
+}
+
+fn pool_map_on<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut done = drain();
+        for handle in spawned {
+            done.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, u)| u).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -36,5 +95,58 @@ mod tests {
         let a = pool_threads();
         assert!(a >= 1);
         assert_eq!(a, pool_threads(), "cached value must not change");
+    }
+
+    #[test]
+    fn pool_map_keeps_input_order_at_every_width() {
+        let items: Vec<u64> = (0..37).collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
+        for workers in [0, 1, 2, 3, 8, items.len() + 1] {
+            assert_eq!(
+                pool_map_on(&items, workers, |x| x * x + 1),
+                expected,
+                "{workers} workers"
+            );
+        }
+        assert_eq!(pool_map(&items, |x| x * x + 1), expected);
+        assert!(pool_map_on(&[] as &[u64], 4, |x| *x).is_empty());
+    }
+
+    #[test]
+    fn pool_map_runs_the_caller_as_a_worker() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..16).collect();
+        let entered = AtomicUsize::new(0);
+        let ids = pool_map_on(&items, 2, |_| {
+            // The first item waits until a second worker has taken one,
+            // so both workers must have run by the end.
+            entered.fetch_add(1, Ordering::SeqCst);
+            let start = std::time::Instant::now();
+            while entered.load(Ordering::SeqCst) < 2 && start.elapsed().as_secs() < 10 {
+                std::thread::yield_now();
+            }
+            std::thread::current().id()
+        });
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), 2, "two workers for a width of 2");
+        assert!(ids.contains(&caller), "the caller drained no item");
+    }
+
+    #[test]
+    fn pool_map_propagates_a_worker_panic() {
+        let items: Vec<usize> = (0..16).collect();
+        let caught = std::panic::catch_unwind(|| {
+            pool_map_on(&items, 3, |&i| {
+                assert!(i != 11, "item eleven fails");
+                i
+            })
+        });
+        let payload = caught.expect_err("the panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains("item eleven fails"), "{msg}");
     }
 }

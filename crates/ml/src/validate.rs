@@ -5,18 +5,17 @@
 //! metric set per model — the data behind the paper's Tables II-IV and
 //! Fig. 5.
 //!
-//! Independent fits fan out over one crossbeam scope with a *bounded* band
-//! of workers (at most [`f2pm_linalg::worker_count`], never more than there
-//! are tasks) pulling `(training-set variant × method)` cells from a shared
-//! queue — the whole model-generation grid saturates the machine without
-//! oversubscribing it, instead of spawning one thread per method per
-//! variant. See [`evaluate_grid`].
+//! Independent fits fan out through [`f2pm_linalg::pool_map`]: a *bounded*
+//! band of workers (at most [`f2pm_linalg::pool_threads`], never more than
+//! there are tasks) pulls `(training-set variant × method)` cells from a
+//! shared queue — the whole model-generation grid saturates the machine
+//! without oversubscribing it, instead of spawning one thread per method
+//! per variant. See [`evaluate_grid`].
 
 use crate::metrics::{Metrics, SMaeThreshold};
 use crate::regressor::{Model, Regressor};
 use crate::MlError;
 use f2pm_features::Dataset;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Everything F2PM reports about one generated model.
 pub struct ModelReport {
@@ -88,11 +87,10 @@ pub struct GridVariant<'a> {
 
 /// Fit and validate the whole `(variant × method)` grid in parallel.
 ///
-/// All cells of the grid are flattened into one task queue and drained by a
-/// bounded band of scoped workers, so a grid of two variants × seven
-/// methods runs as 14 independent tasks over `min(worker_count, 14)`
-/// threads — method-level *and* variant-level parallelism under a single
-/// crossbeam scope.
+/// All cells of the grid are flattened into one task list for
+/// [`f2pm_linalg::pool_map`], so a grid of two variants × seven methods
+/// runs as 14 independent tasks over `min(pool_threads, 14)` workers —
+/// method-level *and* variant-level parallelism in a single fan-out.
 ///
 /// Returns one `Vec` per variant, each in suite order with individual
 /// failures reported in place.
@@ -104,55 +102,17 @@ pub fn evaluate_grid(
     let tasks: Vec<(usize, usize)> = (0..variants.len())
         .flat_map(|v| (0..suite.len()).map(move |m| (v, m)))
         .collect();
-    if tasks.is_empty() {
-        return variants.iter().map(|_| Vec::new()).collect();
-    }
     // Model fits are heavyweight (whole solves), so unlike the linalg
     // kernels there is no minimum-size gate — one worker per core, capped
     // by the task count.
-    let workers = f2pm_linalg::pool_threads().min(tasks.len()).max(1);
-    let next = AtomicUsize::new(0);
-
-    let mut flat: Vec<Option<Result<ModelReport, MlError>>> =
-        (0..tasks.len()).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let tasks = &tasks;
-                scope.spawn(move |_| {
-                    let mut done = Vec::new();
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= tasks.len() {
-                            break;
-                        }
-                        let (v, m) = tasks[t];
-                        let cell = &variants[v];
-                        done.push((
-                            t,
-                            evaluate_one(suite[m].as_ref(), cell.train, cell.valid, smae),
-                        ));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            for (t, r) in h.join().expect("evaluation worker panicked") {
-                flat[t] = Some(r);
-            }
-        }
+    let mut flat = f2pm_linalg::pool_map(&tasks, |&(v, m)| {
+        let cell = &variants[v];
+        evaluate_one(suite[m].as_ref(), cell.train, cell.valid, smae)
     })
-    .expect("crossbeam scope");
-
-    let mut flat = flat.into_iter();
-    (0..variants.len())
-        .map(|_| {
-            (0..suite.len())
-                .map(|_| flat.next().flatten().expect("grid cell filled"))
-                .collect()
-        })
+    .into_iter();
+    variants
+        .iter()
+        .map(|_| flat.by_ref().take(suite.len()).collect())
         .collect()
 }
 

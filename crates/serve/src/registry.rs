@@ -173,13 +173,15 @@ impl Model for RegistryModel {
 /// The cheap path — reading the few-line manifest — runs every
 /// [`StoreWatcher::poll`]; the artifact itself is only loaded (and
 /// checksum-verified) when the active generation actually changes.
-/// A generation that fails to load leaves the registry untouched and is
-/// retried on the next poll, so a corrupted or half-visible artifact can
-/// never displace a serving model.
+/// A generation that fails to load or breaks the input contract leaves
+/// the registry untouched and is refused once: later polls skip it until
+/// the manifest names another generation, so a corrupted artifact can
+/// never displace a serving model nor be re-read on every tick.
 pub struct StoreWatcher {
     store: ModelStore,
     registry: Arc<ModelRegistry>,
     last: Option<u64>,
+    refused: Option<u64>,
 }
 
 impl StoreWatcher {
@@ -195,24 +197,34 @@ impl StoreWatcher {
             store,
             registry,
             last: installed_generation,
+            refused: None,
         }
     }
 
     /// One poll tick. Returns `Ok(Some((store_gen, install_gen)))` when a
     /// new generation was installed, `Ok(None)` when the manifest is
-    /// unchanged (or absent), and `Err` when the active artifact exists
-    /// but cannot be loaded or records another input contract (columns
-    /// or aggregation config) than the registry's — the previous model
-    /// keeps serving.
+    /// unchanged (or absent) or still names a refused generation, and
+    /// `Err` — once per generation — when the active artifact exists but
+    /// cannot be loaded or records another input contract (columns or
+    /// aggregation config) than the registry's. The previous model keeps
+    /// serving.
     pub fn poll(&mut self) -> io::Result<Option<(u64, u64)>> {
         let active = match self.store.active_generation() {
             Ok(Some(g)) => g,
             Ok(None) => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        if self.last == Some(active) {
+        if self.last == Some(active) || self.refused == Some(active) {
             return Ok(None);
         }
+        let installed = self.install(active);
+        self.refused = installed.is_err().then_some(active);
+        installed.map(Some)
+    }
+
+    /// Load store generation `active` and install it if it keeps the
+    /// registry's input contract.
+    fn install(&mut self, active: u64) -> io::Result<(u64, u64)> {
         let (meta, saved) = self.store.load(active).map_err(io::Error::from)?;
         // Every per-host window in flight and every row follows the
         // contract fixed at creation; a model speaking other columns or
@@ -232,7 +244,7 @@ impl StoreWatcher {
         let install_gen = self.registry.install(saved)?;
         self.last = Some(active);
         set_store_generation_gauge(active);
-        Ok(Some((active, install_gen)))
+        Ok((active, install_gen))
     }
 
     /// The store generation currently installed (if any).
@@ -409,6 +421,7 @@ mod tests {
         bytes[mid] ^= 0xff;
         std::fs::write(&path, bytes).unwrap();
         assert!(watcher.poll().is_err());
+        assert_eq!(watcher.poll().unwrap(), None, "refused once, not re-read");
         assert_eq!(handle.predict_row(&[0.0, 0.0]), 10.0);
         store.publish(&meta, &linear(40.0, vec![0.0, 0.0])).unwrap();
         assert_eq!(watcher.poll().unwrap(), Some((4, 4)));
@@ -418,8 +431,8 @@ mod tests {
     }
 
     /// A generation with the served width but other columns, or another
-    /// aggregation config, is refused by name and never installed; the
-    /// next matching publish installs.
+    /// aggregation config, is refused by name once and never installed
+    /// nor re-read; the next matching publish installs.
     #[test]
     fn watcher_refuses_a_changed_input_contract() {
         use f2pm_registry::ArtifactMeta;
@@ -438,11 +451,21 @@ mod tests {
         let mut rewindowed = meta.clone();
         rewindowed.agg.window_s = 15.0;
         for (bad, field) in [(swapped, "columns"), (rewindowed, "aggregation")] {
-            store.publish(&bad, &linear(20.0, vec![0.0, 0.0])).unwrap();
+            let refused = store.publish(&bad, &linear(20.0, vec![0.0, 0.0])).unwrap();
             let err = watcher.poll().unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains(field), "{err}");
             assert_eq!(reg.generation(), 1);
+            assert_eq!(handle.predict_row(&[0.0, 0.0]), 10.0);
+            // The refused generation is not read again while the
+            // manifest names it: a missing or corrupt file goes unseen.
+            let path = dir.join(f2pm_registry::store::artifact_name(refused));
+            if field == "columns" {
+                std::fs::remove_file(&path).unwrap();
+            } else {
+                std::fs::write(&path, b"not an artifact").unwrap();
+            }
+            assert_eq!(watcher.poll().unwrap(), None);
             assert_eq!(handle.predict_row(&[0.0, 0.0]), 10.0);
         }
 

@@ -11,10 +11,34 @@
 //! datapoints stretches, and that inter-generation time correlates with the
 //! client response time (their Fig. 3). The harness therefore schedules the
 //! next sample at `nominal × (1 + skew·overload) + jitter`.
+//!
+//! Runs are independent lives, each drawn from its own seed, so
+//! [`Campaign::run_all`] simulates them in parallel and still returns the
+//! sequential result bit for bit.
 
 use crate::engine::{SimConfig, Simulation};
 use crate::vm::SystemSnapshot;
 use crate::SimRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// Workers a campaign fans its runs out over: `F2PM_THREADS` when set to
+/// a positive integer, else the available parallelism — read exactly as
+/// `f2pm_linalg::pool_threads` reads it, resolved once per process.
+fn campaign_threads() -> usize {
+    static CACHED: OnceLock<usize> = OnceLock::new();
+    *CACHED.get_or_init(|| {
+        std::env::var("F2PM_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|p| p.get())
+                    .unwrap_or(1)
+            })
+    })
+}
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -111,15 +135,55 @@ impl Campaign {
         &self.cfg
     }
 
-    /// Execute all runs sequentially.
+    /// Execute all runs, fanned out over the machine's threads.
+    ///
+    /// Every run seed is drawn from the master seed first, in run order,
+    /// and each run is a pure function of its seed, so the output is
+    /// `run_once` over those seeds in sequence, bit for bit, whatever the
+    /// worker count. The width is `F2PM_THREADS` when set to a positive
+    /// integer, else the available parallelism; `F2PM_THREADS=1` runs
+    /// every run on the calling thread.
     pub fn run_all(&self) -> Vec<Run> {
+        self.run_all_on(campaign_threads())
+    }
+
+    /// [`Campaign::run_all`] on `workers` workers, the calling thread
+    /// among them.
+    pub(crate) fn run_all_on(&self, workers: usize) -> Vec<Run> {
         let mut rng = SimRng::new(self.seed);
-        (0..self.cfg.runs)
-            .map(|_| {
-                let run_seed = rng.next_u64();
-                self.run_once(run_seed)
-            })
-            .collect()
+        let seeds: Vec<u64> = (0..self.cfg.runs).map(|_| rng.next_u64()).collect();
+        let workers = workers.min(seeds.len());
+        if workers <= 1 {
+            return seeds.iter().map(|&seed| self.run_once(seed)).collect();
+        }
+        // The same loop as `f2pm_linalg::pool_map`, kept here on `std`
+        // alone: this crate depends on no other f2pm crate, and the
+        // benchmark's lock file records its dependencies.
+        let next = AtomicUsize::new(0);
+        let drain = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&seed) = seeds.get(i) else {
+                    return done;
+                };
+                done.push((i, self.run_once(seed)));
+            }
+        };
+        let mut done = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+            let mut done = drain();
+            for handle in spawned {
+                done.extend(
+                    handle
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                );
+            }
+            done
+        });
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, run)| run).collect()
     }
 
     /// Execute a single run with an explicit seed.
@@ -248,6 +312,63 @@ mod tests {
         for (ra, rb) in a.iter().zip(&b) {
             assert_eq!(ra.fail_time, rb.fail_time);
             assert_eq!(ra.samples.len(), rb.samples.len());
+        }
+    }
+
+    /// `run_once` over the master seed's draws, one after another: the
+    /// order every fan-out must reproduce.
+    fn sequential(campaign: &Campaign) -> Vec<Run> {
+        let mut rng = SimRng::new(campaign.seed);
+        (0..campaign.cfg.runs)
+            .map(|_| campaign.run_once(rng.next_u64()))
+            .collect()
+    }
+
+    fn assert_bit_identical(got: &[Run], want: &[Run], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: run count");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.seed, w.seed, "{what}: run {i} seed");
+            assert_eq!(
+                g.fail_time.map(f64::to_bits),
+                w.fail_time.map(f64::to_bits),
+                "{what}: run {i} fail time"
+            );
+            assert_eq!(g.samples.len(), w.samples.len(), "{what}: run {i} samples");
+            for (k, (a, b)) in g.samples.iter().zip(&w.samples).enumerate() {
+                let bits = |s: &RunSample| {
+                    let mut v = vec![s.t.to_bits(), s.response_time_s.to_bits(), s.completed];
+                    v.extend(s.snapshot.features().map(f64::to_bits));
+                    v
+                };
+                assert_eq!(bits(a), bits(b), "{what}: run {i} sample {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_all_is_sequential_run_once_bit_for_bit() {
+        for runs in [0, 1, 4] {
+            let campaign = fast_campaign(runs);
+            let want = sequential(&campaign);
+            assert_bit_identical(&campaign.run_all(), &want, &format!("{runs} runs"));
+            for workers in [1, 2, 3, runs + 1] {
+                assert_bit_identical(
+                    &campaign.run_all_on(workers),
+                    &want,
+                    &format!("{runs} runs on {workers} workers"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_run_panics_out_of_run_all() {
+        let mut campaign = fast_campaign(3);
+        // An empty leak-size range fails the first leak's draw.
+        campaign.cfg.sim.anomaly.leak_size_mib = (10.0, 6.0);
+        for workers in [1, 2, 4] {
+            let caught = std::panic::catch_unwind(|| campaign.run_all_on(workers));
+            assert!(caught.is_err(), "{workers} workers returned");
         }
     }
 
