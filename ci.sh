@@ -22,7 +22,7 @@ echo "==> non-test Rust line count"
 # #[cfg(test)], excluding the offline dependency stubs and the standalone
 # benchmark package. Deleting code is progress; growing past the ceiling
 # fails CI until the ceiling is raised on purpose.
-NONTEST_LOC_MAX=25026
+NONTEST_LOC_MAX=24997
 python3 - "$NONTEST_LOC_MAX" <<'EOF'
 import subprocess, sys
 
@@ -48,6 +48,14 @@ echo "==> cargo clippy (-D warnings)"
 clippy_args=()
 for p in "${F2PM_PACKAGES[@]}"; do clippy_args+=(-p "$p"); done
 cargo clippy --offline --all-targets "${clippy_args[@]}" -- -D warnings
+
+echo "==> benchmark package build (API + recorded dependencies)"
+# The standalone benchmark package builds against the library crates'
+# public API through path dependencies, and its tracked Cargo.lock records
+# their dependency lists: a build that breaks, or that rewrites the lock,
+# means a library change leaked into the benchmark's interface.
+cargo build --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+git diff --exit-code -- crates/bench/src/bin/benchmark/Cargo.lock
 
 echo "==> cargo test (workspace)"
 cargo test -q --offline --workspace

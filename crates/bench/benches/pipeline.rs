@@ -1,7 +1,7 @@
 //! Benches of the data pipeline stages feeding every table/figure:
 //! datapoint aggregation (Fig. 2 scheme), the lasso regularization path
 //! (Fig. 4), and the metric computation (§III-D), plus the wire codec the
-//! FMC/FMS pair uses.
+//! FMC speaks.
 //!
 //! Run with `cargo bench -p f2pm-bench --bench pipeline`.
 

@@ -27,7 +27,7 @@ USAGE:
                  | --history history.csv [--method NAME] [--window SECS])
                 [--addr HOST:PORT] [--instance-id N] [--shards N]
                 [--reactors N] [--queue CAP] [--threshold SECS] [--hits K]
-                [--seconds N] [--retrain RUNS]
+                [--seconds N] [--retrain RUNS] [--record DIR]
   f2pm models   DIR (list | verify | rollback [--to GEN])
   f2pm stats    [--addr HOST:PORT] [--watch] [--interval SECS] [--count N]
   f2pm fleet    (top-k | stats | scrape) --addrs HOST:PORT[,HOST:PORT...]
@@ -52,11 +52,16 @@ manifest-active artifact (no training pass, no `--history`) and
 hot-reloads whenever the manifest advances — publish with
 `f2pm train --save-artifact DIR` and operate the store with
 `f2pm models DIR {list,verify,rollback}`. `--retrain RUNS` (with
-`--models-dir` only) closes the loop: a background worker reassembles the
-failing runs streamed by live clients, warm-retrains an LS-SVM over the
+`--models-dir` only) closes the loop: a background worker takes the
+failing runs the shards close from live clients, warm-retrains an LS-SVM over the
 last RUNS of them (rank-k factor updates — no O(n³) rebuild per run), and
 publishes each refreshed model into the store, where the manifest poll
-hot-reloads it with zero disruption. `--reactors N` (N ≥ 1) sizes the
+hot-reloads it with zero disruption. `--record DIR` makes the instance
+the collecting server too: each host's datapoints and fail events are
+appended as they arrive to `DIR/host-<id>.csv` in the history CSV format
+(a killed instance loses only the events still queued; an open life is a
+censored tail the next instance continues), so `evaluate`, `train` and
+`export-columnar` read a recorded file as is. `--reactors N` (N ≥ 1) sizes the
 epoll event-loop pool that owns client connections (Linux only; default:
 one per CPU), and `--instance-id N` stamps the instance's stable fleet
 identity into the fleet wire frames and the `f2pm_serve_instance_info`
@@ -508,6 +513,7 @@ const SERVE_FLAGS: &[&str] = &[
     "hits",
     "seconds",
     "retrain",
+    "record",
 ];
 
 /// Where `f2pm serve` gets its model: exactly one of `--models-dir`,
@@ -628,6 +634,7 @@ fn serve_args_from(flags: &HashMap<String, String>) -> Result<ServeArgs, String>
     if let Some(id) = get_parsed(flags, "instance-id")? {
         cfg.instance_id = id;
     }
+    cfg.record = flags.get("record").map(std::path::PathBuf::from);
     cfg.validate()
         .map_err(|e| format!("invalid serve config: {e}"))?;
     Ok(ServeArgs {
@@ -711,9 +718,9 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     let (registry, description, mut store_watcher) = resolve_model_source(&source)?;
 
     // Continuous retraining (artifact stores only): a background worker
-    // fed by a lossy tap off the shard workers publishes refreshed
-    // LS-SVMs into the same store the manifest poll below hot-reloads
-    // from.
+    // fed the shard workers' closed runs through a lossy tap publishes
+    // refreshed LS-SVMs into the same store the manifest poll below
+    // hot-reloads from.
     let mut retrain_worker = None;
     let mut tap = None;
     if let ServeSource::Store {
@@ -736,8 +743,8 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         eprintln!("continuous retraining over the last {window_runs} failing runs");
     }
 
-    let server = PredictionServer::start_with_tap(&*addr, cfg, registry, tap)
-        .map_err(|e| format!("binding {addr}: {e}"))?;
+    let server = PredictionServer::start_with_tap(&*addr, cfg.clone(), registry, tap)
+        .map_err(|e| format!("starting on {addr}: {e}"))?;
     println!(
         "serving {description} on {} (instance {}, {} shards, {} reactors, alert ≤ {:.0} s × {})",
         server.addr(),
@@ -747,6 +754,9 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         cfg.policy.rttf_threshold_s,
         cfg.policy.consecutive_hits
     );
+    if let Some(dir) = &cfg.record {
+        println!("recording every host's runs under {}", dir.display());
+    }
 
     let started = std::time::Instant::now();
     let mut stats_printed = 0u64;
@@ -1267,6 +1277,7 @@ mod tests {
         let model = dir.join("model.f2pm");
         write_linear_artifact(&model, 900.0);
         let model_s = model.to_str().unwrap();
+        let record = dir.join("recorded");
         serve(&s(&[
             "--model",
             model_s,
@@ -1278,8 +1289,11 @@ mod tests {
             "1",
             "--seconds",
             "1",
+            "--record",
+            record.to_str().unwrap(),
         ]))
         .unwrap();
+        assert!(record.is_dir(), "--record creates its directory");
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1511,6 +1525,7 @@ mod tests {
             ),
             (d.shards, d.reactors, d.queue_cap, d.instance_id)
         );
+        assert_eq!(a.cfg.record, None);
         let policy = f2pm::RejuvenationPolicy::default();
         assert_eq!(a.cfg.policy.rttf_threshold_s, policy.rttf_threshold_s);
         assert_eq!(a.cfg.policy.consecutive_hits, policy.consecutive_hits);
@@ -1539,6 +1554,8 @@ mod tests {
             "3",
             "--seconds",
             "30",
+            "--record",
+            "history",
         ])
         .unwrap();
         let agg = AggregationConfig {
@@ -1566,6 +1583,7 @@ mod tests {
         assert_eq!(a.cfg.policy.rttf_threshold_s, 90.0);
         assert_eq!(a.cfg.policy.consecutive_hits, 3);
         assert_eq!(a.seconds, Some(30));
+        assert_eq!(a.cfg.record, Some(std::path::PathBuf::from("history")));
 
         // A store source, with and without the retrain loop.
         let store = |retrain_runs| ServeSource::Store {
@@ -1627,6 +1645,7 @@ mod tests {
                 &["--model", "m.f2pm", "--threshold", "NaN"],
                 "rttf_threshold_s",
             ),
+            (&["--model", "m.f2pm", "--record", ""], "record"),
         ] {
             let err = serve(&s(args)).unwrap_err();
             assert!(err.contains(want), "{args:?}: {err}");

@@ -1,5 +1,5 @@
 //! Offline stub of the `bytes` crate: the `BytesMut` / `Buf` / `BufMut`
-//! subset the FMC↔FMS wire format uses. All multi-byte integers are
+//! subset the FMC↔serve wire format uses. All multi-byte integers are
 //! big-endian, matching the real crate's `put_*`/`get_*` defaults.
 
 use std::ops::{Deref, DerefMut};

@@ -7,17 +7,17 @@
 //! never materializes more than one chunk of rows per worker, so a
 //! multi-gigabyte history re-scores in constant memory.
 //!
-//! Chunks fan out over the [`f2pm_linalg::pool_threads`] pool, but each
-//! worker keeps its partial results *per chunk* and the final merge walks
-//! chunks in index order — the report is bit-identical for any worker
-//! count (including `F2PM_THREADS=1`).
+//! Chunks fan out through [`f2pm_linalg::pool_map_with`] (each worker
+//! reusing one set of scan buffers), which returns the partial results
+//! *per chunk* in chunk order, and the final merge walks them in that
+//! order — the report is bit-identical for any worker count (including
+//! `F2PM_THREADS=1`).
 
 use crate::F2pmError;
 use f2pm_features::{
     ColumnSlice, ColumnStore, FeatureChunk, COL_HOST_ID, COL_RTTF, COL_RUN_ID, COL_T,
 };
 use f2pm_ml::{Model, SMaeThreshold};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Row predicate for a query: every set field must hold.
 ///
@@ -252,11 +252,6 @@ pub fn run_query(
     };
 
     let n_chunks = store.n_chunks();
-    // One slot per chunk; a chunk's result lands in its own slot, so the
-    // merge below can walk chunk order no matter which worker ran it.
-    let mut slots: Vec<std::sync::Mutex<Option<Result<ChunkPartial, f2pm_ml::MlError>>>> =
-        Vec::new();
-    slots.resize_with(n_chunks, || std::sync::Mutex::new(None));
     // Zone-map pruning pass: pure min/max comparisons, so it runs serially
     // up front (n_chunks comparisons are noise next to scoring).
     let t_lo = filter.t_min.unwrap_or(f64::NEG_INFINITY);
@@ -391,59 +386,18 @@ pub fn run_query(
         Ok(partial)
     };
 
-    let workers = f2pm_linalg::pool_threads().min(live.len()).max(1);
+    // Each worker reuses one set of scan buffers across its chunks.
     let n_features = layout.features.len();
-    if workers <= 1 {
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        let mut compact: Vec<Vec<f64>> = vec![Vec::new(); n_features];
-        let mut keys = Vec::new();
-        let mut actuals = Vec::new();
-        for &c in &live {
-            *slots[c].lock().unwrap() = Some(scan_chunk(
-                c,
-                &mut scratch,
-                &mut out,
-                &mut compact,
-                &mut keys,
-                &mut actuals,
-            ));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let next = &next;
-        let live = &live;
-        let scan_chunk = &scan_chunk;
-        let slots = &slots;
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(move |_| {
-                    let mut scratch = Vec::new();
-                    let mut out = Vec::new();
-                    let mut compact: Vec<Vec<f64>> = vec![Vec::new(); n_features];
-                    let mut keys = Vec::new();
-                    let mut actuals = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= live.len() {
-                            break;
-                        }
-                        let c = live[i];
-                        let r = scan_chunk(
-                            c,
-                            &mut scratch,
-                            &mut out,
-                            &mut compact,
-                            &mut keys,
-                            &mut actuals,
-                        );
-                        *slots[c].lock().unwrap() = Some(r);
-                    }
-                });
-            }
-        })
-        .expect("query scan scope");
-    }
+    let partials = f2pm_linalg::pool_map_with(
+        &live,
+        || {
+            let compact: Vec<Vec<f64>> = vec![Vec::new(); n_features];
+            (Vec::new(), Vec::new(), compact, Vec::new(), Vec::new())
+        },
+        |(scratch, out, compact, keys, actuals), &c| {
+            scan_chunk(c, scratch, out, compact, keys, actuals)
+        },
+    );
 
     // Deterministic merge: chunk order, regardless of which worker ran
     // which chunk or in what sequence they finished.
@@ -451,8 +405,8 @@ pub fn run_query(
     let mut total = Acc::default();
     let mut rows_scanned = 0usize;
     let mut rows_matched = 0usize;
-    for slot in slots.into_iter().filter_map(|m| m.into_inner().unwrap()) {
-        let partial = slot.map_err(F2pmError::from)?;
+    for partial in partials {
+        let partial = partial.map_err(F2pmError::from)?;
         rows_scanned += partial.rows_scanned;
         rows_matched += partial.rows_matched;
         total.merge(&partial.total);

@@ -29,7 +29,8 @@ pub fn run_workflow(cfg: &F2pmConfig, seed: u64) -> Result<F2pmReport, F2pmError
 }
 
 /// Run the workflow phases downstream of monitoring on an existing data
-/// history (e.g. one received by the FMS from real FMC clients).
+/// history (e.g. one a recording serve instance received from real FMC
+/// clients).
 ///
 /// Returns [`F2pmError::NotEnoughData`] when the history aggregates to too
 /// few labeled datapoints — serve/CLI layers surface this instead of

@@ -55,7 +55,7 @@ pub use gemm::{
 pub use matrix::Matrix;
 pub use ols::ols;
 pub use stats::{ColumnStats, Standardizer};
-pub use threads::{pool_map, pool_threads};
+pub use threads::{pool_map, pool_map_with, pool_threads};
 pub use vector::{axpy, axpy2, dot, norm2};
 
 /// Result alias used throughout the crate.

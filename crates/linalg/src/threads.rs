@@ -46,28 +46,44 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    pool_map_on(items, pool_threads(), f)
+    pool_map_with(items, || (), |_, item| f(item))
 }
 
-fn pool_map_on<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
+/// [`pool_map`] with per-worker scratch: each worker builds its state
+/// once with `init`, and `f` borrows it mutably for every item that
+/// worker takes, so buffers are reused across items without a lock.
+pub fn pool_map_with<T, S, U, I, F>(items: &[T], init: I, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
-    F: Fn(&T) -> U + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> U + Sync,
+{
+    pool_map_on(items, pool_threads(), init, f)
+}
+
+fn pool_map_on<T, S, U, I, F>(items: &[T], workers: usize, init: I, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> U + Sync,
 {
     let workers = workers.min(items.len());
     if workers <= 1 {
-        return items.iter().map(f).collect();
+        let mut state = init();
+        return items.iter().map(|item| f(&mut state, item)).collect();
     }
     let next = AtomicUsize::new(0);
     let drain = || {
+        let mut state = init();
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(item) = items.get(i) else {
                 return done;
             };
-            done.push((i, f(item)));
+            done.push((i, f(&mut state, item)));
         }
     };
     let mut done = std::thread::scope(|scope| {
@@ -103,13 +119,65 @@ mod tests {
         let expected: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
         for workers in [0, 1, 2, 3, 8, items.len() + 1] {
             assert_eq!(
-                pool_map_on(&items, workers, |x| x * x + 1),
+                pool_map_on(&items, workers, || (), |_, x| x * x + 1),
                 expected,
                 "{workers} workers"
             );
         }
         assert_eq!(pool_map(&items, |x| x * x + 1), expected);
-        assert!(pool_map_on(&[] as &[u64], 4, |x| *x).is_empty());
+        assert!(pool_map_on(&[] as &[u64], 4, || (), |_, x| *x).is_empty());
+    }
+
+    /// Each worker builds its scratch once and reuses it for every item
+    /// it takes: at most `workers` inits, and one worker's scratch sees
+    /// every item.
+    #[test]
+    fn pool_map_with_builds_one_scratch_per_worker() {
+        let items: Vec<u64> = (0..40).collect();
+        for workers in [1, 3] {
+            let inits = AtomicUsize::new(0);
+            let seen = pool_map_on(
+                &items,
+                workers,
+                || {
+                    inits.fetch_add(1, Ordering::SeqCst);
+                    Vec::new()
+                },
+                |mine: &mut Vec<u64>, &x| {
+                    mine.push(x);
+                    (x * 2, mine.len())
+                },
+            );
+            let doubled: Vec<u64> = seen.iter().map(|&(x, _)| x).collect();
+            assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+            let inits = inits.load(Ordering::SeqCst);
+            assert!(
+                (1..=workers).contains(&inits),
+                "{inits} inits for {workers}"
+            );
+            // Each scratch counts 1, 2, 3, … over the items its worker took,
+            // so the number of 1s is the number of scratches that took an
+            // item (a worker may find the items gone).
+            let used = seen.iter().filter(|&&(_, n)| n == 1).count();
+            assert!(
+                (1..=inits).contains(&used),
+                "{used} of {inits} scratches used"
+            );
+            if workers == 1 {
+                assert_eq!(seen.last().map(|&(_, n)| n), Some(items.len()));
+            }
+        }
+        assert_eq!(
+            pool_map_with(
+                &items,
+                || 0u64,
+                |sum, &x| {
+                    *sum += x;
+                    x
+                }
+            ),
+            items
+        );
     }
 
     #[test]
@@ -117,16 +185,21 @@ mod tests {
         let caller = std::thread::current().id();
         let items: Vec<usize> = (0..16).collect();
         let entered = AtomicUsize::new(0);
-        let ids = pool_map_on(&items, 2, |_| {
-            // The first item waits until a second worker has taken one,
-            // so both workers must have run by the end.
-            entered.fetch_add(1, Ordering::SeqCst);
-            let start = std::time::Instant::now();
-            while entered.load(Ordering::SeqCst) < 2 && start.elapsed().as_secs() < 10 {
-                std::thread::yield_now();
-            }
-            std::thread::current().id()
-        });
+        let ids = pool_map_on(
+            &items,
+            2,
+            || (),
+            |_, _| {
+                // The first item waits until a second worker has taken one,
+                // so both workers must have run by the end.
+                entered.fetch_add(1, Ordering::SeqCst);
+                let start = std::time::Instant::now();
+                while entered.load(Ordering::SeqCst) < 2 && start.elapsed().as_secs() < 10 {
+                    std::thread::yield_now();
+                }
+                std::thread::current().id()
+            },
+        );
         let distinct: std::collections::HashSet<_> = ids.iter().collect();
         assert_eq!(distinct.len(), 2, "two workers for a width of 2");
         assert!(ids.contains(&caller), "the caller drained no item");
@@ -136,10 +209,15 @@ mod tests {
     fn pool_map_propagates_a_worker_panic() {
         let items: Vec<usize> = (0..16).collect();
         let caught = std::panic::catch_unwind(|| {
-            pool_map_on(&items, 3, |&i| {
-                assert!(i != 11, "item eleven fails");
-                i
-            })
+            pool_map_on(
+                &items,
+                3,
+                || (),
+                |_, &i| {
+                    assert!(i != 11, "item eleven fails");
+                    i
+                },
+            )
         });
         let payload = caught.expect_err("the panic must reach the caller");
         let msg = payload

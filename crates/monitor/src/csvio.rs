@@ -1,13 +1,16 @@
 //! CSV persistence for data histories.
 //!
 //! A week-long monitoring campaign (the paper's §IV) is expensive to
-//! collect; this module lets the FMS archive its history to a plain CSV
-//! file and the training pipeline reload it later — and makes the data
-//! portable to external tooling (gnuplot, pandas) for inspection.
+//! collect; this is the raw-history format it is archived in —
+//! `f2pm campaign`/`f2pm monitor` write it, a recording serve instance
+//! (`f2pm serve --record DIR`) appends each host's closed runs to it, and
+//! the training pipeline reloads it later. It is also portable to
+//! external tooling (gnuplot, pandas) for inspection.
 //!
 //! Format: one row per event. Datapoint rows are
 //! `D,<t_gen>,<v0>,...,<v13>` (values in [`crate::FEATURES`] order); fail
-//! events are `F,<t>`. A header line names the columns.
+//! events are `F,<t>`. A header line names the columns. Floats are written
+//! in their shortest round-trip form, so a reload is bit-identical.
 
 use crate::datapoint::{Datapoint, FEATURES};
 use crate::history::{DataHistory, HistoryEvent};
@@ -28,24 +31,34 @@ use std::path::Path;
 /// ```
 pub fn save_csv(history: &DataHistory, path: impl AsRef<Path>) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
+    write_header(&mut w)?;
+    for ev in history.events() {
+        write_row(&mut w, ev)?;
+    }
+    w.flush()
+}
+
+/// Write the header line that starts every history CSV.
+pub fn write_header(w: &mut impl Write) -> io::Result<()> {
     write!(w, "kind,t")?;
     for f in FEATURES {
         write!(w, ",{}", f.name())?;
     }
-    writeln!(w)?;
-    for ev in history.events() {
-        match ev {
-            HistoryEvent::Datapoint(d) => {
-                write!(w, "D,{}", d.t_gen)?;
-                for v in d.values {
-                    write!(w, ",{v}")?;
-                }
-                writeln!(w)?;
+    writeln!(w)
+}
+
+/// Write one event as one CSV row (the row writer of [`save_csv`]).
+pub fn write_row(w: &mut impl Write, ev: &HistoryEvent) -> io::Result<()> {
+    match ev {
+        HistoryEvent::Datapoint(d) => {
+            write!(w, "D,{}", d.t_gen)?;
+            for v in d.values {
+                write!(w, ",{v}")?;
             }
-            HistoryEvent::Fail { t } => writeln!(w, "F,{t}")?,
+            writeln!(w)
         }
+        HistoryEvent::Fail { t } => writeln!(w, "F,{t}"),
     }
-    w.flush()
 }
 
 /// Read a history back from CSV (as written by [`save_csv`]).

@@ -1,7 +1,8 @@
 //! Feature Monitor Client (FMC).
 //!
 //! The paper's thin client: it periodically gathers feature measurements on
-//! the monitored machine and ships them to the FMS over TCP. This
+//! the monitored machine and ships them to the collecting server (the
+//! paper's FMS; here a `f2pm serve --record DIR` instance) over TCP. This
 //! implementation wraps any [`Collector`] — the simulator-backed one for
 //! experiments or [`crate::ProcCollector`] for a real host — and streams
 //! until the source is exhausted.
@@ -11,8 +12,12 @@ use crate::datapoint::Datapoint;
 use crate::wire::{Message, PROTOCOL_VERSION};
 use bytes::BytesMut;
 use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+/// How long [`FeatureMonitorClient::close`] waits for the server to close
+/// the connection after `Bye`.
+const CLOSE_DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// FMC configuration.
 #[derive(Debug, Clone, Copy)]
@@ -185,9 +190,17 @@ impl FeatureMonitorClient {
         Ok(n)
     }
 
-    /// Orderly close.
+    /// Orderly close: `Bye`, then read until the server closes its side.
+    /// The client never reads what a serve instance pushes (alerts), and
+    /// closing a socket with unread input makes the kernel send a reset,
+    /// which discards whatever the server has not read yet — the end of
+    /// the stream, fail event included. A server that does not close
+    /// within 10 s is an error.
     pub fn close(mut self) -> io::Result<()> {
-        Message::Bye.write_to(&mut self.stream)
+        Message::Bye.write_to(&mut self.stream)?;
+        self.stream.shutdown(Shutdown::Write)?;
+        self.stream.set_read_timeout(Some(CLOSE_DRAIN_TIMEOUT))?;
+        io::copy(&mut self.stream, &mut io::sink()).map(drop)
     }
 }
 
@@ -206,8 +219,42 @@ fn handshake(mut stream: TcpStream, cfg: &FmcConfig) -> io::Result<TcpStream> {
 mod tests {
     use super::*;
     use crate::collector::{SimCollector, SimCollectorConfig};
-    use crate::fms::FeatureMonitorServer;
     use f2pm_sim::{AnomalyConfig, SimConfig, Simulation};
+    use std::net::TcpListener;
+    use std::thread::JoinHandle;
+
+    /// A bare stand-in for the collecting server: accepts one connection
+    /// on `listener` and returns every frame it sent, up to `Bye` or EOF.
+    fn record_one_connection(listener: TcpListener) -> JoinHandle<Vec<Message>> {
+        std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut frames = Vec::new();
+            while let Ok(Some(msg)) = Message::read_from(&mut conn) {
+                let bye = msg == Message::Bye;
+                frames.push(msg);
+                if bye {
+                    break;
+                }
+            }
+            frames
+        })
+    }
+
+    fn bind_local() -> (TcpListener, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        (listener, addr)
+    }
+
+    fn datapoints(frames: &[Message]) -> Vec<Datapoint> {
+        frames
+            .iter()
+            .filter_map(|m| match m {
+                Message::Datapoint(d) => Some(*d),
+                _ => None,
+            })
+            .collect()
+    }
 
     fn fast_sim(seed: u64) -> Simulation {
         Simulation::new(
@@ -225,9 +272,16 @@ mod tests {
 
     #[test]
     fn end_to_end_sim_to_server() {
-        let server = FeatureMonitorServer::start("127.0.0.1:0").unwrap();
-        let mut client =
-            FeatureMonitorClient::connect(server.addr(), FmcConfig::default()).unwrap();
+        let (listener, addr) = bind_local();
+        let server = record_one_connection(listener);
+        let mut client = FeatureMonitorClient::connect(
+            addr,
+            FmcConfig {
+                host_id: 5,
+                ..FmcConfig::default()
+            },
+        )
+        .unwrap();
 
         let mut collector = SimCollector::new(fast_sim(5), SimCollectorConfig::default(), 5);
         let sent = client.stream_collector(&mut collector, None).unwrap();
@@ -236,31 +290,31 @@ mod tests {
         client.close().unwrap();
 
         assert!(sent > 50, "sent only {sent}");
-        for _ in 0..200 {
-            if server.datapoint_count() == sent {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        let history = server.shutdown();
-        assert_eq!(history.datapoint_count() as u64, sent);
-        assert_eq!(history.fail_count(), 1);
-        let runs = history.runs();
-        assert_eq!(runs.len(), 1);
-        assert!(runs[0].fail_time.unwrap() > 0.0);
+        let frames = server.join().unwrap();
+        assert_eq!(
+            frames.first(),
+            Some(&Message::Hello {
+                version: PROTOCOL_VERSION,
+                host_id: 5
+            })
+        );
+        assert_eq!(datapoints(&frames).len() as u64, sent);
+        let n = frames.len();
+        assert_eq!(frames[n - 2..], [Message::Fail { t: fail_t }, Message::Bye]);
+        assert!(fail_t > 0.0);
     }
 
     #[test]
     fn max_points_respected() {
-        let server = FeatureMonitorServer::start("127.0.0.1:0").unwrap();
-        let mut client =
-            FeatureMonitorClient::connect(server.addr(), FmcConfig::default()).unwrap();
+        let (listener, addr) = bind_local();
+        let server = record_one_connection(listener);
+        let mut client = FeatureMonitorClient::connect(addr, FmcConfig::default()).unwrap();
         let mut collector = SimCollector::new(fast_sim(6), SimCollectorConfig::default(), 6);
         let sent = client.stream_collector(&mut collector, Some(10)).unwrap();
         assert_eq!(sent, 10);
         assert_eq!(client.sent(), 10);
         client.close().unwrap();
-        server.shutdown();
+        assert_eq!(datapoints(&server.join().unwrap()).len(), 10);
     }
 
     #[test]
@@ -281,8 +335,7 @@ mod tests {
     fn datapoints_dropped_not_errored_when_server_stays_down() {
         // A raw listener the test controls end to end: dropping the
         // accepted stream with unread data forces an immediate RST, and
-        // dropping the listener makes every reconnect attempt fail too —
-        // unlike `FmsHandle::shutdown`, which lets live connections drain.
+        // dropping the listener makes every reconnect attempt fail too.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let mut client = FeatureMonitorClient::connect(
@@ -320,8 +373,6 @@ mod tests {
     fn reconnects_to_restarted_server_with_backoff() {
         // The first server dies with the client's connection open: a raw
         // listener that accepts, then drops the connection and itself.
-        // (`FmsHandle::shutdown` leaves accepted connections running, so
-        // it cannot stand in for a crash.)
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let mut client = FeatureMonitorClient::connect(
@@ -344,8 +395,9 @@ mod tests {
         let server2 = (0..50)
             .find_map(|_| {
                 std::thread::sleep(std::time::Duration::from_millis(10));
-                FeatureMonitorServer::start(addr).ok()
+                TcpListener::bind(addr).ok()
             })
+            .map(record_one_connection)
             .expect("rebind restarted server");
 
         let mut delivered = 0u64;
@@ -366,16 +418,17 @@ mod tests {
         client.send_fail(500.0).unwrap();
         client.close().unwrap();
         // The restarted server received the post-reconnect traffic,
-        // including the re-handshake that names the host.
-        for _ in 0..200 {
-            if server2.datapoint_count() >= delivered && server2.hosts() == vec![3] {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        assert!(server2.datapoint_count() >= delivered);
-        assert_eq!(server2.hosts(), vec![3]);
-        server2.shutdown();
+        // opened by the re-handshake that names the host.
+        let frames = server2.join().unwrap();
+        assert_eq!(
+            frames.first(),
+            Some(&Message::Hello {
+                version: PROTOCOL_VERSION,
+                host_id: 3
+            })
+        );
+        assert!(datapoints(&frames).len() as u64 >= delivered);
+        assert!(frames.contains(&Message::Fail { t: 500.0 }));
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub enum HistoryEvent {
 }
 
 /// One run extracted from the history: its datapoints and fail time.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunData {
     /// Chronological datapoints of the run.
     pub datapoints: Vec<Datapoint>,

@@ -1,7 +1,8 @@
 //! # f2pm-monitor
 //!
 //! The monitoring layer of F2PM: datapoints, the multi-run data history,
-//! feature collectors, and the paper's FMC/FMS client-server pair.
+//! feature collectors, the paper's thin monitoring client (FMC) and the
+//! wire format it speaks.
 //!
 //! §III-A of the paper defines a *datapoint* as a timestamped tuple of 14
 //! system features (thread count, five memory quantities, two swap
@@ -17,15 +18,16 @@
 //! - [`ProcCollector`] reads the *real* local Linux `/proc` filesystem —
 //!   the same information `free`/`top` show — so F2PM can monitor an
 //!   actual machine, exactly like the paper's thin client;
-//! - the [`fmc`]/[`fms`] pair move datapoints over TCP with a compact
-//!   binary wire format, for monitoring a remote guest (the paper runs the
-//!   FMS on a separate VM from the application under test).
+//! - the [`fmc`] client moves datapoints over TCP in the compact binary
+//!   [`wire`] format, for monitoring a remote guest. The paper runs its
+//!   collecting server (FMS) on a separate VM from the application under
+//!   test; here that server is `f2pm-serve`, which records what it
+//!   ingests with `f2pm serve --record DIR` in the [`csvio`] format.
 
 pub mod collector;
 pub mod csvio;
 pub mod datapoint;
 pub mod fmc;
-pub mod fms;
 pub mod history;
 pub mod wire;
 
@@ -33,6 +35,5 @@ pub use collector::{Collector, ProcCollector, ReplayCollector, SimCollector, Sim
 pub use csvio::{load_csv, save_csv};
 pub use datapoint::{Datapoint, FeatureId, FEATURES};
 pub use fmc::{FeatureMonitorClient, FmcConfig};
-pub use fms::{FeatureMonitorServer, FmsHandle};
 pub use history::{DataHistory, HistoryEvent, RunData};
 pub use wire::Message;

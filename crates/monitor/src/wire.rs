@@ -1,4 +1,4 @@
-//! Binary wire format between FMC and FMS / `f2pm-serve`.
+//! Binary wire format between the FMC and `f2pm-serve`.
 //!
 //! Frames are length-prefixed: a `u32` big-endian payload length, then a
 //! one-byte message tag, then the payload. All floats are IEEE-754 f64
@@ -64,7 +64,7 @@ pub struct TopKEntry {
     pub model_generation: u64,
 }
 
-/// Messages exchanged between FMC (client) and FMS / serve (server).
+/// Messages exchanged between FMC (client) and serve (server).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Client handshake: protocol version + arbitrary host identifier.

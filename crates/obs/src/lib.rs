@@ -46,7 +46,7 @@ pub const STAGE_LABEL: &str = "stage";
 static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 
 /// The process-global registry. Library code (workflow stages, per-method
-/// training timers, FMC/FMS transport counters) records here so a single
+/// training timers, FMC transport counters) records here so a single
 /// scrape observes every subsystem without plumbing a registry through each
 /// call chain.
 pub fn global() -> &'static MetricsRegistry {

@@ -1,13 +1,16 @@
 //! # f2pm-serve
 //!
 //! The online serving side of the F2PM reproduction: a multi-tenant RTTF
-//! prediction service. Where the FMS of `f2pm-monitor` passively collects
-//! training data, this crate *answers* — many monitored hosts stream
-//! datapoints in, and the server keeps a live Remaining-Time-To-Failure
-//! estimate per host, pushes rejuvenation alerts when an estimate stays
-//! under the safety threshold, and exposes a metrics snapshot plus a full
+//! prediction service, and the one server the FMC clients of
+//! `f2pm-monitor` connect to. Many monitored hosts stream datapoints in,
+//! and the server keeps a live Remaining-Time-To-Failure estimate per
+//! host, pushes rejuvenation alerts when an estimate stays under the
+//! safety threshold, and exposes a metrics snapshot plus a full
 //! Prometheus-style text exposition (`MetricsRequest` → `MetricsText`,
-//! scraped by `f2pm stats`) over the same wire protocol. Clients must
+//! scraped by `f2pm stats`) over the same wire protocol. With
+//! [`ServeConfig::record`] set (`f2pm serve --record DIR`) it is also the
+//! paper's collecting server: every host's rows are appended as they
+//! arrive to a history CSV the training pipeline reads. Clients must
 //! speak the one wire version, `f2pm_monitor::wire::PROTOCOL_VERSION`.
 //!
 //! Linux only: the connection edge is built on epoll and eventfd.
@@ -19,15 +22,17 @@
 //!   10k+ concurrent FMC clients per instance).
 //! - **[`shard`]** — hosts are pinned to shard workers over bounded
 //!   crossbeam channels (blocking send = backpressure, zero drops); each
-//!   worker owns its hosts' `OnlinePredictor` state lock-free.
+//!   worker owns its hosts' `OnlinePredictor` state lock-free, and is the
+//!   one place a host's runs are assembled for the recorder and the
+//!   retrain tap.
 //! - **[`registry`]** — hot-reloadable model storage: an atomic `Arc`
 //!   swap re-points every host's next prediction at the new model without
 //!   dropping connections or window state.
-//! - **[`retrain`]** — the continuous-retraining plane: a lossy tap off
-//!   the shard workers feeds a background worker that reassembles each
-//!   host's life into runs, slides them through a warm
-//!   `f2pm::RetrainEngine`, and publishes every refreshed LS-SVM back
-//!   through the artifact store for the manifest watcher to hot-reload.
+//! - **[`retrain`]** — the continuous-retraining plane: a lossy tap
+//!   offers each run the shards close, whole, to a background worker that
+//!   slides it through a warm `f2pm::RetrainEngine` and publishes every
+//!   refreshed LS-SVM back through the artifact store for the manifest
+//!   watcher to hot-reload.
 //! - **[`fleet`]** — the fleet plane: a consistent-hash
 //!   [`HashRing`] routes hosts across N serve instances, and the
 //!   [`Fleet`] aggregator fans `TopKRequest`/`StatsRequest`/metrics
@@ -36,8 +41,8 @@
 //! - **[`metrics`]** — serving counters, gauges, and the power-of-two
 //!   prediction-latency histogram, all registered on a per-server
 //!   `f2pm_obs::MetricsRegistry`; `expose_text` renders it with the
-//!   process-global registry (training-stage spans, FMC/FMS transport
-//!   counters) appended.
+//!   process-global registry (training-stage spans, FMC transport
+//!   counters, the retrain plane) appended.
 
 #![warn(missing_docs)]
 

@@ -9,7 +9,8 @@
 //! [`MetricsSnapshot`] for the `FleetSnapshot` wire reply, and
 //! [`ServeMetrics::expose_text`] renders the Prometheus-style exposition
 //! (instance registry + the process-global registry, which carries the span
-//! timings of any in-process training plus FMC/FMS transport counters).
+//! timings of any in-process training, FMC transport counters and the
+//! retrain plane).
 
 use f2pm_monitor::wire::Message;
 use f2pm_obs::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -247,8 +248,8 @@ impl ServeMetrics {
     /// Render the text exposition: refresh the scrape-time gauges
     /// (shard queue depths, model generation, p50/p99 latency), render the
     /// instance registry, then append the process-global registry so the
-    /// scrape also carries pipeline span timings and FMC/FMS transport
-    /// counters.
+    /// scrape also carries pipeline span timings, FMC transport counters
+    /// and the retrain plane.
     pub fn expose_text(&self, shard_depths: &[u32], model_generation: u64) -> String {
         self.model_generation.set_u64(model_generation);
         for (i, &d) in shard_depths.iter().enumerate() {

@@ -1,7 +1,8 @@
 //! Hot-reloadable model registry.
 //!
 //! The serving path must be able to swap in a freshly trained model (the
-//! FMS keeps learning while the service predicts) without dropping
+//! retrain worker keeps learning from the runs the shards close, through
+//! the retrain tap, while the service predicts) without dropping
 //! connections or resetting per-host window state. The registry therefore
 //! separates two lifetimes:
 //!

@@ -3,12 +3,12 @@
 //!
 //! The serving path predicts with whatever model the [`ModelRegistry`]
 //! holds; this module keeps that model *fresh*. A [`RetrainTap`] rides
-//! the shard workers (see [`crate::shard`]): every `Datapoint` and `Fail`
-//! event they process is offered to a bounded channel with a lossy
-//! `try_send`, so the ingest hot path never blocks on training — under
-//! overload the tap drops (counted), never the serving pipeline. A
-//! background [`RetrainWorker`] drains the tap, reassembles each host's
-//! life into a [`RunData`] (a `Fail` closes the run), slides it into a
+//! the shard workers (see [`crate::shard`]), which assemble each host's
+//! life: every `Fail` closes one [`RunData`], and the tap offers it whole
+//! to a bounded channel with a lossy `try_send`, so the ingest hot path
+//! never blocks on training — under overload the tap drops whole runs
+//! (counted), never the serving pipeline and never part of a run. A
+//! background [`RetrainWorker`] drains the tap, slides each run into a
 //! warm [`RetrainEngine`](f2pm::RetrainEngine), and publishes the
 //! refreshed LS-SVM through [`ModelStore::publish`] — the same atomic
 //! manifest protocol every other publisher uses, so the server's
@@ -30,11 +30,12 @@
 //!   refactorization;
 //! - `f2pm_retrain_failures_total` / `f2pm_retrain_publish_failures_total`
 //!   — retrains or publishes that errored (the worker keeps going);
-//! - `f2pm_retrain_tap_dropped_total` — events the lossy tap shed;
+//! - `f2pm_retrain_tap_dropped_total` — whole runs the lossy tap shed;
 //! - `f2pm_retrain_runs_skipped_total` — runs discarded as unusable
-//!   (overflowed assembly buffer, no datapoints, or a non-finite value
-//!   or `Fail` time — one such run would fail every retrain for as long
-//!   as it stayed in the window);
+//!   (a life that outgrew [`MAX_RUN_DATAPOINTS`], counted by the shard at
+//!   its `Fail`; no datapoints, or a non-finite value or `Fail` time,
+//!   counted by the worker — one such run would fail every retrain for as
+//!   long as it stayed in the window);
 //! - `f2pm_retrain_published_generation` — the last store generation this
 //!   worker published.
 
@@ -44,60 +45,49 @@ use f2pm_features::AggregationConfig;
 use f2pm_ml::{Metrics, Model, SMaeThreshold, SavedModel};
 use f2pm_monitor::{Datapoint, RunData};
 use f2pm_registry::{ArtifactMeta, ModelStore};
-use std::collections::HashMap;
 use std::io;
 
-/// Per-host assembly buffers beyond this many datapoints mark the run
-/// unusable (it is skipped at `Fail` instead of trained truncated). Far
-/// above any realistic run length; exists to bound worker memory.
+/// The one bound on a host's life buffer in a shard worker (and on its
+/// queue of rows the recorder has not written yet). A life that outgrows
+/// it is freed and skipped by the tap at its `Fail` instead of trained
+/// truncated. Far above any realistic run length; exists to bound shard
+/// memory.
 pub const MAX_RUN_DATAPOINTS: usize = 100_000;
 
-/// Default bounded capacity of the tap channel.
-pub const DEFAULT_TAP_CAP: usize = 8192;
+/// Default bounded capacity of the tap channel, in runs. A run arrives
+/// per host `Fail`; the queue only grows while runs close faster than the
+/// worker aggregates (or retrains on) them, as when a window fill streams
+/// hundreds of short lives at once: the `refresh` benchmark's 1,800-row
+/// fill is 252–256 lives over seeds 0–20, 42, 99, 123, 1000 and 4242.
+/// 320 is that maximum plus a quarter, so such a fill fits whole even if
+/// the worker stalls. Worst case the queue holds 320 runs of
+/// [`MAX_RUN_DATAPOINTS`] datapoints (120 B each), ≈ 3.8 GB; runs of
+/// ~1000 datapoints hold ≈ 38 MB.
+pub const DEFAULT_TAP_CAP: usize = 320;
 
-/// One ingest event mirrored off the shard hot path.
-pub(crate) enum TapEvent {
-    /// A datapoint of `host`'s current life.
-    Datapoint {
-        /// Originating host.
-        host: u32,
-        /// The sample.
-        d: Datapoint,
-    },
-    /// `host` failed at time `t`, closing its current run.
-    Fail {
-        /// Originating host.
-        host: u32,
-        /// Failure time (s).
-        t: f64,
-    },
-}
-
-/// Lossy, non-blocking feed into the [`RetrainWorker`]. Cloned into every
-/// shard worker; offering an event never blocks — when the channel is
-/// full the event is dropped and counted, because serving latency always
-/// outranks training freshness.
+/// Lossy, non-blocking feed of closed runs into the [`RetrainWorker`].
+/// Cloned into every shard worker; offering a run never blocks — when the
+/// channel is full the whole run is dropped and counted, because serving
+/// latency always outranks training freshness.
 #[derive(Clone)]
 pub struct RetrainTap {
-    tx: crossbeam::channel::Sender<TapEvent>,
+    tx: crossbeam::channel::Sender<RunData>,
     dropped: f2pm_obs::Counter,
+    skipped: f2pm_obs::Counter,
 }
 
 impl RetrainTap {
-    fn offer(&self, event: TapEvent) {
-        if self.tx.try_send(event).is_err() {
+    /// Offer one closed run whole.
+    pub(crate) fn offer_run(&self, run: RunData) {
+        if self.tx.try_send(run).is_err() {
             self.dropped.inc();
         }
     }
 
-    /// Mirror one datapoint of `host`'s current life.
-    pub(crate) fn offer_datapoint(&self, host: u32, d: Datapoint) {
-        self.offer(TapEvent::Datapoint { host, d });
-    }
-
-    /// Mirror `host`'s failure at time `t`.
-    pub(crate) fn offer_fail(&self, host: u32, t: f64) {
-        self.offer(TapEvent::Fail { host, t });
+    /// Count a closed run that cannot be offered whole (its life outgrew
+    /// [`MAX_RUN_DATAPOINTS`]).
+    pub(crate) fn skip_run(&self) {
+        self.skipped.inc();
     }
 }
 
@@ -112,7 +102,7 @@ pub struct RetrainerConfig {
     /// Publish only once the window holds at least this many runs
     /// (defaults to the full window).
     pub min_window_runs: usize,
-    /// Bounded tap-channel capacity.
+    /// Bounded tap-channel capacity, in runs.
     pub queue_cap: usize,
 }
 
@@ -151,15 +141,6 @@ impl RetrainerConfig {
     }
 }
 
-/// One host's in-assembly run.
-#[derive(Default)]
-struct PendingRun {
-    points: Vec<Datapoint>,
-    /// The assembly buffer overflowed [`MAX_RUN_DATAPOINTS`]; the run is
-    /// discarded at `Fail` rather than trained on truncated data.
-    overflowed: bool,
-}
-
 /// The background retraining worker (see the module docs). Owns one OS
 /// thread; exits when every [`RetrainTap`] clone has been dropped (i.e.
 /// after the shard pool shuts down).
@@ -183,6 +164,7 @@ impl RetrainWorker {
         let tap = RetrainTap {
             tx,
             dropped: f2pm_obs::global().counter("f2pm_retrain_tap_dropped_total"),
+            skipped: f2pm_obs::global().counter("f2pm_retrain_runs_skipped_total"),
         };
         let handle = std::thread::Builder::new()
             .name("f2pm-retrain".to_string())
@@ -229,49 +211,24 @@ impl RetrainMetrics {
     }
 }
 
-fn worker_loop(
-    rx: crossbeam::channel::Receiver<TapEvent>,
-    cfg: RetrainerConfig,
-    store: ModelStore,
-) {
+fn worker_loop(rx: crossbeam::channel::Receiver<RunData>, cfg: RetrainerConfig, store: ModelStore) {
     let metrics = RetrainMetrics::new();
     let mut engine = RetrainEngine::new(cfg.engine.clone());
-    let mut pending: HashMap<u32, PendingRun> = HashMap::new();
-    while let Ok(event) = rx.recv() {
-        match event {
-            TapEvent::Datapoint { host, d } => {
-                let run = pending.entry(host).or_default();
-                if run.points.len() >= MAX_RUN_DATAPOINTS {
-                    run.overflowed = true;
-                } else {
-                    run.points.push(d);
-                }
-            }
-            TapEvent::Fail { host, t } => {
-                let Some(run) = pending.remove(&host) else {
-                    continue;
-                };
-                if run.overflowed
-                    || run.points.is_empty()
-                    || !t.is_finite()
-                    || !run.points.iter().all(Datapoint::is_finite)
-                {
-                    metrics.runs_skipped.inc();
-                    continue;
-                }
-                let run = RunData {
-                    datapoints: run.points,
-                    fail_time: Some(t),
-                };
-                engine.push_run(&run);
-                metrics.runs.inc();
-                metrics.window_runs.set_u64(engine.window_runs() as u64);
-                if engine.window_runs() < cfg.min_window_runs {
-                    continue;
-                }
-                retrain_and_publish(&mut engine, &run, &store, &metrics);
-            }
+    while let Ok(run) = rx.recv() {
+        if run.datapoints.is_empty()
+            || !run.fail_time.is_some_and(f64::is_finite)
+            || !run.datapoints.iter().all(Datapoint::is_finite)
+        {
+            metrics.runs_skipped.inc();
+            continue;
         }
+        engine.push_run(&run);
+        metrics.runs.inc();
+        metrics.window_runs.set_u64(engine.window_runs() as u64);
+        if engine.window_runs() < cfg.min_window_runs {
+            continue;
+        }
+        retrain_and_publish(&mut engine, &run, &store, &metrics);
     }
 }
 
@@ -331,6 +288,32 @@ fn run_train_smae(model: &dyn Model, run: &RunData, agg: &AggregationConfig) -> 
 }
 
 #[cfg(test)]
+impl RetrainTap {
+    /// A tap into a `cap`-run channel whose counters live on a private
+    /// registry, so concurrent tests cannot disturb exact counts.
+    pub(crate) fn private(cap: usize) -> (Self, crossbeam::channel::Receiver<RunData>) {
+        let (tx, rx) = crossbeam::channel::bounded(cap);
+        let local = f2pm_obs::MetricsRegistry::new();
+        let tap = RetrainTap {
+            tx,
+            dropped: local.counter("f2pm_retrain_tap_dropped_total"),
+            skipped: local.counter("f2pm_retrain_runs_skipped_total"),
+        };
+        (tap, rx)
+    }
+
+    /// Whole runs this tap dropped.
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped.get()
+    }
+
+    /// Overflowed runs this tap skipped.
+    pub(crate) fn skipped(&self) -> u64 {
+        self.skipped.get()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use f2pm_monitor::FeatureId;
@@ -372,16 +355,18 @@ mod tests {
         d
     }
 
-    /// Stream one synthetic failing run for `host` through the tap:
-    /// datapoints every 5 s over [0, 200) and a fail at 205 s → six 30 s
-    /// windows, all labeled.
-    fn stream_run(tap: &RetrainTap, host: u32, seed: u64) {
-        let mut t = 0.0;
-        while t < 200.0 {
-            tap.offer_datapoint(host, dp(t, seed));
-            t += 5.0;
+    /// One synthetic failing run: datapoints every 5 s over [0, 200) and
+    /// a fail at `fail_t` → six 30 s windows, all labeled.
+    fn run(seed: u64, fail_t: f64) -> RunData {
+        RunData {
+            datapoints: (0..40).map(|i| dp(i as f64 * 5.0, seed)).collect(),
+            fail_time: Some(fail_t),
         }
-        tap.offer_fail(host, 205.0);
+    }
+
+    /// Offer one synthetic failing run (fail at 205 s) through the tap.
+    fn stream_run(tap: &RetrainTap, seed: u64) {
+        tap.offer_run(run(seed, 205.0));
     }
 
     fn wait_generation(store: &ModelStore, at_least: u64) -> u64 {
@@ -407,12 +392,12 @@ mod tests {
         let (tap, worker) = RetrainWorker::start(cfg, ModelStore::open(&dir).unwrap());
 
         // One run is below min_window_runs → nothing published yet.
-        stream_run(&tap, 1, 0);
+        stream_run(&tap, 0);
         // Second run fills the window → first (cold) publish; later runs
         // slide the window → warm publishes.
-        stream_run(&tap, 1, 1);
+        stream_run(&tap, 1);
         let g1 = wait_generation(&store, 1);
-        stream_run(&tap, 1, 2);
+        stream_run(&tap, 2);
         let g2 = wait_generation(&store, g1 + 1);
         assert!(g2 > g1);
 
@@ -433,31 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn runs_interleave_per_host_and_empty_or_unknown_fails_are_ignored() {
-        let (dir, store) = temp_store("interleave");
-        let cfg = RetrainerConfig::new(engine_cfg(2));
-        let (tap, worker) = RetrainWorker::start(cfg, ModelStore::open(&dir).unwrap());
-
-        // A fail for a host the worker never saw a datapoint of: ignored.
-        tap.offer_fail(99, 50.0);
-        // Two hosts interleaved: each closes its own run; two completed
-        // runs fill the window and publish.
-        let mut t = 0.0;
-        while t < 200.0 {
-            tap.offer_datapoint(7, dp(t, 10));
-            tap.offer_datapoint(8, dp(t, 11));
-            t += 5.0;
-        }
-        tap.offer_fail(7, 205.0);
-        tap.offer_fail(8, 205.0);
-        wait_generation(&store, 1);
-
-        drop(tap);
-        worker.join();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn corrupt_runs_are_skipped_and_counted() {
         let (dir, store) = temp_store("corrupt");
         let skipped = f2pm_obs::global().counter("f2pm_retrain_runs_skipped_total");
@@ -466,51 +426,42 @@ mod tests {
         cfg.min_window_runs = 1;
         let (tap, worker) = RetrainWorker::start(cfg, ModelStore::open(&dir).unwrap());
 
-        // A NaN datapoint, then a non-finite Fail time: both skipped, so
-        // neither publishes nor stays in the window to fail the retrains
-        // after it.
-        let mut t = 0.0;
-        while t < 200.0 {
-            let mut d = dp(t, 20);
-            if t == 100.0 {
-                d.values[3] = f64::NAN;
-            }
-            tap.offer_datapoint(1, d);
-            tap.offer_datapoint(2, dp(t, 21));
-            t += 5.0;
-        }
-        tap.offer_fail(1, 205.0);
-        tap.offer_fail(2, f64::INFINITY);
+        // A run with a NaN datapoint, one with a non-finite Fail time and
+        // one with no datapoints: all skipped, so none publishes or stays
+        // in the window to fail the retrains after it.
+        let mut nan = run(20, 205.0);
+        nan.datapoints[20].values[3] = f64::NAN;
+        tap.offer_run(nan);
+        tap.offer_run(run(21, f64::INFINITY));
+        tap.offer_run(RunData {
+            datapoints: Vec::new(),
+            fail_time: Some(50.0),
+        });
         // A clean run alone then meets `min_window_runs` and publishes
         // the first generation.
-        stream_run(&tap, 3, 22);
+        stream_run(&tap, 22);
 
         drop(tap);
         worker.join();
-        assert!(skipped.get() - before >= 2, "both corrupt runs counted");
+        assert!(skipped.get() - before >= 3, "every corrupt run counted");
         assert_eq!(store.active_generation().unwrap(), Some(1));
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A full tap drops whole runs: the receiver holds the first run
+    /// exactly as offered, and each later offer is one counted drop.
     #[test]
-    fn full_tap_drops_instead_of_blocking() {
-        let (dir, _store) = temp_store("drop");
-        let dropped = f2pm_obs::global().counter("f2pm_retrain_tap_dropped_total");
-        let before = dropped.get();
-        let mut cfg = RetrainerConfig::new(engine_cfg(2));
-        cfg.queue_cap = 1;
-        // Worker never started: nothing drains the 1-slot channel, so the
-        // second offer must drop, not block.
-        let (tx, _rx) = crossbeam::channel::bounded(cfg.queue_cap);
-        let tap = RetrainTap {
-            tx,
-            dropped: dropped.clone(),
-        };
-        tap.offer_datapoint(1, dp(0.0, 0));
-        tap.offer_datapoint(1, dp(1.0, 0));
-        tap.offer_fail(1, 2.0);
-        assert_eq!(dropped.get() - before, 2);
-        std::fs::remove_dir_all(&dir).ok();
+    fn full_tap_drops_whole_runs_instead_of_blocking() {
+        let (tap, rx) = RetrainTap::private(1);
+        let first = run(0, 205.0);
+        tap.offer_run(first.clone());
+        tap.offer_run(run(1, 205.0));
+        tap.offer_run(run(2, 210.0));
+        assert_eq!(tap.dropped.get(), 2);
+        let got: Vec<RunData> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+        assert_eq!(got, vec![first]);
+        tap.skip_run();
+        assert_eq!(tap.skipped.get(), 1);
     }
 
     #[test]

@@ -13,12 +13,16 @@
 //!   rejuvenation threshold (see [`AlertPolicy`]);
 //! - `MetricsRequest` → `MetricsText`: the full Prometheus-style text
 //!   exposition of the serve registry (per-shard counters and queue
-//!   depths, latency histogram, model generation) with the process-global
-//!   registry — training-stage span timings, FMC/FMS transport counters —
-//!   appended;
+//!   depths, latency histogram, model generation, recorded datapoints)
+//!   with the process-global registry — training-stage span timings, FMC
+//!   transport counters, the retrain plane — appended;
 //! - the fleet plane (see [`crate::fleet`]): `StatsRequest` →
 //!   `FleetSnapshot` and `TopKRequest` → `TopKReply`, the instance's K
 //!   hosts nearest failure answered from the seqlock estimate board.
+//!
+//! With [`ServeConfig::record`] set, the instance is also the paper's
+//! collecting server (FMS): the shard workers append every host's rows to
+//! `DIR/host-<id>.csv` as they arrive (see [`crate::shard`]).
 //!
 //! Model hot-reloads go through the shared [`ModelRegistry`]: calling
 //! [`ModelRegistry::install`] (directly, or through a
@@ -29,15 +33,16 @@
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::reactor::ReactorPool;
 use crate::registry::ModelRegistry;
-use crate::shard::{AlertPolicy, EstimateBoard, ShardPool};
+use crate::shard::{AlertPolicy, EstimateBoard, Recorder, RunSinks, ShardPool};
 use f2pm_monitor::wire::Message;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Server tuning knobs.
-#[derive(Debug, Clone, Copy)]
+/// Server tuning knobs, and where to record the ingested history.
+#[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Shard worker count (hosts are pinned `host % shards`).
     pub shards: usize,
@@ -61,6 +66,11 @@ pub struct ServeConfig {
     /// `f2pm_serve_instance_info{instance="<id>"} 1`, so merged fleet
     /// scrapes stay attributable. `0` for a standalone instance.
     pub instance_id: u32,
+    /// Directory to record the ingested data history in (`--record DIR`):
+    /// each host's datapoints are appended to `DIR/host-<id>.csv` at the
+    /// end of each shard batch, and an `F` row at each `Fail`. Created at
+    /// start. `None` records nothing.
+    pub record: Option<PathBuf>,
 }
 
 impl Default for ServeConfig {
@@ -73,6 +83,7 @@ impl Default for ServeConfig {
             reactors: default_reactors(),
             outbound_cap: 256 * 1024,
             instance_id: 0,
+            record: None,
         }
     }
 }
@@ -84,8 +95,9 @@ impl ServeConfig {
     ///
     /// Zero `shards`, `queue_cap`, `batch_cap`, `reactors`, `outbound_cap`
     /// or `policy.consecutive_hits` is rejected, as is a NaN or negative
-    /// `policy.rttf_threshold_s`; `+∞` is a valid threshold (alert on
-    /// every estimate).
+    /// `policy.rttf_threshold_s` and a `record` path that is empty or
+    /// names something other than a directory; `+∞` is a valid threshold
+    /// (alert on every estimate).
     pub fn validate(&self) -> io::Result<()> {
         let zero = [
             ("shards", self.shards),
@@ -98,10 +110,16 @@ impl ServeConfig {
         .into_iter()
         .find(|&(_, v)| v == 0);
         let threshold = self.policy.rttf_threshold_s;
+        let bad_record = self
+            .record
+            .as_ref()
+            .filter(|dir| dir.as_os_str().is_empty() || (dir.exists() && !dir.is_dir()));
         let msg = if let Some((field, _)) = zero {
             format!("{field} must be at least 1")
         } else if threshold.is_nan() || threshold < 0.0 {
             format!("policy.rttf_threshold_s must be non-negative, got {threshold}")
+        } else if let Some(dir) = bad_record {
+            format!("record must name a directory, got {dir:?}")
         } else {
             return Ok(());
         };
@@ -141,10 +159,11 @@ impl PredictionServer {
     }
 
     /// [`PredictionServer::start`] with a continuous-retraining tap: the
-    /// shard workers mirror every `Datapoint`/`Fail` into it (lossy,
-    /// never blocking the ingest path), feeding the background
+    /// shard workers offer every closed run into it whole (lossy, never
+    /// blocking the ingest path), feeding the background
     /// [`crate::retrain::RetrainWorker`] that publishes refreshed models
-    /// back through the artifact store.
+    /// back through the artifact store. A `cfg.record` directory that
+    /// cannot be created is an error naming `record`.
     pub fn start_with_tap(
         addr: impl ToSocketAddrs,
         cfg: ServeConfig,
@@ -152,10 +171,18 @@ impl PredictionServer {
         tap: Option<crate::retrain::RetrainTap>,
     ) -> io::Result<ServeHandle> {
         cfg.validate()?;
+        if let Some(dir) = &cfg.record {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| io::Error::new(e.kind(), format!("record directory {dir:?}: {e}")))?;
+        }
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let metrics = Arc::new(ServeMetrics::new());
+        let sinks = RunSinks {
+            tap,
+            recorder: cfg.record.map(|dir| Recorder::new(dir, &metrics)),
+        };
         let pool = ShardPool::start(
             cfg.shards,
             cfg.queue_cap,
@@ -163,7 +190,7 @@ impl PredictionServer {
             Arc::clone(&registry),
             cfg.policy,
             Arc::clone(&metrics),
-            tap,
+            sinks,
         );
         let board = pool.board();
         metrics.set_instance_info(cfg.instance_id);
@@ -316,8 +343,7 @@ pub(crate) fn handle_read(
             });
         }
         // Shard-bound events (the caller's) and server-bound-only traffic
-        // a client has no business echoing (ignored, like unknown traffic
-        // in the passive FMS).
+        // a client has no business echoing (ignored).
         _ => {}
     }
 }
@@ -353,16 +379,43 @@ mod tests {
     #[test]
     fn validate_rejects_each_bad_knob_by_name() {
         let ok = ServeConfig::default();
-        let cases: [(&str, ServeConfig); 8] = [
-            ("shards", ServeConfig { shards: 0, ..ok }),
-            ("queue_cap", ServeConfig { queue_cap: 0, ..ok }),
-            ("batch_cap", ServeConfig { batch_cap: 0, ..ok }),
-            ("reactors", ServeConfig { reactors: 0, ..ok }),
+        let not_a_dir =
+            std::env::temp_dir().join(format!("f2pm_record_file_{}", std::process::id()));
+        std::fs::write(&not_a_dir, "").unwrap();
+        let cases: [(&str, ServeConfig); 10] = [
+            (
+                "shards",
+                ServeConfig {
+                    shards: 0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "queue_cap",
+                ServeConfig {
+                    queue_cap: 0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "batch_cap",
+                ServeConfig {
+                    batch_cap: 0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "reactors",
+                ServeConfig {
+                    reactors: 0,
+                    ..ok.clone()
+                },
+            ),
             (
                 "outbound_cap",
                 ServeConfig {
                     outbound_cap: 0,
-                    ..ok
+                    ..ok.clone()
                 },
             ),
             (
@@ -372,7 +425,7 @@ mod tests {
                         consecutive_hits: 0,
                         ..ok.policy
                     },
-                    ..ok
+                    ..ok.clone()
                 },
             ),
             (
@@ -382,7 +435,7 @@ mod tests {
                         rttf_threshold_s: f64::NAN,
                         ..ok.policy
                     },
-                    ..ok
+                    ..ok.clone()
                 },
             ),
             (
@@ -392,7 +445,21 @@ mod tests {
                         rttf_threshold_s: -1.0,
                         ..ok.policy
                     },
-                    ..ok
+                    ..ok.clone()
+                },
+            ),
+            (
+                "record",
+                ServeConfig {
+                    record: Some(PathBuf::new()),
+                    ..ok.clone()
+                },
+            ),
+            (
+                "record",
+                ServeConfig {
+                    record: Some(not_a_dir.clone()),
+                    ..ok.clone()
                 },
             ),
         ];
@@ -400,13 +467,26 @@ mod tests {
             let err = cfg.validate().unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{field}");
             assert!(err.to_string().contains(field), "{field}: {err}");
-            let err = match PredictionServer::start("127.0.0.1:0", cfg, test_registry()) {
+            let err = match PredictionServer::start("127.0.0.1:0", cfg.clone(), test_registry()) {
                 Err(e) => e,
                 Ok(_) => panic!("a server with a bad {field} must not start"),
             };
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{field}");
         }
 
+        // A directory that cannot be created passes `validate` but not
+        // `start`, which names it.
+        let under_a_file = ServeConfig {
+            record: Some(not_a_dir.join("history")),
+            ..ok.clone()
+        };
+        under_a_file.validate().unwrap();
+        let err = match PredictionServer::start("127.0.0.1:0", under_a_file, test_registry()) {
+            Err(e) => e,
+            Ok(_) => panic!("a server that cannot record must not start"),
+        };
+        assert!(err.to_string().contains("record"), "{err}");
+        std::fs::remove_file(&not_a_dir).ok();
         ok.validate().unwrap();
         let every_estimate = ServeConfig {
             policy: AlertPolicy {

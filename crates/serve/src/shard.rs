@@ -1,9 +1,9 @@
-//! Shard workers: per-host prediction state behind bounded queues.
+//! Shard workers: per-host prediction state behind bounded queues, and
+//! the one place a host's runs are assembled.
 //!
-//! The seed FMS funnels every connection into one `Mutex<DataHistory>`;
-//! fine for passive collection, but an online predictor does real work per
-//! datapoint (window aggregation + model evaluation), so a global lock
-//! would serialize the whole fleet. The serve path shards instead:
+//! An online predictor does real work per datapoint (window aggregation +
+//! model evaluation), so a global lock over every host's state would
+//! serialize the whole fleet. The serve path shards instead:
 //!
 //! ```text
 //!       reactors ──bounded channel──▶ shard worker 0 ─┐
@@ -16,16 +16,29 @@
 //! locking at all. The channels are *bounded*: a reactor whose shard
 //! queue is full parks the event and stops reading that connection, so a
 //! slow shard applies backpressure through TCP instead of dropping frames.
+//!
+//! With a recorder or a retraining tap ([`RunSinks`]), each worker is also
+//! the one place a host's history is assembled. The recorder
+//! (`f2pm serve --record DIR`) appends every host's rows to
+//! `DIR/host-<id>.csv` at the end of each drained batch and an `F` row at
+//! each `Fail`; it writes on the shard thread, so a slow disk backpressures
+//! like a full queue instead of dropping rows. With a tap, the worker also
+//! buffers each host's open life, and a `Fail` offers it whole, as one
+//! run, to the retrain worker.
 
 use crate::metrics::ServeMetrics;
 use crate::registry::{ModelEntry, ModelRegistry};
+use crate::retrain::{RetrainTap, MAX_RUN_DATAPOINTS};
 use f2pm::{predict_many, OnlinePredictor, RejuvenationPolicy};
+use f2pm_monitor::csvio::{write_header, write_row};
 use f2pm_monitor::wire::Message;
-use f2pm_monitor::Datapoint;
+use f2pm_monitor::{Datapoint, HistoryEvent, RunData};
 use parking_lot::RwLock;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::HashMap;
-use std::io;
+use std::fs::OpenOptions;
+use std::io::{self, Write};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -306,6 +319,14 @@ struct HostState {
     hits: usize,
     /// Alert sink of the host's live connection, if any.
     writer: Option<ClientWriter>,
+    /// The open life's datapoints since its last `Fail`, for the retraining
+    /// tap. Fills only when a tap is present.
+    life: Vec<Datapoint>,
+    /// The open life outgrew [`MAX_RUN_DATAPOINTS`], so the tap skips the
+    /// run at its `Fail`.
+    overflowed: bool,
+    /// Rows for the recorder that are not in the host's file yet.
+    unrecorded: Unrecorded,
 }
 
 impl HostState {
@@ -318,6 +339,176 @@ impl HostState {
             ),
             hits: 0,
             writer: None,
+            life: Vec::new(),
+            overflowed: false,
+            unrecorded: Unrecorded::default(),
+        }
+    }
+}
+
+/// One host's CSV rows not yet in its file, and how many datapoints they
+/// hold.
+#[derive(Default)]
+struct Unrecorded {
+    text: Vec<u8>,
+    datapoints: usize,
+}
+
+/// Appends every host's history to `DIR/host-<id>.csv` in the
+/// `f2pm_monitor::csvio` format (header on create, `D` rows, `F,t` at each
+/// `Fail`), so `f2pm train`, `evaluate` and `export-columnar --history`
+/// read a file as is. Rows are written at the end of each drained batch,
+/// so a killed instance loses only the events still queued. Counts
+/// `f2pm_serve_recorded_datapoints_total` and
+/// `f2pm_serve_record_errors_total` (failed writes).
+#[derive(Clone)]
+pub(crate) struct Recorder {
+    dir: PathBuf,
+    header: Arc<[u8]>,
+    recorded: f2pm_obs::Counter,
+    errors: f2pm_obs::Counter,
+}
+
+impl Recorder {
+    pub(crate) fn new(dir: PathBuf, metrics: &ServeMetrics) -> Self {
+        let mut header = Vec::new();
+        write_header(&mut header).expect("writing to a Vec");
+        Recorder {
+            dir,
+            header: header.into(),
+            recorded: metrics
+                .registry()
+                .counter("f2pm_serve_recorded_datapoints_total"),
+            errors: metrics.registry().counter("f2pm_serve_record_errors_total"),
+        }
+    }
+
+    /// Queue one row for `host`'s file, listing the host in `dirty` when
+    /// its queue was empty. With [`MAX_RUN_DATAPOINTS`] datapoints already
+    /// queued, write them first; if the file still refuses them, a
+    /// datapoint is dropped (the gap between `f2pm_serve_datapoints_total`
+    /// and the recorded count shows it), but an `F` row is always kept, so
+    /// a run never merges into the next.
+    fn queue(&self, host: u32, state: &mut HostState, ev: &HistoryEvent, dirty: &mut Vec<u32>) {
+        let rows = &mut state.unrecorded;
+        let datapoint = matches!(ev, HistoryEvent::Datapoint(_));
+        if datapoint && rows.datapoints >= MAX_RUN_DATAPOINTS && !self.write(host, rows) {
+            return;
+        }
+        if rows.text.is_empty() {
+            dirty.push(host);
+        }
+        write_row(&mut rows.text, ev).expect("writing to a Vec");
+        rows.datapoints += usize::from(datapoint);
+    }
+
+    /// Append `rows` to `host`'s file. What a failed write did not get into
+    /// the file stays queued byte for byte, so the next call resumes where
+    /// it stopped: no row is lost, repeated or reordered. True once nothing
+    /// is queued.
+    fn write(&self, host: u32, rows: &mut Unrecorded) -> bool {
+        match self.try_write(host, &mut rows.text) {
+            Ok(()) => {
+                self.recorded
+                    .add(std::mem::take(&mut rows.datapoints) as u64);
+                true
+            }
+            Err(_) => {
+                self.errors.inc();
+                false
+            }
+        }
+    }
+
+    fn try_write(&self, host: u32, text: &mut Vec<u8>) -> io::Result<()> {
+        if text.is_empty() {
+            return Ok(());
+        }
+        let mut file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(self.dir.join(format!("host-{host}.csv")))?;
+        // A file shorter than the header holds a prefix of it (new, or cut
+        // short by an earlier failed write): complete it first.
+        let len = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
+        if let Some(rest) = self.header.get(len..) {
+            file.write_all(rest)?;
+        }
+        while !text.is_empty() {
+            match file.write(text) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    text.drain(..n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Where a shard worker sends each host's history: the recorder, which
+/// appends every row to the host's file, and the lossy retraining tap,
+/// which gets each closed run whole. Only the tap needs a life buffered.
+#[derive(Clone, Default)]
+pub(crate) struct RunSinks {
+    pub(crate) tap: Option<RetrainTap>,
+    pub(crate) recorder: Option<Recorder>,
+}
+
+impl RunSinks {
+    fn is_empty(&self) -> bool {
+        self.tap.is_none() && self.recorder.is_none()
+    }
+
+    /// One datapoint of `host`'s open life. A tap's life buffer that is
+    /// full is freed and the run marked, for the tap to skip.
+    fn push(&self, host: u32, state: &mut HostState, d: Datapoint, dirty: &mut Vec<u32>) {
+        if let Some(recorder) = &self.recorder {
+            recorder.queue(host, state, &HistoryEvent::Datapoint(d), dirty);
+        }
+        if self.tap.is_none() || state.overflowed {
+            return;
+        }
+        if state.life.len() >= MAX_RUN_DATAPOINTS {
+            state.life = Vec::new();
+            state.overflowed = true;
+        } else {
+            state.life.push(d);
+        }
+    }
+
+    /// Close `host`'s open life with its `Fail` at `t`: record the `F` row
+    /// (also after no datapoints), and offer the life whole to the tap — or
+    /// count it skipped there, if it overflowed.
+    fn close(&self, host: u32, state: &mut HostState, t: f64, dirty: &mut Vec<u32>) {
+        if let Some(recorder) = &self.recorder {
+            recorder.queue(host, state, &HistoryEvent::Fail { t }, dirty);
+        }
+        if let Some(tap) = &self.tap {
+            let life = std::mem::take(&mut state.life);
+            if std::mem::take(&mut state.overflowed) {
+                tap.skip_run();
+            } else if !life.is_empty() {
+                tap.offer_run(RunData {
+                    datapoints: life,
+                    fail_time: Some(t),
+                });
+            }
+        }
+    }
+
+    /// Write the queued rows of every `dirty` host; a host whose write
+    /// failed stays listed, to be retried after the next batch (and once
+    /// more when the worker exits).
+    fn write(&self, hosts: &mut HashMap<u32, HostState>, dirty: &mut Vec<u32>) {
+        if let Some(recorder) = &self.recorder {
+            dirty.retain(|&host| {
+                hosts
+                    .get_mut(&host)
+                    .is_some_and(|s| !recorder.write(host, &mut s.unrecorded))
+            });
         }
     }
 }
@@ -334,10 +525,9 @@ impl ShardPool {
     /// `queue_cap` events, draining up to `batch_cap` events per wakeup
     /// (batched drains amortize one model call over every window that
     /// closed in the batch; `batch_cap = 1` degenerates to the per-event
-    /// path and is proven bit-identical by the equivalence tests). With a
-    /// continuous-retraining `tap`, every `Datapoint`/`Fail` a worker
-    /// processes is also offered (lossy, never blocking) to the
-    /// [`crate::retrain::RetrainWorker`] feeding it.
+    /// path and is proven bit-identical by the equivalence tests). With
+    /// `sinks`, every worker records its hosts' rows and hands each closed
+    /// run to the retraining tap.
     ///
     /// The sizes come from a [`crate::ServeConfig`] that passed
     /// [`crate::ServeConfig::validate`], so every one is at least 1.
@@ -348,7 +538,7 @@ impl ShardPool {
         registry: Arc<ModelRegistry>,
         policy: AlertPolicy,
         metrics: Arc<ServeMetrics>,
-        tap: Option<crate::retrain::RetrainTap>,
+        sinks: RunSinks,
     ) -> Self {
         let board = Arc::new(EstimateBoard::new(n_shards * 4));
         let mut senders = Vec::with_capacity(n_shards);
@@ -361,14 +551,14 @@ impl ShardPool {
             let events = metrics.shard_events(shard);
             let queue_wait = metrics.shard_queue_wait(shard);
             let metrics = Arc::clone(&metrics);
-            let tap = tap.clone();
+            let sinks = sinks.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("f2pm-shard-{shard}"))
                     .spawn(move || {
                         worker_loop(
                             rx, batch_cap, registry, policy, board, metrics, events, queue_wait,
-                            tap,
+                            sinks,
                         )
                     })
                     .expect("spawn shard worker"),
@@ -451,8 +641,11 @@ fn worker_loop(
     metrics: Arc<ServeMetrics>,
     events: f2pm_obs::Counter,
     queue_wait: f2pm_obs::Histogram,
-    tap: Option<crate::retrain::RetrainTap>,
+    sinks: RunSinks,
 ) {
+    let assembles = !sinks.is_empty();
+    // Hosts with rows queued for the recorder.
+    let mut dirty: Vec<u32> = Vec::new();
     let mut hosts: HashMap<u32, HostState> = HashMap::new();
     let width = registry.columns().len();
     let mut batch: Vec<ShardEvent> = Vec::with_capacity(batch_cap);
@@ -475,22 +668,15 @@ fn worker_loop(
         }
         for event in batch.drain(..) {
             events.inc();
-            // Mirror ingest into the retraining plane before processing:
-            // the offer is lossy and non-blocking, so the tap can never
-            // stall a shard (training freshness never outranks latency).
-            if let Some(tap) = &tap {
-                match &event {
-                    ShardEvent::Datapoint { host, d, .. } => tap.offer_datapoint(*host, *d),
-                    ShardEvent::Fail { host, t } => tap.offer_fail(*host, *t),
-                    _ => {}
-                }
-            }
             match event {
                 ShardEvent::Datapoint { host, d, enqueued } => {
                     queue_wait.record_duration(enqueued.elapsed());
                     let host_state = hosts
                         .entry(host)
                         .or_insert_with(|| HostState::new(&registry));
+                    if assembles {
+                        sinks.push(host, host_state, d, &mut dirty);
+                    }
                     if host_state.predictor.push_deferred(d, &mut state.rows) {
                         state.deferred.push((host, d.t_gen));
                     }
@@ -501,14 +687,18 @@ fn worker_loop(
                 // estimate on the board), so score the pending rows first.
                 // This keeps the batched path's observable event order
                 // identical to the per-event path's.
-                ShardEvent::Fail { host, t: _ } => {
+                ShardEvent::Fail { host, t } => {
                     flush_deferred(
                         &mut state, width, &mut hosts, &registry, policy, &board, &metrics,
                     );
-                    if let Some(host_state) = hosts.get_mut(&host) {
-                        host_state.predictor.reset();
-                        host_state.hits = 0;
+                    let host_state = hosts
+                        .entry(host)
+                        .or_insert_with(|| HostState::new(&registry));
+                    if assembles {
+                        sinks.close(host, host_state, t, &mut dirty);
                     }
+                    host_state.predictor.reset();
+                    host_state.hits = 0;
                     board.clear(host);
                 }
                 ShardEvent::Subscribe { host, writer } => {
@@ -533,7 +723,12 @@ fn worker_loop(
         flush_deferred(
             &mut state, width, &mut hosts, &registry, policy, &board, &metrics,
         );
+        if !dirty.is_empty() {
+            sinks.write(&mut hosts, &mut dirty);
+        }
     }
+    // Rows a refused write left queued get one last try.
+    sinks.write(&mut hosts, &mut dirty);
 }
 
 /// Score every deferred window row of the batch with **one**
@@ -637,7 +832,8 @@ mod tests {
     use f2pm_features::AggregationConfig;
     use f2pm_ml::linreg::LinearModel;
     use f2pm_ml::SavedModel;
-    use f2pm_monitor::FeatureId;
+    use f2pm_monitor::{load_csv, FeatureId};
+    use std::path::Path;
     use std::time::Duration;
 
     /// rttf = 1000 − 2 × swap_used, over a 30 s / 2-point window.
@@ -694,7 +890,7 @@ mod tests {
             test_registry(),
             AlertPolicy::default(),
             Arc::clone(&metrics),
-            None,
+            RunSinks::default(),
         );
         let board = pool.board();
         // Interleave three hosts at different swap levels; windows close
@@ -727,7 +923,7 @@ mod tests {
             test_registry(),
             AlertPolicy::default(),
             Arc::clone(&metrics),
-            None,
+            RunSinks::default(),
         );
         let board = pool.board();
         for i in 0..10 {
@@ -754,7 +950,7 @@ mod tests {
             test_registry(),
             policy,
             Arc::clone(&metrics),
-            None,
+            RunSinks::default(),
         );
         // swap 450 → rttf 100 ≤ 180: every closed window is a hit. Close
         // enough windows for ≥ 2 consecutive hits.
@@ -782,7 +978,7 @@ mod tests {
             test_registry(),
             AlertPolicy::default(),
             Arc::clone(&metrics),
-            None,
+            RunSinks::default(),
         );
         let n = 500u64;
         for i in 0..n {
@@ -805,7 +1001,7 @@ mod tests {
             test_registry(),
             AlertPolicy::default(),
             Arc::clone(&metrics),
-            None,
+            RunSinks::default(),
         );
         for i in 0..20 {
             for host in [0u32, 1] {
@@ -821,6 +1017,204 @@ mod tests {
                 .expect("queue-wait histogram registered");
             assert!(snap.count >= 20, "shard {shard}: {}", snap.count);
         }
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("f2pm_shard_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A one-shard pool that hands closed runs to `sinks`.
+    fn assembling_pool(metrics: &Arc<ServeMetrics>, sinks: RunSinks) -> ShardPool {
+        ShardPool::start(
+            1,
+            64,
+            32,
+            test_registry(),
+            AlertPolicy::default(),
+            Arc::clone(metrics),
+            sinks,
+        )
+    }
+
+    fn recording(dir: &Path, metrics: &ServeMetrics) -> RunSinks {
+        RunSinks {
+            tap: None,
+            recorder: Some(Recorder::new(dir.to_path_buf(), metrics)),
+        }
+    }
+
+    /// Distinct, non-round values, so the recorded text must round-trip.
+    fn life(host: u32, from: usize, n: usize) -> Vec<Datapoint> {
+        (from..from + n)
+            .map(|i| dp(i as f64 * 5.0 + 0.1, host as f64 + i as f64 / 3.0))
+            .collect()
+    }
+
+    fn send_life(pool: &ShardPool, host: u32, points: &[Datapoint]) {
+        for &d in points {
+            pool.send(host, datapoint_event(host, d)).unwrap();
+        }
+    }
+
+    fn recorded_runs(dir: &Path, host: u32) -> Vec<RunData> {
+        load_csv(dir.join(format!("host-{host}.csv")))
+            .unwrap()
+            .runs()
+    }
+
+    fn run(points: Vec<Datapoint>, fail_time: Option<f64>) -> RunData {
+        RunData {
+            datapoints: points,
+            fail_time,
+        }
+    }
+
+    fn recorded_count(metrics: &ServeMetrics) -> u64 {
+        metrics
+            .registry()
+            .counter("f2pm_serve_recorded_datapoints_total")
+            .get()
+    }
+
+    fn record_errors(metrics: &ServeMetrics) -> u64 {
+        metrics
+            .registry()
+            .counter("f2pm_serve_record_errors_total")
+            .get()
+    }
+
+    /// Rows reach the file batch by batch, before any `Fail` and without a
+    /// shutdown, so the open life is on disk as a censored tail; a `Fail`
+    /// with no datapoints is recorded too, a header an earlier write cut
+    /// short is completed first, and a restarted instance continues the
+    /// open life in the same file.
+    #[test]
+    fn recorder_writes_rows_as_they_arrive_and_a_restart_continues_the_life() {
+        let dir = temp_dir("censored");
+        let mut header = Vec::new();
+        write_header(&mut header).unwrap();
+        std::fs::write(dir.join("host-2.csv"), &header[..10]).unwrap();
+        let metrics = Arc::new(ServeMetrics::new());
+        let pool = assembling_pool(&metrics, recording(&dir, &metrics));
+        send_life(&pool, 1, &life(1, 0, 10));
+        pool.send(1, ShardEvent::Fail { host: 1, t: 60.0 }).unwrap();
+        send_life(&pool, 1, &life(1, 10, 3));
+        pool.send(2, ShardEvent::Fail { host: 2, t: 5.0 }).unwrap();
+        wait_for(|| recorded_count(&metrics) == 13 && recorded_runs(&dir, 2).len() == 1);
+        assert_eq!(
+            recorded_runs(&dir, 1),
+            [run(life(1, 0, 10), Some(60.0)), run(life(1, 10, 3), None)]
+        );
+        assert_eq!(recorded_runs(&dir, 2), [run(Vec::new(), Some(5.0))]);
+        pool.shutdown();
+
+        let metrics = Arc::new(ServeMetrics::new());
+        let pool = assembling_pool(&metrics, recording(&dir, &metrics));
+        send_life(&pool, 1, &life(1, 13, 2));
+        pool.send(1, ShardEvent::Fail { host: 1, t: 99.5 }).unwrap();
+        pool.shutdown();
+        assert_eq!(
+            recorded_runs(&dir, 1),
+            [
+                run(life(1, 0, 10), Some(60.0)),
+                run(life(1, 10, 5), Some(99.5))
+            ]
+        );
+        assert_eq!(record_errors(&metrics), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A write the file system refuses is counted and its rows stay
+    /// queued, batch after batch; once the disk takes them (here at the
+    /// worker's last write, on shutdown) they land in order with the `F`
+    /// row that closes the run, so a later run cannot merge into it.
+    #[test]
+    fn refused_write_keeps_rows_queued_until_the_disk_takes_them() {
+        let dir = temp_dir("refused");
+        std::fs::remove_dir(&dir).unwrap(); // no file can be opened in it
+        let metrics = Arc::new(ServeMetrics::new());
+        let pool = assembling_pool(&metrics, recording(&dir, &metrics));
+        send_life(&pool, 7, &life(7, 0, 5));
+        pool.send(7, ShardEvent::Fail { host: 7, t: 60.0 }).unwrap();
+        wait_for(|| record_errors(&metrics) >= 1);
+        assert_eq!(recorded_count(&metrics), 0);
+        std::fs::create_dir(&dir).unwrap();
+        pool.shutdown();
+        assert_eq!(recorded_runs(&dir, 7), [run(life(7, 0, 5), Some(60.0))]);
+        assert_eq!(recorded_count(&metrics), 5);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A life past `MAX_RUN_DATAPOINTS` keeps every recorded row, while
+    /// the tap skips that run — counted once — and still delivers the
+    /// host's next run whole.
+    #[test]
+    fn overflowing_life_keeps_every_recorded_row_and_the_tap_skips_it_once() {
+        let dir = temp_dir("overflow");
+        let metrics = Arc::new(ServeMetrics::new());
+        let (tap, runs) = RetrainTap::private(4);
+        let pool = assembling_pool(
+            &metrics,
+            RunSinks {
+                tap: Some(tap.clone()),
+                ..recording(&dir, &metrics)
+            },
+        );
+        let long = life(3, 0, MAX_RUN_DATAPOINTS + 5);
+        send_life(&pool, 3, &long);
+        pool.send(3, ShardEvent::Fail { host: 3, t: 1e6 }).unwrap();
+        let short = life(3, 0, 4);
+        send_life(&pool, 3, &short);
+        pool.send(3, ShardEvent::Fail { host: 3, t: 30.0 }).unwrap();
+        pool.shutdown();
+
+        let recorded = recorded_runs(&dir, 3);
+        assert_eq!(recorded.len(), 2);
+        assert!(recorded[0] == run(long, Some(1e6)), "long run lost rows");
+        assert_eq!(recorded[1], run(short.clone(), Some(30.0)));
+        assert_eq!(tap.skipped(), 1);
+        assert_eq!(tap.dropped(), 0);
+        let tapped: Vec<RunData> = std::iter::from_fn(|| runs.try_recv().ok()).collect();
+        assert_eq!(tapped, [run(short, Some(30.0))]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A full tap drops whole runs only: with two hosts' lives
+    /// interleaved, what reaches the worker is one host's run exactly as
+    /// sent, and every other closed run is one counted drop. A `Fail` for
+    /// a host never seen offers nothing and counts nothing.
+    #[test]
+    fn full_tap_drops_whole_runs_only() {
+        let metrics = Arc::new(ServeMetrics::new());
+        let (tap, runs) = RetrainTap::private(1);
+        let pool = assembling_pool(
+            &metrics,
+            RunSinks {
+                tap: Some(tap.clone()),
+                recorder: None,
+            },
+        );
+        pool.send(9, ShardEvent::Fail { host: 9, t: 1.0 }).unwrap();
+        let (a, b) = (life(1, 0, 12), life(2, 0, 9));
+        for (i, &d) in a.iter().enumerate() {
+            pool.send(1, datapoint_event(1, d)).unwrap();
+            if let Some(&d) = b.get(i) {
+                pool.send(2, datapoint_event(2, d)).unwrap();
+            }
+        }
+        pool.send(2, ShardEvent::Fail { host: 2, t: 50.0 }).unwrap();
+        pool.send(1, ShardEvent::Fail { host: 1, t: 70.0 }).unwrap();
+        send_life(&pool, 2, &life(2, 9, 3));
+        pool.send(2, ShardEvent::Fail { host: 2, t: 80.0 }).unwrap();
+        pool.shutdown();
+
+        let tapped: Vec<RunData> = std::iter::from_fn(|| runs.try_recv().ok()).collect();
+        assert_eq!(tapped, [run(b, Some(50.0))]);
+        assert_eq!(tap.dropped(), 2);
+        assert_eq!(tap.skipped(), 0);
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! - [`f2pm_linalg`] — dense linear algebra (Cholesky, least squares, CG, stats)
 //! - [`f2pm_sim`] — discrete-event testbed simulator (VM resources, TPC-W
 //!   workload, anomaly injectors, failure conditions)
-//! - [`f2pm_monitor`] — datapoints, data history, FMC/FMS monitoring
+//! - [`f2pm_monitor`] — datapoints, data history, the FMC and its wire format
 //! - [`f2pm_features`] — aggregation, slopes, RTTF labeling, lasso selection
 //! - [`f2pm_ml`] — the six regressors and validation metrics
 //! - [`f2pm_registry`] — checksummed model artifacts, the model store and
 //!   the columnar history container
-//! - [`f2pm_serve`] — sharded online RTTF prediction service
+//! - [`f2pm_serve`] — sharded online RTTF prediction service, which also
+//!   records the ingested history
 //! - [`f2pm`] — the framework workflow tying everything together
 
 pub use f2pm;
