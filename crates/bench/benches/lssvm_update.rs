@@ -2,7 +2,9 @@
 //! warm-start retraining engine (DESIGN.md §15): one sliding-window
 //! shift on the LS-SVM block `A = K + I/γ` — retire the k oldest rows,
 //! border k (or k − 1) newest in — against the cold refactorization of
-//! the shifted matrix, plus the two-RHS dual-refresh solve.
+//! the shifted matrix, plus the two-RHS dual-refresh solve, and the
+//! `refresh` benchmark's live shape (unequal shifts alternating 7→6 and
+//! 6→7 rows over an 1800-row window).
 //!
 //! Run with `cargo bench -p f2pm-bench --bench lssvm_update`.
 
@@ -92,5 +94,53 @@ fn bench_window_shift(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_window_shift);
+/// The `refresh` benchmark's live shape: a 1800-row window whose runs
+/// alternate between 7 and 6 rows, so every shift is unequal (7 out,
+/// 6 in, then 6 out, 7 in). One sample is such a pair, with the dual's
+/// `(1 | y)` forward-solved inside each sweep, on one factor that keeps
+/// sliding along a longer matrix (no clone inside the timed loop); it
+/// restarts from the stale factor when the matrix runs out.
+fn bench_refresh_shape(c: &mut Criterion) {
+    const N: usize = 1800;
+    const PAIRS: usize = 32;
+    const SHAPES: [(usize, usize); 2] = [(7, 6), (6, 7)];
+    let mut group = c.benchmark_group("lssvm_update");
+    group.sample_size(20);
+    let total = N + PAIRS * 13;
+    let a_full = lssvm_block(&sample(total, 30, 0.5));
+    let stale = Cholesky::factor(&submatrix(&a_full, 0, 0, N, N)).expect("spd");
+    // Borders of every shift along the matrix, in order.
+    let (mut lo, mut hi) = (0, N);
+    let mut borders = Vec::new();
+    for _ in 0..PAIRS {
+        for (r, k) in SHAPES {
+            let b = submatrix(&a_full, lo + r, hi, hi - lo - r, k);
+            let c = submatrix(&a_full, hi, hi, k, k);
+            borders.push((r, b, c));
+            (lo, hi) = (lo + r, hi + k);
+        }
+    }
+    let mut f = stale.clone();
+    let mut next = 0;
+    group.bench_function(BenchmarkId::new("refresh_pair_7_6", N), |b| {
+        b.iter(|| {
+            if next == borders.len() {
+                f = stale.clone();
+                next = 0;
+            }
+            for (r, b, c) in &borders[next..next + 2] {
+                let mut rhs = Matrix::zeros(b.rows() + c.rows(), 2);
+                for (i, row) in rhs.as_mut_slice().chunks_exact_mut(2).enumerate() {
+                    row[0] = 1.0;
+                    row[1] = (i as f64 * 0.11).sin();
+                }
+                f.shift_window_forward(*r, b, c, &mut rhs).expect("shift");
+            }
+            next += 2;
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_window_shift, bench_refresh_shape);
 criterion_main!(benches);

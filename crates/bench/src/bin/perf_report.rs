@@ -312,7 +312,9 @@ fn columnar_section(json: &mut String, reps: usize, smoke: bool) {
 /// what a live window mostly sees, since runs differ in length).
 /// Always run at full scale, `--smoke` included: the speedup is the gated
 /// headline and it grows with the window, so a 1/5-scale window would
-/// gate a different (much weaker) claim.
+/// gate a different (much weaker) claim. Next to each shape's `warm_s`,
+/// `shift_s` and `dual_s` are the engine's own timings of that retrain's
+/// shift and dual stages (`RetrainOutcome`), min-of-reps like `warm_s`.
 fn retrain_section(json: &mut String, reps: usize) {
     use f2pm::{FactorPath, RetrainConfig, RetrainEngine};
     use f2pm_features::{aggregate_run, AggregationConfig};
@@ -353,7 +355,7 @@ fn retrain_section(json: &mut String, reps: usize) {
         ..RetrainConfig::new(window_runs)
     };
     let mut base = RetrainEngine::new(cfg);
-    for seed in 0..window_runs {
+    for seed in 0..window_runs - 1 {
         base.push_run(&make_run(seed, windows_per_run));
     }
     // First retrain: freezes the standardizer and cold-builds every
@@ -361,6 +363,10 @@ fn retrain_section(json: &mut String, reps: usize) {
     let t = Instant::now();
     base.retrain().expect("initial retrain");
     let initial_cold_s = t.elapsed().as_secs_f64();
+    // The last run fills the window warm, as a live window fills, which
+    // leaves the factor the slack a steady-state shift runs in.
+    base.push_run(&make_run(window_runs - 1, windows_per_run));
+    base.retrain().expect("filling retrain");
     let window_rows = base.window_rows();
     eprintln!("  initial cold {initial_cold_s:.4}s");
 
@@ -373,7 +379,7 @@ fn retrain_section(json: &mut String, reps: usize) {
         let newest = make_run(window_runs, newest_windows);
         let mut pending = base.clone();
         pending.push_run(&newest);
-        let mut warm_s = f64::INFINITY;
+        let (mut warm_s, mut shift_s, mut dual_s) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         let mut cold_s = f64::INFINITY;
         let mut outcomes = None;
         for _ in 0..retrain_reps {
@@ -381,6 +387,8 @@ fn retrain_section(json: &mut String, reps: usize) {
             let t = Instant::now();
             let warm = engine.retrain().expect("warm retrain");
             warm_s = warm_s.min(t.elapsed().as_secs_f64());
+            shift_s = shift_s.min(warm.shift_s);
+            dual_s = dual_s.min(warm.dual_s);
             let t = Instant::now();
             let cold = pending.retrain_cold().expect("cold retrain");
             cold_s = cold_s.min(t.elapsed().as_secs_f64());
@@ -409,11 +417,13 @@ fn retrain_section(json: &mut String, reps: usize) {
         let speedup = cold_s / warm_s;
         eprintln!(
             "  {windows_per_run} rows out, {newest_windows} in: cold {cold_s:.4}s, \
-             warm {warm_s:.4}s ({speedup:.2}x), max pred delta {max_pred_delta:.2e}"
+             warm {warm_s:.4}s ({speedup:.2}x; shift {shift_s:.4}s, dual {dual_s:.4}s), \
+             max pred delta {max_pred_delta:.2e}"
         );
         format!(
             "\"retired_rows\": {windows_per_run}, \"appended_rows\": {newest_windows}, \
              \"cold_s\": {cold_s:.6}, \"warm_s\": {warm_s:.6}, \"speedup\": {speedup:.2}, \
+             \"shift_s\": {shift_s:.6}, \"dual_s\": {dual_s:.6}, \
              \"max_pred_delta\": {max_pred_delta:e}"
         )
     };

@@ -44,7 +44,9 @@ it, and `predict`, `query` and `serve --model` verify both checksums
 before use and take the aggregation config and input columns from it.
 `serve` starts the sharded online RTTF prediction service (wire protocol
 v4 only; clients speaking another version are disconnected);
-`--seconds` bounds the run (default: forever). With `--model` it serves
+`--seconds` bounds the run (default: until SIGINT or SIGTERM, which
+shut it down as a bounded run ends: shards drained, records written,
+retrain worker joined). With `--model` it serves
 that one artifact as is. With `--history` it trains the model in-process
 at boot instead, so the metrics exposition carries the training-stage
 timings. With `--models-dir` it cold-starts from the store's
@@ -715,6 +717,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         cfg,
         seconds,
     } = serve_args_from(&flags)?;
+    crate::signal::install_stop_handler();
     let (registry, description, mut store_watcher) = resolve_model_source(&source)?;
 
     // Continuous retraining (artifact stores only): a background worker
@@ -762,6 +765,10 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     let mut stats_printed = 0u64;
     loop {
         std::thread::sleep(std::time::Duration::from_millis(500));
+        if crate::signal::stop_requested() {
+            eprintln!("stop signal received: shutting down");
+            break;
+        }
         if let Some(watcher) = &mut store_watcher {
             match watcher.poll() {
                 Ok(Some((store_gen, install_gen))) => eprintln!(

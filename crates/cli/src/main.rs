@@ -34,6 +34,7 @@
 //! model artifact with zone-map pruning and per-cohort error breakdowns.
 
 mod commands;
+mod signal;
 
 use std::process::ExitCode;
 

@@ -1,9 +1,14 @@
 //! End-to-end tests of the compiled `f2pm` binary: the full
 //! campaign → evaluate → train → predict lifecycle through the real CLI
-//! surface (process spawning, exit codes, stdout/stderr).
+//! surface (process spawning, exit codes, stdout/stderr), and `serve`'s
+//! orderly shutdown on SIGTERM.
 
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+
+use f2pm_monitor::{load_csv, Datapoint, FeatureMonitorClient, FmcConfig};
 
 fn f2pm(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_f2pm"))
@@ -158,5 +163,86 @@ fn train_rejects_unknown_method() {
     ]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown method"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_shuts_down_in_order_on_sigterm() {
+    let dir = tmpdir("sigterm");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (hist, model, record) = (path("history.csv"), path("model.f2pm"), path("recorded"));
+    let out = f2pm(&[
+        "campaign", "--runs", "2", "--seed", "7", "--quick", "--out", &hist,
+    ]);
+    assert!(out.status.success(), "campaign failed");
+    let out = f2pm(&[
+        "train",
+        "--history",
+        &hist,
+        "--method",
+        "linear",
+        "--out",
+        &model,
+    ]);
+    assert!(out.status.success(), "train failed");
+
+    // No --seconds: the server runs until it is signalled.
+    let mut server = Command::new(env!("CARGO_BIN_EXE_f2pm"))
+        .args(["serve", "--model", &model, "--addr", "127.0.0.1:0"])
+        .args(["--shards", "1", "--reactors", "1", "--record", &record])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn f2pm serve");
+    let mut stdout = BufReader::new(server.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr: SocketAddr = banner
+        .split_once(" on ")
+        .and_then(|(_, rest)| rest.split_whitespace().next())
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+
+    // One host's life, ending in a failure. `close` returns once the
+    // server has read everything, up to the Bye.
+    let points: Vec<Datapoint> = (0..40)
+        .map(|i| Datapoint {
+            t_gen: i as f64 * 5.0 + 0.25,
+            values: std::array::from_fn(|j| 100.0 + i as f64 / 3.0 + j as f64),
+        })
+        .collect();
+    let cfg = FmcConfig {
+        host_id: 7,
+        ..FmcConfig::default()
+    };
+    let mut fmc = FeatureMonitorClient::connect(addr, cfg).unwrap();
+    for d in &points {
+        fmc.send_datapoint(d).unwrap();
+    }
+    fmc.send_fail(205.0).unwrap();
+    fmc.close().unwrap();
+
+    let pid = server.id().to_string();
+    assert!(Command::new("kill")
+        .args(["-TERM", &pid])
+        .status()
+        .unwrap()
+        .success());
+    let status = server.wait().unwrap();
+    assert_eq!(status.code(), Some(0), "serve exited with {status}");
+
+    // Every datapoint sent reached the record, and so did the failure.
+    let runs = load_csv(dir.join("recorded").join("host-7.csv"))
+        .unwrap()
+        .runs();
+    assert_eq!(runs.len(), 1);
+    assert_eq!(runs[0].fail_time, Some(205.0));
+    let recorded: Vec<(f64, [f64; 14])> = runs[0]
+        .datapoints
+        .iter()
+        .map(|d| (d.t_gen, d.values))
+        .collect();
+    let sent: Vec<(f64, [f64; 14])> = points.iter().map(|d| (d.t_gen, d.values)).collect();
+    assert_eq!(recorded, sent);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -14,15 +14,18 @@
 //!   maintained with [`Cholesky::shift_window`]: the evicted runs are
 //!   always the *leading* rows in window order, so every shift — rows
 //!   out and rows in equal or not, either of them zero — is one
-//!   single-threaded sweep that slides the surviving rows up-left, folds
-//!   the retired columns back in, and borders by the new run's kernel
-//!   rows, the only kernel entries computed. A steady-state shift (rows
-//!   out == rows in) runs inside the factor's own buffer; any other
-//!   writes one buffer of the new order. The dual is refreshed with one
-//!   two-RHS [`Cholesky::solve_multi`] plus [`eliminate_bias`], and the
-//!   model is assembled via [`LsSvmModel::from_parts`] — bit-compatible
-//!   with what a cold [`LsSvmRegressor::fit_prestandardized`] produces,
-//!   within rounding.
+//!   single-threaded sweep, inside the factor's own buffer, that slides
+//!   the surviving rows up-left, folds the retired columns back in, and
+//!   borders by the new run's kernel rows, the only kernel entries
+//!   computed.
+//! - **Dual** — the same sweep forward-solves the two interleaved
+//!   right-hand sides `(1 | y)` as it goes
+//!   ([`Cholesky::shift_window_forward`]), so the refresh only runs the
+//!   backward pass ([`Cholesky::solve_multi_backward`]) plus
+//!   [`eliminate_bias`]; a cold build solves with one two-RHS
+//!   [`Cholesky::solve_multi`]. The model is assembled via
+//!   [`LsSvmModel::from_parts`] — bit-compatible with what a cold
+//!   [`LsSvmRegressor::fit_prestandardized`] produces, within rounding.
 //!
 //! **Standardization contract.** The engine freezes one [`Standardizer`]
 //! at the first retrain and reuses it for every later shift: kernel
@@ -34,6 +37,7 @@
 //! that need to re-calibrate scaling start a fresh engine.
 
 use std::collections::VecDeque;
+use std::time::Instant;
 
 use crate::error::F2pmError;
 use f2pm_features::{AggregatedPoint, AggregationConfig, SlidingAggregator, WindowShift};
@@ -103,6 +107,15 @@ pub struct RetrainOutcome {
     pub retired_rows: usize,
     /// Trailing rows appended by this retrain.
     pub appended_rows: usize,
+    /// Seconds spent moving the maintained state by the window shift:
+    /// for a warm shift the kernel border and the factor sweep, with the
+    /// dual's forward solve fused in; for a cold retrain only the mirror
+    /// (its factor build is part of `dual_s`).
+    pub shift_s: f64,
+    /// Seconds spent solving the dual off the factor and eliminating the
+    /// bias: the backward pass after a warm shift, else also the factor
+    /// build and the forward pass.
+    pub dual_s: f64,
 }
 
 /// Warm-start incremental retraining engine (see module docs).
@@ -250,7 +263,8 @@ impl RetrainEngine {
             .map(|p| p.rttf.expect("cached points are labeled"))
             .collect();
 
-        let lssvm_path = if warm_viable {
+        let shift_started = Instant::now();
+        let (lssvm_path, forward) = if warm_viable {
             self.lssvm_shift_warm(retired_rows, &zk, &yk)
         } else {
             // Cold: move the mirror wholesale; assemble() builds the
@@ -259,7 +273,7 @@ impl RetrainEngine {
             self.drain_leading(retired_rows);
             self.append_rows(&zk, &yk);
             self.factor = None;
-            FactorPath::Cold
+            (FactorPath::Cold, None)
         };
         if lssvm_path == FactorPath::Warm {
             self.warm_streak += 1;
@@ -270,7 +284,15 @@ impl RetrainEngine {
         self.applied = window.into();
         debug_assert_eq!(self.y.len(), rows);
 
-        self.assemble(&std, lssvm_path, retired_rows, appended_rows)
+        let shift_s = shift_started.elapsed().as_secs_f64();
+        self.assemble(
+            &std,
+            lssvm_path,
+            forward,
+            retired_rows,
+            appended_rows,
+            shift_s,
+        )
     }
 
     /// Cold-reference retrain: rebuild the model for the current window
@@ -306,6 +328,8 @@ impl RetrainEngine {
             rows: y.len(),
             retired_rows: 0,
             appended_rows: 0,
+            shift_s: 0.0,
+            dual_s: 0.0,
         })
     }
 
@@ -313,22 +337,29 @@ impl RetrainEngine {
 
     /// LS-SVM kernel factor: retire the leading rows and border by the
     /// new run's kernel rows — the only kernel entries computed — in one
-    /// shift of whatever shape the window moved by.
-    fn lssvm_shift_warm(&mut self, retired_rows: usize, zk: &Matrix, yk: &[f64]) -> FactorPath {
+    /// shift of whatever shape the window moved by. The shift's sweep also
+    /// forward-solves the dual's `(1 | y)`, returned with a warm path.
+    fn lssvm_shift_warm(
+        &mut self,
+        retired_rows: usize,
+        zk: &Matrix,
+        yk: &[f64],
+    ) -> (FactorPath, Option<Matrix>) {
         self.drain_leading(retired_rows);
         let (b, c) = self.kernel_border(zk);
+        self.append_rows(zk, yk);
+        let mut forward = self.dual_rhs();
         let attempt = self
             .factor
             .as_mut()
             .expect("warm path has factors")
-            .shift_window(retired_rows, &b, &c);
-        self.append_rows(zk, yk);
+            .shift_window_forward(retired_rows, &b, &c, &mut forward);
 
         match attempt {
-            Ok(()) => FactorPath::Warm,
+            Ok(()) => (FactorPath::Warm, Some(forward)),
             Err(_) => {
                 self.factor = None;
-                FactorPath::Fallback
+                (FactorPath::Fallback, None)
             }
         }
     }
@@ -337,33 +368,37 @@ impl RetrainEngine {
 
     /// Solve the model off the (possibly rebuilt) factor and package the
     /// outcome. A factor that a cold retrain or a fallback left unbuilt is
-    /// built here, after the mirror reached its final state.
+    /// built here, after the mirror reached its final state. `forward` is
+    /// a warm shift's forward-solved `(1 | y)`.
     fn assemble(
         &mut self,
         std: &Standardizer,
         lssvm_path: FactorPath,
+        forward: Option<Matrix>,
         retired_rows: usize,
         appended_rows: usize,
+        shift_s: f64,
     ) -> Result<RetrainOutcome, F2pmError> {
         let n = self.y.len();
+        let dual_started = Instant::now();
         if self.factor.is_none() {
             self.factor = Some(self.lssvm_factor_cold()?);
         }
+        let factor = self.factor.as_ref().expect("built above");
 
-        // Dual refresh: one interleaved two-RHS solve (1 | y).
-        let mut rhs = Matrix::zeros(n, 2);
-        for i in 0..n {
-            rhs[(i, 0)] = 1.0;
-            rhs[(i, 1)] = self.y[i];
-        }
-        let sol = self
-            .factor
-            .as_ref()
-            .expect("built above")
-            .solve_multi(&rhs)?;
+        // Dual refresh: one interleaved two-RHS solve (1 | y), whose
+        // forward half a warm shift already did in its sweep.
+        let sol = match forward {
+            Some(mut z) => {
+                factor.solve_multi_backward(&mut z)?;
+                z
+            }
+            None => factor.solve_multi(&self.dual_rhs())?,
+        };
         let s: Vec<f64> = (0..n).map(|i| sol[(i, 0)]).collect();
         let zvec: Vec<f64> = (0..n).map(|i| sol[(i, 1)]).collect();
         let (alpha, bias) = eliminate_bias(&s, &zvec)?;
+        let dual_s = dual_started.elapsed().as_secs_f64();
         let model = LsSvmModel::from_parts(
             self.cfg.kernel,
             std.clone(),
@@ -378,7 +413,19 @@ impl RetrainEngine {
             rows: n,
             retired_rows,
             appended_rows,
+            shift_s,
+            dual_s,
         })
+    }
+
+    /// The dual's two right-hand sides `(1 | y)`, interleaved.
+    fn dual_rhs(&self) -> Matrix {
+        let mut rhs = Matrix::zeros(self.y.len(), 2);
+        for (row, &y) in rhs.as_mut_slice().chunks_exact_mut(2).zip(&self.y) {
+            row[0] = 1.0;
+            row[1] = y;
+        }
+        rhs
     }
 
     fn lssvm_factor_cold(&self) -> Result<Cholesky, F2pmError> {

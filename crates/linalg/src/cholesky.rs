@@ -30,9 +30,13 @@ pub const CHOL_BLOCKED_MIN: usize = 256;
 /// The lower-triangular Cholesky factor of an SPD matrix.
 #[derive(Debug, Clone)]
 pub struct Cholesky {
-    /// Lower-triangular factor (upper triangle is left as zeros).
-    /// Crate-visible so `crate::update` can maintain it in place.
+    /// Lower-triangular factor in the leading `n × n` block of a square
+    /// buffer whose row stride may exceed `n`; every other entry is zero.
+    /// Crate-visible so `crate::update` can maintain it in place (the
+    /// slack lets a window shift change the order without a new buffer).
     pub(crate) l: Matrix,
+    /// Order of the factored matrix.
+    pub(crate) n: usize,
 }
 
 impl Cholesky {
@@ -87,7 +91,7 @@ impl Cholesky {
                 l[(i, j)] = s / djj;
             }
         }
-        Ok(Cholesky { l })
+        Ok(Cholesky { l, n })
     }
 
     /// Blocked right-looking factorization. Per panel `[k, kend)`:
@@ -155,7 +159,7 @@ impl Cholesky {
             }
             k = kend;
         }
-        Ok(Cholesky { l })
+        Ok(Cholesky { l, n })
     }
 
     /// Factor `a + ridge * I` — convenience for regularized systems. `ridge`
@@ -175,10 +179,12 @@ impl Cholesky {
 
     /// Order of the factored matrix.
     pub fn order(&self) -> usize {
-        self.l.rows()
+        self.n
     }
 
-    /// Borrow the lower-triangular factor.
+    /// Borrow the lower-triangular factor: the leading
+    /// `order() × order()` block of a buffer that a window shift may have
+    /// left wider, zero outside that block.
     pub fn l(&self) -> &Matrix {
         &self.l
     }

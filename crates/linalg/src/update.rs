@@ -30,6 +30,38 @@
 //! order as the textbook row-by-row recombination; only the summation
 //! order inside a reflection's projection differs.
 //!
+//! **Register-resident coupling.** The block's retired coupling is `r`
+//! rows of [`LANES`] values, rounded up to whole groups of 8 rows. Its
+//! width is a compile-time constant, dispatched once per sweep: up to
+//! three groups (`r ≤ 24`) the coupling is a fixed-size array, so at
+//! the steady state (`r ≤ 8`) its 8 rows stay in vector registers across
+//! every pivot's reflection instead of being reloaded and stored back
+//! per pivot. A wider retirement runs the same generic code over a heap
+//! buffer; both sum each projection in the same order.
+//!
+//! **One in-place path.** The factor's buffer has a row stride of at
+//! least its order, grown geometrically when a shift needs more, so
+//! every shift — any `r`, any `k` — runs inside it: destination row `i`
+//! only overwrites source rows the sweep has already loaded, entries
+//! past a row's diagonal are zero before and after, and rows a shrinking
+//! shift leaves past the new order are zeroed. No steady-state shift
+//! allocates, zero-fills or first-touches an order² buffer.
+//!
+//! **Fused forward solve.** [`Cholesky::shift_window_forward`] carries
+//! two interleaved right-hand sides (the LS-SVM's `(1 | y)`) through the
+//! sweep and forward-solves each block's rows while its columns are in
+//! cache, then the border rows, so the caller's dual refresh only runs
+//! the backward pass ([`Cholesky::solve_multi_backward`]). Per-lane
+//! even/odd-column accumulators reproduce the two-RHS forward
+//! substitution's summation order, so the result equals
+//! [`Cholesky::solve_multi`]'s forward pass bit for bit.
+//!
+//! The sweep stays single-threaded: a pipelined wavefront over the pool
+//! (blocks of rows handed along as their pivots finish) cut the shift
+//! at n = 1800 from 15.5 to 13.2 ms on a 2-thread machine, but the
+//! serving workload around it lost 16% of its throughput to the cores
+//! the retrain then took from the reactor.
+//!
 //! The multi-RHS solve ([`Cholesky::solve_multi`]) keeps the right-hand
 //! sides interleaved row-major (`n × k`, one row per unknown) so both
 //! substitution sweeps run contiguous length-`k` axpys — this is the
@@ -54,14 +86,42 @@ impl Cholesky {
     /// rows; `c` the `k × k` diagonal block of the new rows (only its
     /// lower triangle is read). Cost `O((n−r)²·(r + k))`.
     ///
-    /// When `r == k` (the factored order is unchanged — the continuous-
-    /// retraining steady state) the shift runs inside the factor's own
-    /// buffer; otherwise it writes one new buffer of the new order. On
-    /// error (non-positive-definite shifted window, non-finite border) an
-    /// `r ≠ k` shift leaves the factor untouched, but an `r == k` one
-    /// **leaves it unusable** and the caller must rebuild cold — which is
-    /// exactly the retrain engine's fallback contract.
+    /// Every shift runs inside the factor's own buffer (see the module
+    /// docs). On error (non-positive-definite shifted window, non-finite
+    /// border) an extend-only shift (`r == 0`) leaves the factor
+    /// untouched, but a shift that retires rows **may leave it
+    /// unusable**, and the caller must rebuild cold — which is exactly
+    /// the retrain engine's fallback contract.
     pub fn shift_window(&mut self, r: usize, b: &Matrix, c: &Matrix) -> Result<()> {
+        self.shift(r, b, c, None)
+    }
+
+    /// [`shift_window`](Self::shift_window), also forward-solving
+    /// `L' Z = rhs` against the new factor `L'` in the same sweep: `rhs`
+    /// holds two right-hand sides interleaved (`(n − r + k) × 2`) and is
+    /// overwritten by `Z`, bit for bit the forward half of
+    /// [`solve_multi`](Self::solve_multi) on the new factor. Finish the
+    /// solve with [`solve_multi_backward`](Self::solve_multi_backward).
+    /// On error `rhs` is unspecified.
+    pub fn shift_window_forward(
+        &mut self,
+        r: usize,
+        b: &Matrix,
+        c: &Matrix,
+        rhs: &mut Matrix,
+    ) -> Result<()> {
+        let order = (self.order() + c.rows()).checked_sub(r);
+        if order != Some(rhs.rows()) || rhs.cols() != 2 {
+            return Err(LinalgError::DimensionMismatch {
+                op: "cholesky shift_window_forward",
+                lhs: c.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        self.shift(r, b, c, Some(rhs.as_mut_slice()))
+    }
+
+    fn shift(&mut self, r: usize, b: &Matrix, c: &Matrix, rhs: Option<&mut [f64]>) -> Result<()> {
         let n = self.order();
         let k = c.rows();
         if r > n || b.rows() != n - r || b.cols() != k || c.cols() != k {
@@ -76,38 +136,70 @@ impl Cholesky {
                 what: "cholesky shift blocks",
             });
         }
-        if r == 0 && k == 0 {
-            return Ok(());
-        }
-        self.sweep(r, b, c)
+        self.sweep(r, b, c, rhs)
     }
 
     /// The one row sweep behind [`Cholesky::shift_window`]: retire the
-    /// `r` leading rows, then border by `b`, `c`.
-    fn sweep(&mut self, r: usize, b: &Matrix, c: &Matrix) -> Result<()> {
+    /// `r` leading rows, then border by `b`, `c`, forward-solving `rhs`
+    /// along the way.
+    fn sweep(
+        &mut self,
+        r: usize,
+        b: &Matrix,
+        c: &Matrix,
+        mut rhs: Option<&mut [f64]>,
+    ) -> Result<()> {
         let n = self.order();
         let k = c.rows();
         let m = n - r;
-        // In place, destination row i overwrites source row i — the source
-        // of kept row i − r, which the sweep has already loaded — and its
-        // entries past the diagonal are already zero, so only lower
-        // triangles are written.
-        let mut fresh = (m + k != n).then(|| Matrix::zeros(m + k, m + k));
         let mut sweep = Sweep::new(m, r, k);
-        let mut i0 = 0;
-        while i0 < m {
-            let rows = LANES.min(m - i0);
-            sweep.load(&self.l, i0, rows);
-            sweep.fold(i0, rows)?;
-            sweep.solve_border(b, i0, rows);
-            sweep.store(fresh.as_mut().unwrap_or(&mut self.l), i0, rows);
-            i0 += rows;
+        let l = &mut self.l;
+        let rhs_kept = rhs.as_deref_mut();
+        // One dispatch per sweep on the coupling width (see module docs).
+        const ZERO: Lanes = [0.0; LANES];
+        match sweep.rs {
+            0 => sweep.kept_rows(l, [ZERO; 0], b, rhs_kept),
+            8 => sweep.kept_rows(l, [ZERO; 8], b, rhs_kept),
+            16 => sweep.kept_rows(l, [ZERO; 16], b, rhs_kept),
+            24 => sweep.kept_rows(l, [ZERO; 24], b, rhs_kept),
+            rs => sweep.kept_rows(l, vec![ZERO; rs], b, rhs_kept),
+        }?;
+        // Only the border can fail here, and it is factored before any
+        // border row is written: an extend-only shift that fails has not
+        // touched the factor (the kept rows were already in place).
+        let schur = sweep.factor_border(c)?;
+        self.reserve(m + k, m);
+        sweep.store_border(&mut self.l, &schur);
+        // Rows a shrinking shift left past the new order go back to zero.
+        for i in m + k..n {
+            self.l.row_mut(i)[..=i].fill(0.0);
         }
-        sweep.factor_border(fresh.as_mut().unwrap_or(&mut self.l), c)?;
-        if let Some(l) = fresh {
-            self.l = l;
+        self.n = m + k;
+        if let Some(rhs) = rhs {
+            self.forward_2rhs(rhs, m);
         }
         Ok(())
+    }
+
+    /// Make the buffer's row stride hold a factor of order `order`,
+    /// keeping the first `rows` rows. It grows by at least a sixteenth,
+    /// so a window that keeps growing a few rows per shift copies its
+    /// factor `O(log n)` times, and one that fluctuates by a few runs
+    /// around its size stops growing after its first shift. (A quarter or
+    /// a half measured worse: the `refresh` benchmark at seed 7 peaked at
+    /// 125 and 144 MiB against 117 MiB on a 2-thread box, as the slack
+    /// pages of a pooled, zero-filled buffer all become resident.)
+    fn reserve(&mut self, order: usize, rows: usize) {
+        let stride = self.l.cols();
+        if order <= stride {
+            return;
+        }
+        let stride = order.max(stride + stride / 16);
+        let mut l = Matrix::zeros(stride, stride);
+        for i in 0..rows {
+            l.row_mut(i)[..=i].copy_from_slice(&self.l.row(i)[..=i]);
+        }
+        self.l = l;
     }
 
     /// Solve `A X = B` for `k` right-hand sides stored *row-major
@@ -116,18 +208,33 @@ impl Cholesky {
     /// contiguous length-`k` axpys instead of `k` independent strided
     /// solves. Returns `X` in the same layout.
     pub fn solve_multi(&self, b: &Matrix) -> Result<Matrix> {
-        let n = self.order();
-        if b.rows() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky solve_multi",
-                lhs: (n, n),
-                rhs: b.shape(),
-            });
-        }
+        self.check_rhs(b, "cholesky solve_multi")?;
         let mut y = b.clone();
         self.forward_multi_in_place(&mut y);
         self.backward_multi_in_place(&mut y);
         Ok(y)
+    }
+
+    /// The backward half of [`solve_multi`](Self::solve_multi): solve
+    /// `Lᵀ X = Y` in place for `Y` in the same interleaved layout — the
+    /// forward half being done, e.g., by
+    /// [`shift_window_forward`](Self::shift_window_forward).
+    pub fn solve_multi_backward(&self, y: &mut Matrix) -> Result<()> {
+        self.check_rhs(y, "cholesky solve_multi_backward")?;
+        self.backward_multi_in_place(y);
+        Ok(())
+    }
+
+    fn check_rhs(&self, b: &Matrix, op: &'static str) -> Result<()> {
+        let n = self.order();
+        if b.rows() != n {
+            return Err(LinalgError::DimensionMismatch {
+                op,
+                lhs: (n, n),
+                rhs: b.shape(),
+            });
+        }
+        Ok(())
     }
 
     /// Forward substitution `L Y = B` over `k` interleaved right-hand
@@ -139,7 +246,7 @@ impl Cholesky {
             return;
         }
         if k == 2 {
-            return self.forward_2rhs(y.as_mut_slice());
+            return self.forward_2rhs(y.as_mut_slice(), 0);
         }
         // Row-panel blocking: rows [i0, i1) first absorb every already-
         // solved row — j-blocked so a block of solved rows stays in cache
@@ -190,11 +297,13 @@ impl Cholesky {
     }
 
     /// Forward substitution specialised to two interleaved right-hand
-    /// sides (the engine's `(1 | y)` dual refresh): both accumulators
-    /// live in registers across the whole gather over the contiguous
-    /// `L` row, with two partial chains per side to hide add latency.
-    fn forward_2rhs(&self, data: &mut [f64]) {
-        for i in 0..self.order() {
+    /// sides (the engine's `(1 | y)` dual refresh), for rows `start..`
+    /// (the rows before it already solved): both accumulators live in
+    /// registers across the whole gather over the contiguous `L` row,
+    /// with two partial chains per side — even and odd columns — to hide
+    /// add latency. [`Sweep::forward_rhs`] keeps the same chains.
+    fn forward_2rhs(&self, data: &mut [f64], start: usize) {
+        for i in start..self.order() {
             let li = self.l.row(i);
             let (solved, cur) = data.split_at_mut(2 * i);
             let (mut a0, mut a1, mut b0, mut b1) = (0.0, 0.0, 0.0, 0.0);
@@ -271,16 +380,11 @@ impl Cholesky {
 struct Sweep {
     m: usize,
     r: usize,
-    /// `r` rounded up to whole [`LANES`] groups; the padding columns of
-    /// the coupling block start at zero and every reflection keeps them
+    /// `r` rounded up to whole [`LANES`] groups; the padding columns of the
+    /// coupling block start at zero and every reflection keeps them
     /// there, so they change no result.
     rs: usize,
     k: usize,
-    /// The current block's factor columns: `cols[q][lane]` is column `q`
-    /// of kept row `i0 + lane`.
-    cols: Vec<Lanes>,
-    /// The current block's retired coupling: `coupling[c][lane]`.
-    coupling: Vec<Lanes>,
     /// Pivot `j`'s coupling row as it stood at its pivot (`rs` wide).
     u: Vec<f64>,
     /// Pivot `j`'s reflector scalars `v₀ⱼ`, `τⱼ` (`τⱼ = 0`: none).
@@ -288,6 +392,16 @@ struct Sweep {
     tau: Vec<f64>,
     /// Border rows solved so far, `k × m` row-major: `Y = L'⁻¹B`.
     y: Vec<f64>,
+}
+
+/// One block of kept rows in flight: rows `i0..i0 + rows`.
+struct Block<C> {
+    i0: usize,
+    rows: usize,
+    /// `cols[q][lane]` is factor column `q` of kept row `i0 + lane`.
+    cols: Vec<Lanes>,
+    /// The retired coupling, `coupling[c][lane]` (`rs` rows).
+    coupling: C,
 }
 
 impl Sweep {
@@ -298,8 +412,6 @@ impl Sweep {
             r,
             rs,
             k,
-            cols: vec![[0.0; LANES]; m.next_multiple_of(LANES)],
-            coupling: vec![[0.0; LANES]; rs],
             u: vec![0.0; m * rs],
             v0: vec![0.0; m],
             tau: vec![0.0; m],
@@ -307,24 +419,74 @@ impl Sweep {
         }
     }
 
-    /// Slide kept rows `i0..i0 + rows` into the block, transposed. Kept
-    /// row `i` is source row `r + i` with its coupling in that row's first
-    /// `r` columns. Unused lanes of a short last block are zeroed.
-    fn load(&mut self, l: &Matrix, i0: usize, rows: usize) {
+    /// Sweep every block of kept rows through `l`, in place. `coupling`
+    /// is a zeroed coupling block; as a fixed-size array it is the
+    /// register-resident case of the module docs.
+    ///
+    /// Blocks go two at a time: both take the reflections of every pivot
+    /// before them in one interleaved pass — two independent dependency
+    /// chains, where one block alone leaves the vector units waiting on
+    /// each reflection's latency — then the first block finishes and
+    /// the second takes its pivots and finishes. Every row still receives
+    /// the same reflections in the same order.
+    fn kept_rows<C: AsMut<[Lanes]> + Clone>(
+        &mut self,
+        l: &mut Matrix,
+        coupling: C,
+        b: &Matrix,
+        mut rhs: Option<&mut [f64]>,
+    ) -> Result<()> {
+        let cols = vec![[0.0; LANES]; self.m.next_multiple_of(LANES)];
+        let block = |cols, coupling| Block {
+            i0: 0,
+            rows: 0,
+            cols,
+            coupling,
+        };
+        let [mut first, mut second] =
+            [block(cols.clone(), coupling.clone()), block(cols, coupling)];
+        let mut i0 = 0;
+        while i0 < self.m {
+            self.load(l, &mut first, i0);
+            let pair = i0 + LANES < self.m;
+            if pair {
+                self.load(l, &mut second, i0 + LANES);
+                self.apply_pivots([&mut first, &mut second], 0..i0);
+            } else {
+                self.apply_pivots([&mut first], 0..i0);
+            }
+            self.finish(l, &mut first, b, rhs.as_deref_mut())?;
+            if pair {
+                self.apply_pivots([&mut second], i0..i0 + LANES);
+                self.finish(l, &mut second, b, rhs.as_deref_mut())?;
+            }
+            i0 += 2 * LANES;
+        }
+        Ok(())
+    }
+
+    /// Slide kept rows `i0..` (up to [`LANES`] of them) into a block,
+    /// transposed. Kept row `i` is source row `r + i` with its coupling in
+    /// that row's first `r` columns. Unused lanes of a short last block
+    /// are zeroed.
+    fn load<C: AsMut<[Lanes]>>(&self, l: &Matrix, blk: &mut Block<C>, i0: usize) {
         let r = self.r;
+        let rows = LANES.min(self.m - i0);
         let last = i0 + rows - 1;
+        (blk.i0, blk.rows) = (i0, rows);
+        let coupling = blk.coupling.as_mut();
         // Column by column, so each block column is written as one whole
         // cache line while the source rows stream in step. Unused lanes
         // repeat the last row until they are zeroed below.
         let src: [&[f64]; LANES] =
             std::array::from_fn(|lane| &l.row(r + last.min(i0 + lane))[..r + i0]);
-        for (c, cw) in self.coupling[..r].iter_mut().enumerate() {
+        for (c, cw) in coupling[..r].iter_mut().enumerate() {
             *cw = std::array::from_fn(|lane| src[lane][c]);
         }
-        for (q, col) in self.cols[..i0].iter_mut().enumerate() {
+        for (q, col) in blk.cols[..i0].iter_mut().enumerate() {
             *col = std::array::from_fn(|lane| src[lane][r + q]);
         }
-        for (q, col) in self.cols[i0..i0 + LANES].iter_mut().enumerate() {
+        for (q, col) in blk.cols[i0..i0 + LANES].iter_mut().enumerate() {
             *col = std::array::from_fn(|lane| {
                 if q <= lane && lane < rows {
                     l[(r + i0 + lane, r + i0 + q)]
@@ -334,37 +496,77 @@ impl Sweep {
             });
         }
         if rows < LANES {
-            for cw in self.coupling[..r].iter_mut().chain(&mut self.cols[..i0]) {
+            for cw in coupling[..r].iter_mut().chain(&mut blk.cols[..i0]) {
                 cw[rows..].fill(0.0);
             }
         }
     }
 
-    /// Apply every earlier pivot's reflection to the block, then finish
-    /// the block's own pivots in order.
-    fn fold(&mut self, i0: usize, rows: usize) -> Result<()> {
+    /// Apply the stored reflections of `pivots` to every block of
+    /// `blocks`, interleaved. The loop works on local copies of the
+    /// blocks' couplings, written back once at the end: for a fixed-size
+    /// `C`, nothing else can reach those copies, so the compiler keeps
+    /// them in registers across every pivot. (Not inlined, so that this
+    /// holds whatever the caller looks like.)
+    #[inline(never)]
+    fn apply_pivots<C: AsMut<[Lanes]> + Clone, const B: usize>(
+        &self,
+        mut blocks: [&mut Block<C>; B],
+        pivots: std::ops::Range<usize>,
+    ) {
         let rs = self.rs;
-        if rs > 0 {
-            for j in 0..i0 {
-                if self.tau[j] != 0.0 {
-                    reflect(
-                        &mut self.cols[j],
-                        &mut self.coupling,
-                        &self.u[j * rs..(j + 1) * rs],
-                        self.v0[j],
-                        self.tau[j],
-                    );
+        if rs == 0 {
+            return;
+        }
+        let mut w: [C; B] = std::array::from_fn(|b| blocks[b].coupling.clone());
+        for j in pivots {
+            let tau = self.tau[j];
+            if tau != 0.0 {
+                let u = &self.u[j * rs..(j + 1) * rs];
+                for (blk, w) in blocks.iter_mut().zip(&mut w) {
+                    reflect(&mut blk.cols[j], w.as_mut(), u, self.v0[j], tau);
                 }
             }
         }
-        for lane in 0..rows {
-            let j = i0 + lane;
-            let d = self.cols[j][lane];
+        for (blk, w) in blocks.into_iter().zip(w) {
+            blk.coupling = w;
+        }
+    }
+
+    /// Finish a block whose earlier pivots are all applied: its own
+    /// pivots, its border and right-hand-side entries, and its store.
+    fn finish<C: AsMut<[Lanes]>>(
+        &mut self,
+        l: &mut Matrix,
+        blk: &mut Block<C>,
+        b: &Matrix,
+        rhs: Option<&mut [f64]>,
+    ) -> Result<()> {
+        self.pivot(blk)?;
+        self.solve_border(b, blk);
+        if let Some(rhs) = rhs {
+            forward_rhs(rhs, blk);
+        }
+        // Without retired rows the block is already in place.
+        if self.r > 0 {
+            store(l, blk);
+        }
+        Ok(())
+    }
+
+    /// Finish the block's own pivots in order, each reflecting the whole
+    /// block.
+    fn pivot<C: AsMut<[Lanes]>>(&mut self, blk: &mut Block<C>) -> Result<()> {
+        let rs = self.rs;
+        let coupling = blk.coupling.as_mut();
+        for lane in 0..blk.rows {
+            let j = blk.i0 + lane;
+            let d = blk.cols[j][lane];
             if d <= 0.0 || !d.is_finite() {
                 return Err(LinalgError::NotPositiveDefinite { pivot: j });
             }
             let uj = &mut self.u[j * rs..(j + 1) * rs];
-            for (u, w) in uj.iter_mut().zip(&self.coupling) {
+            for (u, w) in uj.iter_mut().zip(coupling.iter()) {
                 *u = w[lane];
             }
             let sigma = crate::dot(uj, uj);
@@ -383,8 +585,8 @@ impl Sweep {
             // All lanes take the reflection: the block's finished rows
             // only change entries above their diagonal (never stored) and
             // coupling they no longer need.
-            reflect(&mut self.cols[j], &mut self.coupling, uj, v0, tau);
-            self.cols[j][lane] = rho;
+            reflect(&mut blk.cols[j], coupling, uj, v0, tau);
+            blk.cols[j][lane] = rho;
             self.v0[j] = v0;
             self.tau[j] = tau;
         }
@@ -392,115 +594,140 @@ impl Sweep {
     }
 
     /// Forward-solve the border rows' entries for the block's columns.
-    fn solve_border(&mut self, b: &Matrix, i0: usize, rows: usize) {
+    fn solve_border<C>(&mut self, b: &Matrix, blk: &Block<C>) {
+        let (i0, cols) = (blk.i0, &blk.cols);
         for t in 0..self.k {
             let y = &mut self.y[t * self.m..(t + 1) * self.m];
-            let acc = lanes_dot(&self.cols[..i0], &y[..i0]);
-            for lane in 0..rows {
+            let acc = lanes_dot(&cols[..i0], &y[..i0]);
+            for lane in 0..blk.rows {
                 let i = i0 + lane;
                 let mut s = b[(i, t)] - acc[lane];
                 for q in i0..i {
-                    s -= self.cols[q][lane] * y[q];
+                    s -= cols[q][lane] * y[q];
                 }
-                y[i] = s / self.cols[i][lane];
+                y[i] = s / cols[i][lane];
             }
         }
     }
 
-    /// Write the finished block into destination rows `i0..i0 + rows`.
-    fn store(&self, dst: &mut Matrix, i0: usize, rows: usize) {
-        let stride = dst.cols();
-        let block = &mut dst.as_mut_slice()[i0 * stride..(i0 + rows) * stride];
-        // Column by column, mirroring `load`.
-        for (q, col) in self.cols[..i0].iter().enumerate() {
-            for (lane, &v) in col[..rows].iter().enumerate() {
-                block[lane * stride + q] = v;
-            }
-        }
-        for (lane, row) in block.chunks_exact_mut(stride).enumerate() {
-            for (v, col) in row[i0..=i0 + lane].iter_mut().zip(&self.cols[i0..]) {
-                *v = col[lane];
-            }
-        }
-    }
-
-    /// Factor the border's Schur complement `C − YYᵀ` and write the `k`
-    /// border rows `[Y | L_S]` after the kept ones.
-    fn factor_border(&self, dst: &mut Matrix, c: &Matrix) -> Result<()> {
+    /// Factor the border's Schur complement `C − YYᵀ`.
+    fn factor_border(&self, c: &Matrix) -> Result<Cholesky> {
         let (m, k) = (self.m, self.k);
-        if k == 0 {
-            return Ok(());
-        }
-        let y = |t: usize| &self.y[t * m..(t + 1) * m];
         // `factor` only reads the lower triangle.
         let mut s = Matrix::scratch(k, k);
         for t in 0..k {
             for u in 0..=t {
-                s[(t, u)] = c[(t, u)] - crate::dot(y(t), y(u));
+                s[(t, u)] = c[(t, u)] - crate::dot(self.border_row(t), self.border_row(u));
             }
         }
-        let ls = match Cholesky::factor(&s) {
-            Ok(f) => f,
-            Err(LinalgError::NotPositiveDefinite { pivot }) => {
-                return Err(LinalgError::NotPositiveDefinite { pivot: m + pivot })
+        Cholesky::factor(&s).map_err(|e| match e {
+            LinalgError::NotPositiveDefinite { pivot } => {
+                LinalgError::NotPositiveDefinite { pivot: m + pivot }
             }
-            Err(e) => return Err(e),
-        };
-        for t in 0..k {
+            e => e,
+        })
+    }
+
+    /// Write the `k` border rows `[Y | L_S]` after the kept ones.
+    fn store_border(&self, dst: &mut Matrix, schur: &Cholesky) {
+        let m = self.m;
+        for t in 0..self.k {
             let row = dst.row_mut(m + t);
-            row[..m].copy_from_slice(y(t));
-            row[m..=m + t].copy_from_slice(&ls.l.row(t)[..=t]);
+            row[..m].copy_from_slice(self.border_row(t));
+            row[m..=m + t].copy_from_slice(&schur.l.row(t)[..=t]);
         }
-        Ok(())
+    }
+
+    /// Border row `t`'s solved entries `Y[t]`.
+    fn border_row(&self, t: usize) -> &[f64] {
+        &self.y[t * self.m..(t + 1) * self.m]
     }
 }
 
-/// `Σ_q cols[q]·x[q]` per lane, in four interleaved partial sums so the
-/// adds do not serialize on one accumulator.
-fn lanes_dot(cols: &[Lanes], x: &[f64]) -> Lanes {
+/// Forward-solve a block's rows of two interleaved right-hand sides
+/// (`rhs[2i]`, `rhs[2i + 1]`), in [`Cholesky::forward_2rhs`]'s summation
+/// order: per side, one chain over even columns and one over odd ones,
+/// each in column order — across the block's lanes for the solved
+/// columns, then per lane within the block.
+fn forward_rhs<C>(rhs: &mut [f64], blk: &Block<C>) {
+    let (i0, cols) = (blk.i0, &blk.cols);
     let mut acc = [[0.0; LANES]; 4];
-    let mut quads = cols.chunks_exact(4);
-    let mut xq = x.chunks_exact(4);
-    for (c4, x4) in (&mut quads).zip(&mut xq) {
-        for (a, (c, &xv)) in acc.iter_mut().zip(c4.iter().zip(x4)) {
-            for lane in 0..LANES {
-                a[lane] += c[lane] * xv;
+    // `i0` is a whole number of blocks, so the pairs cover `..i0`.
+    for (q2, z) in cols[..i0].chunks_exact(2).zip(rhs.chunks_exact(4)) {
+        for lane in 0..LANES {
+            acc[0][lane] += q2[0][lane] * z[0];
+            acc[1][lane] += q2[0][lane] * z[1];
+            acc[2][lane] += q2[1][lane] * z[2];
+            acc[3][lane] += q2[1][lane] * z[3];
+        }
+    }
+    for lane in 0..blk.rows {
+        let i = i0 + lane;
+        let [mut a0, mut b0, mut a1, mut b1] = acc.map(|a| a[lane]);
+        for q in i0..i {
+            let l = cols[q][lane];
+            if q % 2 == 0 {
+                a0 += l * rhs[2 * q];
+                b0 += l * rhs[2 * q + 1];
+            } else {
+                a1 += l * rhs[2 * q];
+                b1 += l * rhs[2 * q + 1];
             }
         }
+        let inv = 1.0 / cols[i][lane];
+        rhs[2 * i] = (rhs[2 * i] - (a0 + a1)) * inv;
+        rhs[2 * i + 1] = (rhs[2 * i + 1] - (b0 + b1)) * inv;
     }
-    for (a, (c, &xv)) in acc
-        .iter_mut()
-        .zip(quads.remainder().iter().zip(xq.remainder()))
-    {
-        for lane in 0..LANES {
-            a[lane] += c[lane] * xv;
+}
+
+/// Write a finished block into its destination rows.
+fn store<C>(dst: &mut Matrix, blk: &Block<C>) {
+    let (i0, rows, cols) = (blk.i0, blk.rows, &blk.cols);
+    let stride = dst.cols();
+    let block = &mut dst.as_mut_slice()[i0 * stride..(i0 + rows) * stride];
+    // Column by column, mirroring `load`.
+    for (q, col) in cols[..i0].iter().enumerate() {
+        for (lane, &v) in col[..rows].iter().enumerate() {
+            block[lane * stride + q] = v;
         }
     }
-    let mut out = [0.0; LANES];
-    for lane in 0..LANES {
-        out[lane] = (acc[0][lane] + acc[1][lane]) + (acc[2][lane] + acc[3][lane]);
+    for (lane, row) in block.chunks_exact_mut(stride).enumerate() {
+        for (v, col) in row[i0..=i0 + lane].iter_mut().zip(&cols[i0..]) {
+            *v = col[lane];
+        }
     }
-    out
+}
+
+/// `Σ_q cols[q]·x[q]` per lane over whole groups of [`LANES`] columns,
+/// in four interleaved partial sums (column `q` into sum `q mod 4`,
+/// each from `0.0`, joined as `(s₀ + s₁) + (s₂ + s₃)`) so the adds do not
+/// serialize on one accumulator.
+#[inline(always)]
+fn lanes_dot(cols: &[Lanes], x: &[f64]) -> Lanes {
+    debug_assert_eq!(cols.len() % LANES, 0);
+    let mut acc = [[0.0; LANES]; 4];
+    for (c8, x8) in cols.chunks_exact(LANES).zip(x.chunks_exact(LANES)) {
+        for (q, (c, &xv)) in c8.iter().zip(x8).enumerate() {
+            acc[q % 4] = std::array::from_fn(|lane| acc[q % 4][lane] + c[lane] * xv);
+        }
+    }
+    std::array::from_fn(|lane| (acc[0][lane] + acc[1][lane]) + (acc[2][lane] + acc[3][lane]))
 }
 
 /// Apply one stored reflection `H = I − τvvᵀ`, `v = [v₀ eⱼ | u]`, to every
 /// lane of a block: `col` is the block's column `j`, `coupling` its
 /// coupling rows.
+#[inline(always)]
 fn reflect(col: &mut Lanes, coupling: &mut [Lanes], u: &[f64], v0: f64, tau: f64) {
     let proj = lanes_dot(coupling, u);
-    let mut coef = [0.0; LANES];
-    for lane in 0..LANES {
-        coef[lane] = tau * (v0 * col[lane] + proj[lane]);
-        col[lane] -= coef[lane] * v0;
-    }
-    // Whole LANES-row groups with fixed-size inner loops: every update is
-    // one vector op. (Over a variable-length row loop the compiler
-    // vectorizes across rows instead, with gathers and scatters.)
+    let coef: Lanes = std::array::from_fn(|lane| tau * (v0 * col[lane] + proj[lane]));
+    *col = std::array::from_fn(|lane| col[lane] - coef[lane] * v0);
+    // Whole LANES-row groups, each row one whole-vector update. (Over one
+    // variable-length row loop the compiler vectorizes across rows
+    // instead, with gathers and scatters.)
     for (w8, u8) in coupling.chunks_exact_mut(LANES).zip(u.chunks_exact(LANES)) {
         for (w, &uc) in w8.iter_mut().zip(u8) {
-            for lane in 0..LANES {
-                w[lane] -= coef[lane] * uc;
-            }
+            *w = std::array::from_fn(|lane| w[lane] - coef[lane] * uc);
         }
     }
 }
@@ -648,6 +875,148 @@ mod tests {
     }
 
     #[test]
+    fn shifts_within_the_stride_keep_the_factor_buffer() {
+        // Growing reserves some slack; shifts of any shape that
+        // fit it (shrinking ones included) run in that same buffer, and
+        // rows a shrinking shift leaves behind go back to zero.
+        let n = 40;
+        let total = n + 24;
+        let a = spd(total, 9, total as f64);
+        let mut ch = Cholesky::factor(&block(&a, (0, n), (0, n))).unwrap();
+        let (mut lo, mut hi) = (0, n);
+        let mut buffer = None;
+        for (r, k) in [(0, 3), (7, 6), (6, 7), (9, 0), (0, 8)] {
+            let b = block(&a, (lo + r, hi), (hi, hi + k));
+            let c = block(&a, (hi, hi + k), (hi, hi + k));
+            ch.shift_window(r, &b, &c).unwrap();
+            (lo, hi) = (lo + r, hi + k);
+            let ptr = ch.l().as_slice().as_ptr();
+            assert_eq!(
+                *buffer.get_or_insert(ptr),
+                ptr,
+                "{r} out, {k} in reallocated"
+            );
+            let l = ch.l();
+            assert!((0..l.rows())
+                .all(|i| (0..l.cols()).all(|j| (i < hi - lo && j <= i) || l[(i, j)] == 0.0)));
+            let cold = Cholesky::factor(&block(&a, (lo, hi), (lo, hi))).unwrap();
+            assert!(factor_diff(&ch, &cold) < 1e-10);
+        }
+    }
+
+    /// FNV-1a over the bit patterns of `vals`, continuing from `hash`.
+    fn fnv1a(mut hash: u64, vals: impl IntoIterator<Item = f64>) -> u64 {
+        for v in vals {
+            for byte in v.to_bits().to_le_bytes() {
+                hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// A fixed sequence of 20 shifts over an order-300 window — equal and
+    /// unequal, extend- and retire-only, and retirements past one
+    /// coupling group — must reproduce the pinned factors and the fused
+    /// forward solutions bit for bit; the fused forward solve must also
+    /// equal the two-RHS forward pass on every resulting factor. The
+    /// matrix is built by plain loops and the first factor by the scalar
+    /// kernel, so the checksums depend on no thread count.
+    #[test]
+    fn golden_shift_sequence_is_bit_identical() {
+        const SHIFTS: [(usize, usize); 20] = [
+            (7, 7),
+            (7, 6),
+            (6, 7),
+            (0, 9),
+            (12, 12),
+            (9, 3),
+            (0, 1),
+            (20, 14),
+            (3, 0),
+            (8, 8),
+            (1, 2),
+            (17, 25),
+            (5, 5),
+            (0, 8),
+            (26, 9),
+            (7, 8),
+            (33, 33),
+            (2, 0),
+            (11, 4),
+            (6, 6),
+        ];
+        const N0: usize = 300;
+        const FEATURES: usize = 16;
+        let total = N0 + SHIFTS.iter().map(|s| s.1).sum::<usize>();
+        let x = random_matrix(total, FEATURES, 71);
+        let mut a = Matrix::zeros(total, total);
+        for i in 0..total {
+            for j in 0..total {
+                let mut s = 0.0;
+                for f in 0..FEATURES {
+                    s += x[(i, f)] * x[(j, f)];
+                }
+                a[(i, j)] = s;
+            }
+            a[(i, i)] += 4.0;
+        }
+        let mut next = rng(72);
+        let labels: Vec<f64> = (0..total).map(|_| next()).collect();
+        let mut ch = Cholesky::factor_scalar(&block(&a, (0, N0), (0, N0))).unwrap();
+        let (mut lo, mut hi) = (0usize, N0);
+        let (mut hash_l, mut hash_fwd) = (0xcbf2_9ce4_8422_2325_u64, 0xcbf2_9ce4_8422_2325_u64);
+        for (r, k) in SHIFTS {
+            let b = block(&a, (lo + r, hi), (hi, hi + k));
+            let c = block(&a, (hi, hi + k), (hi, hi + k));
+            let n = hi - lo - r + k;
+            let mut rhs = Matrix::zeros(n, 2);
+            for i in 0..n {
+                rhs[(i, 0)] = 1.0;
+                rhs[(i, 1)] = labels[lo + r + i];
+            }
+            let mut reference = rhs.clone();
+            ch.shift_window_forward(r, &b, &c, &mut rhs).unwrap();
+            (lo, hi) = (lo + r, hi + k);
+            ch.forward_2rhs(reference.as_mut_slice(), 0);
+            assert!(
+                rhs.as_slice()
+                    .iter()
+                    .zip(reference.as_slice())
+                    .all(|(f, s)| f.to_bits() == s.to_bits()),
+                "{r} out, {k} in: fused forward solve differs from the forward pass"
+            );
+            for i in 0..n {
+                hash_l = fnv1a(hash_l, ch.l().row(i)[..=i].iter().copied());
+            }
+            hash_fwd = fnv1a(hash_fwd, rhs.as_slice().iter().copied());
+        }
+        assert_eq!(hi - lo, 287);
+        assert_eq!(hash_l, 0xb6de_e7c1_2bce_c6fc, "factor checksum");
+        assert_eq!(hash_fwd, 0x4f08_9485_a20e_7c8a, "forward solution checksum");
+    }
+
+    #[test]
+    fn fused_forward_then_backward_solves_the_shifted_window() {
+        let (n, r, k) = (30, 5, 9);
+        let a = spd(n + k, 41, (n + k) as f64);
+        let mut ch = Cholesky::factor(&block(&a, (0, n), (0, n))).unwrap();
+        let b = block(&a, (r, n), (n, n + k));
+        let c = block(&a, (n, n + k), (n, n + k));
+        let rhs = random_matrix(n - r + k, 2, 43);
+        let mut bad = Matrix::zeros(n - r + k, 3);
+        assert!(ch
+            .clone()
+            .shift_window_forward(r, &b, &c, &mut bad)
+            .is_err());
+        let mut x = rhs.clone();
+        ch.shift_window_forward(r, &b, &c, &mut x).unwrap();
+        ch.solve_multi_backward(&mut x).unwrap();
+        let want = ch.solve_multi(&rhs).unwrap();
+        assert_eq!(x.as_slice(), want.as_slice());
+        assert!(ch.solve_multi_backward(&mut Matrix::zeros(n, 2)).is_err());
+    }
+
+    #[test]
     fn extend_only_shift_rejects_indefinite_border_and_keeps_factor() {
         let n = 6;
         let a = spd(n, 3, n as f64);
@@ -692,7 +1061,7 @@ mod tests {
 
     #[test]
     fn shift_window_rejects_indefinite_border() {
-        // The in-place (r == k) path is destructive on error by contract
+        // A shift that retires rows may leave the factor unusable on error
         // (callers rebuild cold), but the error itself must still carry
         // the absolute pivot.
         let n = 10;
@@ -743,13 +1112,14 @@ mod tests {
         }
 
         /// Warm factor after a random sequence of shifts — half of them
-        /// the engine's steady-state `r == k` — matches the cold factor of
-        /// the final window.
+        /// the engine's steady-state `r == k`, and retirements up to three
+        /// coupling groups wide — matches the cold factor of the final
+        /// window.
         #[test]
         fn prop_window_shifts_match_cold_factor(
             seed in 0u64..500,
-            n0 in 6usize..24,
-            shifts in proptest::collection::vec((0usize..10, 0usize..10), 1..6),
+            n0 in 6usize..48,
+            shifts in proptest::collection::vec((0usize..25, 0usize..25), 1..6),
         ) {
             let total = n0 + shifts.iter().map(|s| s.0.max(s.1)).sum::<usize>();
             let a = spd(total, seed, total as f64 + 4.0);
