@@ -22,7 +22,7 @@ echo "==> non-test Rust line count"
 # #[cfg(test)], excluding the offline dependency stubs and the standalone
 # benchmark package. Deleting code is progress; growing past the ceiling
 # fails CI until the ceiling is raised on purpose.
-NONTEST_LOC_MAX=25343
+NONTEST_LOC_MAX=25404
 python3 - "$NONTEST_LOC_MAX" <<'EOF'
 import subprocess, sys
 
@@ -56,6 +56,12 @@ echo "==> benchmark package build (API + recorded dependencies)"
 # means a library change leaked into the benchmark's interface.
 cargo build --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 git diff --exit-code -- crates/bench/src/bin/benchmark/Cargo.lock
+# One reduced `build` workload run puts its own checks on every pass:
+# each timed pass reproduces the warm-up's best row bit for bit, and
+# every suite row fits and validates. The benchmark exits non-zero when
+# a check fails.
+cargo run --release --offline -q --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+    --workload build --smoke --seconds 2
 
 echo "==> cargo test (workspace)"
 cargo test -q --offline --workspace
@@ -130,7 +136,9 @@ EOF
 # faster than a cold rebuild, and the warm model must agree with the
 # cold oracle to 1e-6 on the newest run's rows. Every shift runs inside
 # the factor's own buffer, so the unequal shape may cost at most 15%
-# more than the equal one. The retrain section always runs at full
+# more than the equal one: the median of the per-pair ratios of the two
+# shapes' warm retrains, timed in interleaved pairs (`unequal_over_equal`,
+# at least 5 pairs). The retrain section always runs at full
 # scale (the claim is about n=2000), so smoke and the committed
 # baseline gate at the same floor.
 python3 - <<'EOF'
@@ -162,10 +170,11 @@ for path in ("target/BENCH_compute_smoke.json", "BENCH_compute.json"):
         )
         for layer in ("shift_s", "dual_s"):
             assert s[layer] > 0, f"{path}: {shape} {layer} = {s[layer]!r}"
-    ratio = r["unequal_shift"]["warm_s"] / r["equal_shift"]["warm_s"]
+    assert r["pairs"] >= 5, f"{path}: retrain shapes timed in {r['pairs']} pairs"
+    ratio = r["unequal_over_equal"]
     assert ratio <= MAX_UNEQUAL_OVER_EQUAL, (
-        f"{path}: unequal shift costs {ratio:.2f}x the equal one "
-        f"(at most {MAX_UNEQUAL_OVER_EQUAL}x)"
+        f"{path}: unequal shift costs {ratio:.2f}x the equal one over "
+        f"{r['pairs']} pairs (at most {MAX_UNEQUAL_OVER_EQUAL}x)"
     )
 
 # SVR shrinking regression floor: every benchmarked size sits below

@@ -184,15 +184,51 @@ struct ClientReport {
     max_generation: u64,
 }
 
+impl ClientReport {
+    /// Send one datapoint and count it.
+    fn send(&mut self, stream: &mut TcpStream, d: Datapoint, sent_total: &AtomicU64) {
+        Message::Datapoint(d).write_to(stream).expect("datapoint");
+        self.sent += 1;
+        sent_total.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Send a `PredictRequest` for `host` and fold its `RttfEstimate`
+    /// into the report, skipping pushed alerts.
+    fn ask(&mut self, stream: &mut TcpStream, host: u32) {
+        Message::PredictRequest { host_id: host }
+            .write_to(stream)
+            .expect("predict request");
+        loop {
+            match Message::read_from(stream).expect("reply").expect("open") {
+                Message::RttfEstimate {
+                    rttf,
+                    model_generation,
+                    ..
+                } => {
+                    self.saw_estimate |= rttf.is_some();
+                    self.max_generation = self.max_generation.max(model_generation);
+                    return;
+                }
+                Message::Alert { .. } => {}
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+    }
+}
+
 /// One precomputed wire event of a client's replay script.
 enum ClientOp {
     Dp(Datapoint),
     Fail(f64),
 }
 
+/// Spare datapoints each sweep client may send after its script, while
+/// it waits for the hot-reloaded generation or its first estimate.
+const SPARE_POINTS: usize = 200;
+
 /// Precompute a client's whole event stream — `points` datapoints with
 /// the guest deaths interleaved where the simulation dies, plus `spare`
-/// datapoints for the post-run reload-wait tail. Generating these BEFORE
+/// datapoints for the post-run wait tails. Generating these BEFORE
 /// the clock starts keeps simulation compute out of the timed phase, so
 /// measured RTTs reflect the serve data plane, not the harness fighting
 /// it for CPU.
@@ -264,40 +300,13 @@ fn run_client(
             }
             ClientOp::Dp(d) => d,
         };
-        Message::Datapoint(d)
-            .write_to(&mut stream)
-            .expect("datapoint");
-        report.sent += 1;
-        let i = report.sent - 1;
-        sent_total.fetch_add(1, Ordering::Relaxed);
-
-        if i % 10 == 9 {
+        report.send(&mut stream, d, sent_total);
+        if report.sent.is_multiple_of(10) {
             let started = Instant::now();
-            Message::PredictRequest { host_id: host }
-                .write_to(&mut stream)
-                .expect("predict request");
-            // Pushed alerts may arrive before the reply; skip them.
-            loop {
-                match Message::read_from(&mut stream)
-                    .expect("reply")
-                    .expect("open")
-                {
-                    Message::RttfEstimate {
-                        rttf,
-                        model_generation,
-                        ..
-                    } => {
-                        report
-                            .latencies_us
-                            .push(started.elapsed().as_micros() as u64);
-                        report.saw_estimate |= rttf.is_some();
-                        report.max_generation = report.max_generation.max(model_generation);
-                        break;
-                    }
-                    Message::Alert { .. } => {}
-                    other => panic!("unexpected reply {other:?}"),
-                }
-            }
+            report.ask(&mut stream, host);
+            report
+                .latencies_us
+                .push(started.elapsed().as_micros() as u64);
         }
     }
 
@@ -306,38 +315,30 @@ fn run_client(
     // post-reload, so feed a few more datapoints if needed).
     let target = reload_generation.load(Ordering::SeqCst);
     let mut spares = spares.into_iter();
-    'wait: for _ in 0..200 {
+    for _ in 0..200 {
         if target == 0 || report.max_generation >= target {
             break;
         }
         if let Some(d) = spares.next() {
-            Message::Datapoint(d)
-                .write_to(&mut stream)
-                .expect("datapoint");
-            report.sent += 1;
-            sent_total.fetch_add(1, Ordering::Relaxed);
+            report.send(&mut stream, d, sent_total);
         }
-        Message::PredictRequest { host_id: host }
-            .write_to(&mut stream)
-            .expect("predict request");
-        loop {
-            match Message::read_from(&mut stream)
-                .expect("reply")
-                .expect("open")
-            {
-                Message::RttfEstimate {
-                    rttf,
-                    model_generation,
-                    ..
-                } => {
-                    report.saw_estimate |= rttf.is_some();
-                    report.max_generation = report.max_generation.max(model_generation);
-                    continue 'wait;
-                }
-                Message::Alert { .. } => {}
-                other => panic!("unexpected reply {other:?}"),
-            }
+        report.ask(&mut stream, host);
+    }
+
+    // A `PredictRequest` is answered from the estimate board at once,
+    // while this host's datapoints may still wait in its shard's queue,
+    // so every ask can land before the shard scores the host's windows;
+    // and a `Fail` late in the script clears the host's estimate until
+    // its next life closes a window. Keep asking, with one spare
+    // datapoint per poll while they last, until the board answers or the
+    // budget runs out.
+    let started = Instant::now();
+    while !report.saw_estimate && started.elapsed() < ESTIMATE_BUDGET {
+        match spares.next() {
+            Some(d) => report.send(&mut stream, d, sent_total),
+            None => std::thread::sleep(std::time::Duration::from_millis(2)),
         }
+        report.ask(&mut stream, host);
     }
     Message::Bye.write_to(&mut stream).ok();
     report
@@ -449,7 +450,7 @@ fn run_once(args: &Args, shards: usize) -> RunResult {
     // Precompute every client's replay script before the clock starts:
     // the timed phase is then pure wire I/O against the server.
     let scripts: Vec<_> = (0..args.clients)
-        .map(|c| client_script(c as u32, args.points, 200))
+        .map(|c| client_script(c as u32, args.points, SPARE_POINTS))
         .collect();
 
     let sent_total = Arc::new(AtomicU64::new(0));
@@ -920,7 +921,7 @@ fn run_connections(args: &Args) -> ConnResult {
     // Hot-sweep scripts precomputed BEFORE the RSS baseline, so script
     // memory is excluded from the per-connection math.
     let scripts: Vec<_> = (0..hot_clients)
-        .map(|c| client_script(c as u32, hot_points, 0))
+        .map(|c| client_script(c as u32, hot_points, SPARE_POINTS))
         .collect();
     let rss_base = rss_kib();
 
@@ -1085,11 +1086,12 @@ fn run_connections(args: &Args) -> ConnResult {
 /// and the cluster cross-checks.
 const FLEET_POINTS_PER_HOST: usize = 8;
 
-/// How long one fleet host keeps polling (one more datapoint per poll)
-/// for its first estimate. A time budget, not a poll count: the polls
-/// are back-to-back round trips, so under CPU contention a fixed count
-/// can run out before the host's shard has drained the earlier points.
-const FLEET_ESTIMATE_BUDGET: std::time::Duration = std::time::Duration::from_secs(10);
+/// How long a host keeps polling for its first estimate (a fleet host
+/// sends one more datapoint per poll; a sweep client only asks again).
+/// A time budget, not a poll count: the polls are back-to-back round
+/// trips, so under CPU contention a fixed count can run out before the
+/// host's shard has drained the earlier points.
+const ESTIMATE_BUDGET: std::time::Duration = std::time::Duration::from_secs(10);
 
 /// One instance's share of the fleet phase, from its settled snapshot.
 struct FleetInstanceRow {
@@ -1182,7 +1184,7 @@ fn run_fleet_host(
     let mut got = false;
     let started = Instant::now();
     let mut polls = 0u32;
-    while started.elapsed() < FLEET_ESTIMATE_BUDGET {
+    while started.elapsed() < ESTIMATE_BUDGET {
         polls += 1;
         Message::PredictRequest { host_id: host }
             .write_to(&mut stream)
@@ -1215,7 +1217,7 @@ fn run_fleet_host(
         Ok(())
     } else {
         Err(format!(
-            "fleet host {host}: no live estimate after {polls} polls in {FLEET_ESTIMATE_BUDGET:?}"
+            "fleet host {host}: no live estimate after {polls} polls in {ESTIMATE_BUDGET:?}"
         ))
     }
 }

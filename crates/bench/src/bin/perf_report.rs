@@ -73,23 +73,30 @@ fn interleaved_pairs<A, B>(
     mut a: impl FnMut() -> A,
     mut b: impl FnMut() -> B,
 ) -> (Vec<f64>, Vec<f64>) {
-    std::hint::black_box(a());
-    std::hint::black_box(b());
+    fn timed<T>(f: &mut impl FnMut() -> T) -> f64 {
+        let t = Instant::now();
+        std::hint::black_box(f());
+        t.elapsed().as_secs_f64()
+    }
+    interleaved_timed(|| timed(&mut a), || timed(&mut b))
+}
+
+/// [`interleaved_pairs`] for sides that time themselves: each call
+/// returns its own seconds, so untimed set-up can run inside it.
+fn interleaved_timed(
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> (Vec<f64>, Vec<f64>) {
+    a();
+    b();
     let (mut ta, mut tb) = (Vec::new(), Vec::new());
     while ta.len() < 5 || ta.iter().sum::<f64>().min(tb.iter().sum()) < PAIR_BUDGET_S {
-        let t = Instant::now();
         if ta.len() % 2 == 0 {
-            std::hint::black_box(a());
-            let mid = Instant::now();
-            std::hint::black_box(b());
-            ta.push((mid - t).as_secs_f64());
-            tb.push(mid.elapsed().as_secs_f64());
+            ta.push(a());
+            tb.push(b());
         } else {
-            std::hint::black_box(b());
-            let mid = Instant::now();
-            std::hint::black_box(a());
-            tb.push((mid - t).as_secs_f64());
-            ta.push(mid.elapsed().as_secs_f64());
+            tb.push(b());
+            ta.push(a());
         }
     }
     (ta, tb)
@@ -303,6 +310,34 @@ fn columnar_section(json: &mut String, reps: usize, smoke: bool) {
     let _ = writeln!(json, "  }},");
 }
 
+/// One window-shift shape of the retrain benchmark: the pending engine
+/// every warm rep clones, and the minima over its reps.
+struct WarmShape {
+    newest: f2pm_monitor::RunData,
+    newest_windows: usize,
+    pending: f2pm::RetrainEngine,
+    warm_s: f64,
+    shift_s: f64,
+    dual_s: f64,
+    last: Option<f2pm::RetrainOutcome>,
+}
+
+impl WarmShape {
+    /// Retrain a clone of the pending engine warm; returns the seconds
+    /// the retrain took (the clone is untimed).
+    fn rep(&mut self) -> f64 {
+        let mut engine = self.pending.clone();
+        let t = Instant::now();
+        let outcome = engine.retrain().expect("warm retrain");
+        let took = t.elapsed().as_secs_f64();
+        self.warm_s = self.warm_s.min(took);
+        self.shift_s = self.shift_s.min(outcome.shift_s);
+        self.dual_s = self.dual_s.min(outcome.dual_s);
+        self.last = Some(outcome);
+        took
+    }
+}
+
 /// DESIGN.md §15 warm-start retraining benchmark: sliding-window shifts
 /// (oldest run retired, newest appended) retrained warm — rank-k Cholesky
 /// maintenance of the live factors — versus the cold from-scratch rebuild
@@ -315,6 +350,8 @@ fn columnar_section(json: &mut String, reps: usize, smoke: bool) {
 /// gate a different (much weaker) claim. Next to each shape's `warm_s`,
 /// `shift_s` and `dual_s` are the engine's own timings of that retrain's
 /// shift and dual stages (`RetrainOutcome`), min-of-reps like `warm_s`.
+/// `unequal_over_equal` is the median of the per-pair warm-time ratios
+/// of the two shapes, timed in interleaved pairs.
 fn retrain_section(json: &mut String, reps: usize) {
     use f2pm::{FactorPath, RetrainConfig, RetrainEngine};
     use f2pm_features::{aggregate_run, AggregationConfig};
@@ -371,38 +408,51 @@ fn retrain_section(json: &mut String, reps: usize) {
     eprintln!("  initial cold {initial_cold_s:.4}s");
 
     // The newest run enters, the oldest leaves: the shift every
-    // continuous-retraining tick pays. Interleaved min-of-reps, warm side
-    // on a clone so every rep replays the identical pending shift (clones
-    // are untimed).
+    // continuous-retraining tick pays. Each warm rep retrains an untimed
+    // clone, so every rep replays the identical pending shift, and the
+    // two shapes' reps run in interleaved pairs: the unequal shape's cost
+    // is the median per-pair ratio, so a CPU-steal burst lands on both
+    // sides of a pair instead of on one shape's minimum.
     let retrain_reps = reps.max(9);
-    let shift = |newest_windows: usize| -> String {
+    let mut shapes = [windows_per_run, windows_per_run + 1].map(|newest_windows| {
         let newest = make_run(window_runs, newest_windows);
         let mut pending = base.clone();
         pending.push_run(&newest);
-        let (mut warm_s, mut shift_s, mut dual_s) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        let mut cold_s = f64::INFINITY;
-        let mut outcomes = None;
-        for _ in 0..retrain_reps {
-            let mut engine = pending.clone();
-            let t = Instant::now();
-            let warm = engine.retrain().expect("warm retrain");
-            warm_s = warm_s.min(t.elapsed().as_secs_f64());
-            shift_s = shift_s.min(warm.shift_s);
-            dual_s = dual_s.min(warm.dual_s);
-            let t = Instant::now();
-            let cold = pending.retrain_cold().expect("cold retrain");
-            cold_s = cold_s.min(t.elapsed().as_secs_f64());
-            assert_eq!(warm.lssvm_path, FactorPath::Warm, "shift must stay warm");
-            assert_eq!(warm.retired_rows, windows_per_run);
-            assert_eq!(warm.appended_rows, newest_windows);
-            outcomes = Some((warm, cold));
+        WarmShape {
+            newest,
+            newest_windows,
+            pending,
+            warm_s: f64::INFINITY,
+            shift_s: f64::INFINITY,
+            dual_s: f64::INFINITY,
+            last: None,
         }
-        let (warm, cold) = outcomes.expect("at least one rep");
+    });
+    let [equal, unequal] = &mut shapes;
+    let (equal_t, unequal_t) = interleaved_timed(|| equal.rep(), || unequal.rep());
+    let mut ratios: Vec<f64> = unequal_t.iter().zip(&equal_t).map(|(u, e)| u / e).collect();
+    let (pairs, unequal_over_equal) = (ratios.len(), median(&mut ratios));
+    eprintln!("  unequal/equal warm {unequal_over_equal:.3}x over {pairs} pairs");
+
+    let [equal, unequal] = shapes.map(|shape| {
+        let warm = shape.last.expect("at least one rep");
+        let mut cold_s = f64::INFINITY;
+        let mut cold = None;
+        for _ in 0..retrain_reps {
+            let t = Instant::now();
+            cold = Some(shape.pending.retrain_cold().expect("cold retrain"));
+            cold_s = cold_s.min(t.elapsed().as_secs_f64());
+        }
+        let cold = cold.expect("at least one rep");
+        assert_eq!(warm.lssvm_path, FactorPath::Warm, "shift must stay warm");
+        let (retired, appended) = (warm.retired_rows, warm.appended_rows);
+        assert_eq!(retired, windows_per_run);
+        assert_eq!(appended, shape.newest_windows);
 
         // The equivalence contract, checked on the numbers being
         // committed: warm and cold models must agree to 1e-6 on the
         // newest run's rows.
-        let max_pred_delta = aggregate_run(&newest, &agg)
+        let max_pred_delta = aggregate_run(&shape.newest, &agg)
             .iter()
             .filter(|p| p.rttf.is_some())
             .map(|p| {
@@ -414,27 +464,28 @@ fn retrain_section(json: &mut String, reps: usize) {
             max_pred_delta < 1e-6,
             "warm/cold prediction divergence {max_pred_delta:e}"
         );
+        let (warm_s, shift_s, dual_s) = (shape.warm_s, shape.shift_s, shape.dual_s);
         let speedup = cold_s / warm_s;
         eprintln!(
-            "  {windows_per_run} rows out, {newest_windows} in: cold {cold_s:.4}s, \
+            "  {retired} rows out, {appended} in: cold {cold_s:.4}s, \
              warm {warm_s:.4}s ({speedup:.2}x; shift {shift_s:.4}s, dual {dual_s:.4}s), \
              max pred delta {max_pred_delta:.2e}"
         );
         format!(
-            "\"retired_rows\": {windows_per_run}, \"appended_rows\": {newest_windows}, \
+            "\"retired_rows\": {retired}, \"appended_rows\": {appended}, \
              \"cold_s\": {cold_s:.6}, \"warm_s\": {warm_s:.6}, \"speedup\": {speedup:.2}, \
              \"shift_s\": {shift_s:.6}, \"dual_s\": {dual_s:.6}, \
              \"max_pred_delta\": {max_pred_delta:e}"
         )
-    };
-    let equal = shift(windows_per_run);
-    let unequal = shift(windows_per_run + 1);
+    });
 
     let _ = writeln!(json, "  \"retrain\": {{");
     let _ = writeln!(json, "    \"window_runs\": {window_runs},");
     let _ = writeln!(json, "    \"window_rows\": {window_rows},");
     let _ = writeln!(json, "    \"initial_cold_s\": {initial_cold_s:.6},");
     let _ = writeln!(json, "    \"equal_shift\": {{{equal}}},");
+    let _ = writeln!(json, "    \"pairs\": {pairs},");
+    let _ = writeln!(json, "    \"unequal_over_equal\": {unequal_over_equal:.3},");
     let _ = writeln!(json, "    \"unequal_shift\": {{{unequal}}}");
     let _ = writeln!(json, "  }},");
 }

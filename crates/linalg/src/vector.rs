@@ -7,28 +7,36 @@
 
 /// Dot product of two equal-length slices.
 ///
+/// The summation order is part of the contract: lane `k` sums
+/// `a[j] * b[j]` over `j ≡ k (mod 4)` below `⌊len/4⌋·4`, in index order,
+/// a tail sums the remaining products in order, and the result is
+/// `((s0 + s1) + (s2 + s3)) + tail`. Every model that reduces through
+/// `dot` keeps its bits only while that order holds, and
+/// `LinearModel::predict_columns` in f2pm-ml mirrors it column by column.
+///
 /// # Panics
-/// Panics in debug builds if lengths differ (the hot path skips the check in
-/// release via `debug_assert!`).
+/// Panics if `b` is shorter than `a`; a longer `b` is a debug-build
+/// assertion failure and is truncated in release.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    // Manual 4-way unroll: helps LLVM vectorize the reduction without
-    // requiring -ffast-math style reassociation.
-    let chunks = a.len() / 4;
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-    for i in 0..chunks {
-        let j = i * 4;
-        s0 += a[j] * b[j];
-        s1 += a[j + 1] * b[j + 1];
-        s2 += a[j + 2] * b[j + 2];
-        s3 += a[j + 3] * b[j + 3];
+    // The four lane sums live in one `[f64; 4]` over `chunks_exact(4)`:
+    // that form compiles to packed multiplies and adds with no bounds
+    // checks, where indexing `a[j]`..`b[j + 3]` compiles to scalar ones
+    // and a compare per element. Same additions, same order, same bits.
+    let (a4, b4) = (a.chunks_exact(4), b[..a.len()].chunks_exact(4));
+    let tail = a4
+        .remainder()
+        .iter()
+        .zip(b4.remainder())
+        .fold(0.0, |acc, (x, y)| acc + x * y);
+    let mut s = [0.0; 4];
+    for (x, y) in a4.zip(b4) {
+        for k in 0..4 {
+            s[k] += x[k] * y[k];
+        }
     }
-    let mut tail = 0.0;
-    for j in chunks * 4..a.len() {
-        tail += a[j] * b[j];
-    }
-    (s0 + s1) + (s2 + s3) + tail
+    (s[0] + s[1]) + (s[2] + s[3]) + tail
 }
 
 /// Euclidean (L2) norm.
@@ -99,6 +107,86 @@ mod tests {
             let expect: f64 = a.iter().map(|x| x * x).sum();
             assert_eq!(dot(&a, &a), expect, "n = {n}");
         }
+    }
+
+    /// `dot`'s documented summation order, one scalar add at a time.
+    fn dot_oracle(a: &[f64], b: &[f64]) -> f64 {
+        let unrolled = a.len() / 4 * 4;
+        let mut lanes = [0.0; 4];
+        let mut tail = 0.0;
+        for (j, (x, y)) in a.iter().zip(b).enumerate() {
+            if j < unrolled {
+                lanes[j % 4] += x * y;
+            } else {
+                tail += x * y;
+            }
+        }
+        ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail
+    }
+
+    /// Seeded values over a wide exponent range (so lanes cancel and
+    /// round differently), with one in `special_every` drawn from signed
+    /// zeros, subnormals, ±inf and NaN (`special_every == 0`: none).
+    fn seeded_values(seed: u64, n: usize, special_every: u64) -> Vec<f64> {
+        const SPECIAL: [f64; 8] = [
+            0.0,
+            -0.0,
+            5e-324,
+            -2.2e-310,
+            f64::MIN_POSITIVE / 3.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..n)
+            .map(|_| {
+                let r = next();
+                if special_every > 0 && r % special_every == 0 {
+                    return SPECIAL[(r >> 32) as usize % SPECIAL.len()];
+                }
+                let mantissa = (r >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                mantissa * 2f64.powi((r % 61) as i32 - 30)
+            })
+            .collect()
+    }
+
+    /// Bit for bit against the oracle at every length up to 67 (the
+    /// build's widths, 30 and 3, included) and every start alignment
+    /// mod 4. Rust leaves NaN payloads unspecified, so a NaN result only
+    /// has to be a NaN.
+    #[test]
+    fn dot_matches_the_lane_order_oracle_bit_for_bit() {
+        let mut finite = 0;
+        for len in 0..=67 {
+            for seed in 0..6 {
+                for special_every in [0, 16, 3] {
+                    let a = seeded_values(2 * seed + 1, len + 3, special_every);
+                    let b = seeded_values(2 * seed + 2, len + 3, special_every);
+                    for off in 0..4 {
+                        let (a, b) = (&a[off..off + len], &b[off..off + len]);
+                        let (got, want) = (dot(a, b), dot_oracle(a, b));
+                        if want.is_nan() {
+                            assert!(got.is_nan(), "len {len} seed {seed}: {got} != NaN");
+                        } else {
+                            finite += 1;
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "len {len} seed {seed} every {special_every} off {off}: {got:e} != {want:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(finite > 2000, "only {finite} non-NaN cases");
     }
 
     #[test]

@@ -119,11 +119,11 @@ impl Model for LinearModel {
 
     /// Column-at-a-time scoring: one axpy sweep per feature column, no
     /// row materialization at all. To stay bit-identical to `predict_row`
-    /// (which reduces through [`f2pm_linalg::dot`]'s 4-way unrolled
-    /// lanes), the sweep keeps four lane accumulators plus a tail
-    /// accumulator per row — column `j` of the unrolled prefix lands in
-    /// lane `j % 4`, trailing columns in the tail — and combines them in
-    /// `dot`'s exact order: `intercept + ((s0 + s1) + (s2 + s3) + tail)`.
+    /// (which reduces in [`f2pm_linalg::dot`]'s documented lane order),
+    /// the sweep keeps four lane accumulators plus a tail accumulator per
+    /// row — column `j` below `⌊w/4⌋·4` lands in lane `j % 4`, trailing
+    /// columns in the tail — and combines them in `dot`'s exact order:
+    /// `intercept + ((s0 + s1) + (s2 + s3) + tail)`.
     ///
     /// Rows are processed in tiles of [`COLUMN_TILE_ROWS`] so the five
     /// lane buffers stay L1-resident across all `w` column passes (at a

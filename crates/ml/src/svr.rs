@@ -54,8 +54,8 @@ pub struct SvrParams {
     /// runs. On the Gram path the gradient axpy per *moved* coordinate
     /// is full-length either way (see `coordinate_descent`), so at
     /// small/medium n the sweeps are axpy-bound and shrinking's
-    /// bookkeeping is pure overhead — BENCH_compute.json measured
-    /// 0.95–0.96x at n = 800 and n = 1600. Only once the pinned-majority
+    /// bookkeeping is pure overhead: forced on, it lost to the plain
+    /// sweep at n = 800 and n = 1600. Only once the pinned-majority
     /// late phase is large enough for the skipped evaluations to outweigh
     /// the bookkeeping does shrinking engage. Set to 0 to force shrinking
     /// at any size (the equivalence tests do).
